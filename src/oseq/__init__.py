@@ -12,6 +12,7 @@ from .classify import (
     is_nilpotent,
     is_solvable,
     is_supersolvable,
+    lower_central_series,
     supersolvable_chain,
 )
 from .construct import (
@@ -60,6 +61,7 @@ from .groups import (
     Group,
     GroupError,
     SubgroupSet,
+    commutator_subgroup,
     derived_subgroup,
     element_order,
     enumerate_group,

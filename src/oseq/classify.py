@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from sympy import factorint, isprime
+from sympy import isprime
 
 from .groups import (
     QUOTIENT_THRESHOLD,
     Group,
     GroupError,
     SubgroupSet,
-    derived_subgroup,
+    commutator_subgroup,
     is_normal,
     quotient,
 )
@@ -24,38 +23,41 @@ __all__ = [
     "is_nilpotent",
     "is_solvable",
     "is_supersolvable",
+    "lower_central_series",
     "supersolvable_chain",
     "prime_order_normal_subgroups",
 ]
 
 
-def _is_prime_power_of(o, p):
-    while o % p == 0:
-        o //= p
-    return o == 1
-
-
-def is_nilpotent(group):
-    """Element-counting criterion: for each p | n the number of elements of
-    p-power order must equal the p-part of n (all Sylow subgroups normal)."""
-    n = len(group)
-    counts = Counter(group.orders())
-    for p, e in factorint(n).items():
-        have = sum(m for o, m in counts.items() if _is_prime_power_of(o, p))
-        if have != p**e:
-            return False
-    return True
-
-
-def derived_series(group):
-    """Iterated commutator subgroups until the series stabilises."""
+def _series(group, operands):
+    """The series G = S0 > S1 > ... with S(i+1) = [A, B], up to a trivial or
+    repeated term; `operands` maps the generators of S(i) to those of A and B.
+    """
     series = [SubgroupSet(group, tuple(range(len(group))))]
+    gens = group.generators
     while len(series[-1]) > 1:
-        nxt = derived_subgroup(group, series[-1].members)
+        nxt, gens = commutator_subgroup(group, *operands(gens))
         if len(nxt) == len(series[-1]):
             break
         series.append(nxt)
     return series
+
+
+def derived_series(group):
+    """G > G' > G'' > ... with each term the commutator subgroup of the last."""
+    if len(group) > QUOTIENT_THRESHOLD:
+        raise GroupError(f"group order {len(group)} exceeds threshold {QUOTIENT_THRESHOLD}")
+    return _series(group, lambda gens: (gens, gens))
+
+
+def lower_central_series(group):
+    """G > [G, G] > [G, [G, G]] > ... until the series stabilises."""
+    return _series(group, lambda gens: (group.generators, gens))
+
+
+def is_nilpotent(group):
+    """Nilpotent exactly when the lower central series reaches the trivial group."""
+    return len(lower_central_series(group)[-1]) == 1
 
 
 def is_solvable(group):

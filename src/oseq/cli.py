@@ -135,8 +135,15 @@ def cmd_poset(args):
     return 0
 
 
+def _primes(text):
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise SuiteUsageError(f"--primes takes comma-separated integers; got {text!r}") from None
+
+
 def cmd_verify(args):
-    primes = tuple(int(p) for p in args.primes.split(",")) if args.primes else None
+    primes = _primes(args.primes) if args.primes else None
     checks = run_suite(args.suite, fixtures=_fixtures(args), primes=primes, features=_features(args))
     failed = 0
     for check in checks:
@@ -229,7 +236,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, SequenceError, SuiteUsageError, FixtureError) as exc:
+    except (ParseError, SequenceError, SuiteUsageError, FixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
     except ConstructionError as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "subgroup_closure",
     "is_normal",
     "quotient",
+    "commutator_subgroup",
     "derived_subgroup",
     "DEFAULT_CLOSURE_CAP",
     "QUOTIENT_THRESHOLD",
@@ -354,25 +355,32 @@ class SubgroupSet:
         return len(self.members)
 
 
+def _grow(group, members, gens, s):
+    """Enlarge the subgroup `members`, generated by `gens`, to <members, s>.
+
+    Dimino's step: the new subgroup is a union of right cosets H*r of the old
+    one H, found by multiplying each coset representative by every generator.
+    """
+    mul = group.mul
+    base = list(members)
+    gens.append(s)
+    reps = [s]
+    members.update(mul(h, s) for h in base)
+    for r in reps:  # grows while it is walked
+        for g in gens:
+            y = mul(r, g)
+            if y not in members:
+                members.update(mul(h, y) for h in base)
+                reps.append(y)
+
+
 def subgroup_closure(group, seed):
     """Smallest subgroup containing the seed indices."""
-    gens = sorted({int(i) for i in seed} - {0})
-    elems = [0]
-    seen = {0}
-    for s in gens:
-        if s not in seen:
-            seen.add(s)
-            elems.append(s)
-    head = 0
-    while head < len(elems):
-        x = elems[head]
-        head += 1
-        for s in gens:
-            y = group.mul(x, s)
-            if y not in seen:
-                seen.add(y)
-                elems.append(y)
-    return SubgroupSet(group, tuple(sorted(seen)))
+    members, gens = {0}, []
+    for s in sorted({int(i) for i in seed}):
+        if s not in members:
+            _grow(group, members, gens, s)
+    return SubgroupSet(group, tuple(sorted(members)))
 
 
 def is_normal(group, sub):
@@ -408,20 +416,33 @@ def quotient(group, sub):
     return Group(backing, reps, generator_elements=gen_elems, name=f"{group.name}/N")
 
 
-def derived_subgroup(group, members=None):
-    """Closure of all pairwise commutators within `members` (default: everything)."""
+def commutator_subgroup(group, a_gens, b_gens):
+    """[A, B] for A = <a_gens> and B = <b_gens>, and the generators collected.
+
+    [A, B] is the normal closure in <A, B> of the generator commutators
+    [a, b] = a^-1 b^-1 a b (Holt, Eick & O'Brien, Handbook of Computational
+    Group Theory, 2005).  A conjugate of a collected generator by a generator
+    of <A, B> joins the generators whenever it falls outside the subgroup
+    built so far; the returned generators generate [A, B].
+    """
+    mul, inv = group.mul, group.inv
+    members, gens = {0}, []
+    for a in a_gens:
+        for b in b_gens:
+            c = mul(mul(inv(a), inv(b)), mul(a, b))
+            if c not in members:
+                _grow(group, members, gens, c)
+    conjugators = tuple(dict.fromkeys((*a_gens, *b_gens)))
+    for x in gens:  # grows while it is walked
+        for g in conjugators:
+            y = mul(mul(inv(g), x), g)
+            if y not in members:
+                _grow(group, members, gens, y)
+    return SubgroupSet(group, tuple(sorted(members))), tuple(gens)
+
+
+def derived_subgroup(group):
+    """[G, G] from `group.generators`, which generate G (as `is_normal` assumes)."""
     if len(group) > QUOTIENT_THRESHOLD:
         raise GroupError(f"group order {len(group)} exceeds threshold {QUOTIENT_THRESHOLD}")
-    idxs = range(len(group)) if members is None else members
-    backing = group.backing
-    bmul = backing.mul
-    table = group.table
-    elems = [table[i] for i in idxs]
-    invs = [backing.inv(e) for e in elems]
-    comm = set()
-    # [x,y]^-1 = [y,x], so the j >= i half seeds the same closure
-    for i in range(len(elems)):
-        xi, x = invs[i], elems[i]
-        for j in range(i, len(elems)):
-            comm.add(bmul(bmul(xi, invs[j]), bmul(x, elems[j])))
-    return subgroup_closure(group, (group.index[c] for c in comm))
+    return commutator_subgroup(group, group.generators, group.generators)[0]

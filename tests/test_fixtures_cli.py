@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from oseq.cli import main
@@ -176,3 +181,25 @@ def test_cli_verify_props_reports_known_failure(capsys):
     assert main(["verify", "props"]) == 3
     out = capsys.readouterr().out
     assert "FAIL nilpotent dominates: C2xC6 > Dic12" in out
+
+
+def _run_cli(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "oseq", *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "table1", "--fixtures", "{tmp}/missing.txt"),
+        ("os", "C(5)", "--cache", "{tmp}/missing-dir/c.json"),
+        ("verify", "thm23", "--primes", "3,x"),
+    ],
+    ids=["missing-fixtures", "cache-in-missing-dir", "non-integer-prime"],
+)
+def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
+    proc = _run_cli(*(a.format(tmp=tmp_path) for a in args))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
