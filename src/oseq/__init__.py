@@ -42,7 +42,6 @@ from .construct import (
 )
 from .expr import ParseError, build, parse, print_expr
 from .finite_field import (
-    FieldElement,
     FieldError,
     FieldSpec,
     Matrix,
@@ -54,7 +53,6 @@ from .finite_field import (
     mat_order,
     mat_pow,
     projective_action,
-    projective_line,
 )
 from .fixtures import Fixture, FixtureError, default_fixtures, load_fixtures
 from .groups import (
@@ -63,7 +61,6 @@ from .groups import (
     SubgroupSet,
     commutator_subgroup,
     derived_subgroup,
-    element_order,
     enumerate_group,
     is_normal,
     quotient,

@@ -45,8 +45,6 @@ def _series(group, operands):
 
 def derived_series(group):
     """G > G' > G'' > ... with each term the commutator subgroup of the last."""
-    if len(group) > QUOTIENT_THRESHOLD:
-        raise GroupError(f"group order {len(group)} exceeds threshold {QUOTIENT_THRESHOLD}")
     return _series(group, lambda gens: (gens, gens))
 
 

@@ -30,10 +30,6 @@ from .verify import SUITE_NAMES, SuiteUsageError, run_suite
 USER_ERROR, CONSTRUCTION_ERROR, VERIFICATION_ERROR = 1, 2, 3
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 def _features(args):
     return frozenset(getattr(args, "features", None) or ())
 
@@ -239,10 +235,7 @@ def main(argv=None):
     except (ParseError, SequenceError, SuiteUsageError, FixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
-    except ConstructionError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return CONSTRUCTION_ERROR
-    except (GroupError, FieldError) as exc:
+    except (ConstructionError, GroupError, FieldError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return CONSTRUCTION_ERROR
 

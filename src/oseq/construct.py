@@ -19,7 +19,7 @@ from .finite_field import (
     mat_det,
     mat_inv,
     mat_mul,
-    projective_line,
+    projective_action,
 )
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -339,9 +339,8 @@ def psl2(q):
         Matrix(spec, ((1, 0), (alpha, 1))),
         Matrix(spec, ((alpha, 0), (0, spec.inv(alpha)))),
     ]
-    points, act = projective_line(spec)
-    backing = PermBacking(len(points))
-    gens = [backing.pack(act(m, pt) for pt in points) for m in mats]
+    backing = PermBacking(q + 1)
+    gens = [backing.pack(projective_action(m, pt) for pt in range(q + 1)) for m in mats]
     grp = enumerate_group(backing, gens, name=f"PSL(2,{q})")
     expected = q * (q * q - 1) // gcd(2, q - 1)
     if len(grp) != expected:
@@ -557,8 +556,6 @@ def _c7_rtimes_a4():
     return grp
 
 
-CATALOG_PARAMETRIZED = frozenset({"CpxA4", "S3xD2p", "C5pxA5", "CpxSD300", "CpxS3wrC2", "CpxSD72"})
-
 _CATALOG_FIXED = {
     "C5xA5": lambda: direct_product(cyclic(5), alternating(5)),
     "C7xA5": lambda: direct_product(cyclic(7), alternating(5)),
@@ -583,6 +580,8 @@ _CATALOG_PRIME = {
     "CpxS3wrC2": lambda p: direct_product(cyclic(p), catalog("S3wrC2")),
     "CpxSD72": lambda p: direct_product(cyclic(p), catalog("SD_72_35")),
 }
+
+CATALOG_PARAMETRIZED = frozenset(_CATALOG_PRIME)
 
 
 def catalog_names():

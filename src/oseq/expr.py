@@ -8,35 +8,22 @@ Grammar (ASCII, whitespace insignificant):
 
 Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Cat.  ``C(5)^2`` is
 C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.
+
+Every expression is a ``Node(name, args)``.  A product is
+``Node("x", (left, right))`` and a cyclic power ``Node("^", (C(n), k))``;
+other powers are spelled out as products.  Parsing, printing and building
+each walk the one ``_CONSTRUCTORS`` table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import construct
 from .construct import ConstructionError
 
-__all__ = [
-    "ParseError",
-    "Cyclic",
-    "CyclicPower",
-    "Dihedral",
-    "Dicyclic",
-    "Sym",
-    "Alt",
-    "Heisenberg",
-    "Frob42",
-    "Frob56",
-    "Psl2",
-    "Suzuki8",
-    "Product",
-    "WreathSquare",
-    "CatalogRef",
-    "parse",
-    "print_expr",
-    "build",
-]
+__all__ = ["ParseError", "Node", "parse", "print_expr", "build"]
 
 
 class ParseError(ValueError):
@@ -46,76 +33,34 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Cyclic:
-    n: int
+class Node:
+    """One constructor applied to its arguments: ints, names or sub-nodes."""
 
-
-@dataclass(frozen=True)
-class CyclicPower:
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
-class Dihedral:
-    order: int
-
-
-@dataclass(frozen=True)
-class Dicyclic:
-    order: int
-
-
-@dataclass(frozen=True)
-class Sym:
-    k: int
-
-
-@dataclass(frozen=True)
-class Alt:
-    k: int
-
-
-@dataclass(frozen=True)
-class Heisenberg:
-    p: int
-
-
-@dataclass(frozen=True)
-class Frob42:
-    pass
-
-
-@dataclass(frozen=True)
-class Frob56:
-    pass
-
-
-@dataclass(frozen=True)
-class Psl2:
-    q: int
-
-
-@dataclass(frozen=True)
-class Suzuki8:
-    pass
-
-
-@dataclass(frozen=True)
-class Product:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class WreathSquare:
-    inner: object
-
-
-@dataclass(frozen=True)
-class CatalogRef:
     name: str
-    prime: int | None = None
+    args: tuple = ()
+
+
+# Name -> (argument kind, `construct` function that builds it).  The kinds
+# are "none" (F7 or F7()), "int", "expr" (one sub-expression), "catalog" (a
+# catalog name and an optional prime), and the two operators "product" and
+# "power".  Builders are looked up on `construct` at call time and receive
+# the arguments with sub-expressions already built.
+_CONSTRUCTORS = {
+    "C": ("int", "cyclic"),
+    "D": ("int", "dihedral"),
+    "Dic": ("int", "dicyclic"),
+    "S": ("int", "symmetric"),
+    "A": ("int", "alternating"),
+    "He": ("int", "heisenberg"),
+    "PSL2": ("int", "psl2"),
+    "F7": ("none", "frobenius42"),
+    "F8": ("none", "frobenius56"),
+    "Sz8": ("none", "suzuki8"),
+    "Wr2": ("expr", "wreath_square"),
+    "Cat": ("catalog", "catalog"),
+    "x": ("product", "direct_product"),
+    "^": ("power", "direct_product"),
+}
 
 
 def _lex(text):
@@ -158,18 +103,6 @@ def _lex(text):
     return tokens
 
 
-_INT_ARG = {
-    "C": Cyclic,
-    "D": Dihedral,
-    "Dic": Dicyclic,
-    "S": Sym,
-    "A": Alt,
-    "He": Heisenberg,
-    "PSL2": Psl2,
-}
-_BARE = {"F7": Frob42, "F8": Frob56, "Sz8": Suzuki8}
-
-
 class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
@@ -196,7 +129,7 @@ class _Parser:
         node = self.term()
         while self.peek()[0] == "x":
             self.take()
-            node = Product(node, self.term())
+            node = Node("x", (node, self.term()))
         return node
 
     def term(self):
@@ -213,44 +146,39 @@ class _Parser:
             raise ParseError("exponent must be >= 1", pos)
         if k == 1:
             return node
-        if isinstance(node, Cyclic):
-            return CyclicPower(node.n, k)
-        if isinstance(node, CyclicPower):
-            return CyclicPower(node.n, node.k * k)
+        if node.name == "C":
+            return Node("^", (node, k))
+        if node.name == "^":
+            return Node("^", (node.args[0], node.args[1] * k))
         out = node
         for _ in range(k - 1):
-            out = Product(out, node)
+            out = Node("x", (out, node))
         return out
 
     def atom(self):
-        kind, word, at = self.take("name") if self.peek()[0] == "name" else self.take()
+        kind, word, at = self.take()
         if kind != "name":
             raise ParseError(f"expected a constructor name, found {word!r}", at)
-        if word in _BARE:
+        arg_kind = _CONSTRUCTORS.get(word, (None,))[0]
+        if arg_kind == "none":
             if self.peek()[0] == "(":
                 self.take()
                 self.take(")")
-            return _BARE[word]()
-        if word in _INT_ARG:
-            self.take("(")
-            value = self.take("int")[1]
-            self.take(")")
-            return _INT_ARG[word](value)
-        if word == "Wr2":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return WreathSquare(inner)
-        if word == "Cat":
-            self.take("(")
-            name = self.take("name")[1]
-            prime = None
+            return Node(word)
+        if arg_kind not in ("int", "expr", "catalog"):
+            raise ParseError(f"unknown constructor {word!r}", at)
+        self.take("(")
+        if arg_kind == "int":
+            args = (self.take("int")[1],)
+        elif arg_kind == "expr":
+            args = (self.expr(),)
+        else:
+            args = (self.take("name")[1],)
             if self.peek()[0] == ",":
                 self.take()
-                prime = self.take("int")[1]
-            self.take(")")
-            return CatalogRef(name, prime)
-        raise ParseError(f"unknown constructor {word!r}", at)
+                args += (self.take("int")[1],)
+        self.take(")")
+        return Node(word, args)
 
 
 def parse(text):
@@ -259,72 +187,25 @@ def parse(text):
 
 def print_expr(node):
     """Canonical text; parse(print_expr(e)) == e on canonical forms."""
-    if isinstance(node, Cyclic):
-        return f"C({node.n})"
-    if isinstance(node, CyclicPower):
-        return f"C({node.n})^{node.k}"
-    if isinstance(node, Dihedral):
-        return f"D({node.order})"
-    if isinstance(node, Dicyclic):
-        return f"Dic({node.order})"
-    if isinstance(node, Sym):
-        return f"S({node.k})"
-    if isinstance(node, Alt):
-        return f"A({node.k})"
-    if isinstance(node, Heisenberg):
-        return f"He({node.p})"
-    if isinstance(node, Frob42):
-        return "F7"
-    if isinstance(node, Frob56):
-        return "F8"
-    if isinstance(node, Psl2):
-        return f"PSL2({node.q})"
-    if isinstance(node, Suzuki8):
-        return "Sz8"
-    if isinstance(node, Product):
-        return f"{print_expr(node.left)} x {print_expr(node.right)}"
-    if isinstance(node, WreathSquare):
-        return f"Wr2({print_expr(node.inner)})"
-    if isinstance(node, CatalogRef):
-        if node.prime is None:
-            return f"Cat({node.name})"
-        return f"Cat({node.name}, {node.prime})"
-    raise TypeError(f"not an expression node: {node!r}")
+    kind = _CONSTRUCTORS[node.name][0]
+    args = [print_expr(a) if isinstance(a, Node) else str(a) for a in node.args]
+    if kind == "none":
+        return node.name
+    if kind == "product":
+        return " x ".join(args)
+    if kind == "power":
+        return "^".join(args)
+    return f"{node.name}({', '.join(args)})"
 
 
 def build(node, features=frozenset()):
     """Evaluate an expression to an enumerated group."""
-    if isinstance(node, Cyclic):
-        return construct.cyclic(node.n)
-    if isinstance(node, CyclicPower):
-        out = construct.cyclic(node.n)
-        for _ in range(node.k - 1):
-            out = construct.direct_product(out, construct.cyclic(node.n))
-        return out
-    if isinstance(node, Dihedral):
-        return construct.dihedral(node.order)
-    if isinstance(node, Dicyclic):
-        return construct.dicyclic(node.order)
-    if isinstance(node, Sym):
-        return construct.symmetric(node.k)
-    if isinstance(node, Alt):
-        return construct.alternating(node.k)
-    if isinstance(node, Heisenberg):
-        return construct.heisenberg(node.p)
-    if isinstance(node, Frob42):
-        return construct.frobenius42()
-    if isinstance(node, Frob56):
-        return construct.frobenius56()
-    if isinstance(node, Psl2):
-        return construct.psl2(node.q)
-    if isinstance(node, Suzuki8):
-        if "sz8" not in features:
-            raise ConstructionError("Sz8 is gated behind the sz8 feature flag")
-        return construct.suzuki8()
-    if isinstance(node, Product):
-        return construct.direct_product(build(node.left, features), build(node.right, features))
-    if isinstance(node, WreathSquare):
-        return construct.wreath_square(build(node.inner, features))
-    if isinstance(node, CatalogRef):
-        return construct.catalog(node.name, node.prime)
-    raise TypeError(f"not an expression node: {node!r}")
+    if node.name == "Sz8" and "sz8" not in features:
+        raise ConstructionError("Sz8 is gated behind the sz8 feature flag")
+    args = [build(a, features) if isinstance(a, Node) else a for a in node.args]
+    kind, function = _CONSTRUCTORS[node.name]
+    builder = getattr(construct, function)
+    if kind == "power":
+        group, k = args
+        return reduce(builder, [group] * k)
+    return builder(*args)

@@ -17,7 +17,6 @@ from sympy import isprime
 __all__ = [
     "FieldError",
     "FieldSpec",
-    "FieldElement",
     "Matrix",
     "field_make",
     "mat_mul",
@@ -26,7 +25,6 @@ __all__ = [
     "mat_det",
     "mat_order",
     "companion_matrix",
-    "projective_line",
     "projective_action",
     "MATRIX_ORDER_CAP",
 ]
@@ -203,9 +201,6 @@ class FieldSpec:
             return self._inv[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         if e < 0:
             a, e = self.inv(a), -e
@@ -225,9 +220,6 @@ class FieldSpec:
             x = self.mul(x, a)
             o += 1
         return o
-
-    def element(self, value):
-        return FieldElement(self, value)
 
     # -- identity ----------------------------------------------------------
 
@@ -262,71 +254,6 @@ def field_make(p, k=1):
     return FieldSpec(p, k, modulus)
 
 
-class FieldElement:
-    """Element of a FieldSpec, wrapping the canonical integer encoding."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec, value):
-        if not 0 <= value < spec.q:
-            raise FieldError(f"encoding {value} outside [0, {spec.q})")
-        self.spec = spec
-        self.value = value
-
-    @classmethod
-    def from_coeffs(cls, spec, coeffs):
-        return cls(spec, spec.encode(coeffs))
-
-    @property
-    def coeffs(self):
-        return self.spec.coeffs(self.value)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise FieldError("operands from different fields")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._check(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._check(other)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._check(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.div(self.value, self._check(other)))
-
-    def __pow__(self, e):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def order(self):
-        return self.spec.element_order(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.spec.q))
-
-    def __repr__(self):
-        return f"FieldElement({self.spec!r}, {self.value})"
-
-
 class Matrix:
     """Square matrix over a FieldSpec; rows hold int-encoded entries."""
 
@@ -348,9 +275,6 @@ class Matrix:
     @property
     def dim(self):
         return len(self.rows)
-
-    def element(self, i, j):
-        return FieldElement(self.spec, self.rows[i][j])
 
     def __mul__(self, other):
         return mat_mul(self, other)
@@ -475,8 +399,18 @@ def companion_matrix(spec, poly):
     return Matrix(spec, rows)
 
 
-def _proj_apply(spec, rows, point):
-    (a, b), (c, d) = rows
+def projective_action(m, point):
+    """Image of a point of the projective line under a 2x2 matrix.
+
+    The q + 1 points are numbered 0..q: point 0 is [1:0] and point 1+x is
+    [x:1] for the element encoded x.  Scalar matrices act trivially.
+    """
+    if m.dim != 2:
+        raise FieldError("projective line action needs a 2x2 matrix")
+    if mat_det(m) == 0:
+        raise FieldError("singular matrix cannot act on the projective line")
+    spec = m.spec
+    (a, b), (c, d) = m.rows
     if point == 0:  # [1:0]
         num, den = a, c
     else:
@@ -486,25 +420,3 @@ def _proj_apply(spec, rows, point):
     if den == 0:
         return 0
     return 1 + spec.mul(num, spec.inv(den))
-
-
-def projective_line(spec):
-    """Points of the projective line over the field plus the matrix action.
-
-    Point 0 is [1:0]; point 1+x is [x:1] for the element encoded x.
-    Scalar matrices act trivially.
-    """
-    points = list(range(spec.q + 1))
-
-    def action(m, point):
-        return projective_action(m, point)
-
-    return points, action
-
-
-def projective_action(m, point):
-    if m.dim != 2:
-        raise FieldError("projective line action needs a 2x2 matrix")
-    if mat_det(m) == 0:
-        raise FieldError("singular matrix cannot act on the projective line")
-    return _proj_apply(m.spec, m.rows, point)

@@ -26,7 +26,6 @@ __all__ = [
     "SemidirectBacking",
     "CosetBacking",
     "enumerate_group",
-    "element_order",
     "subgroup_closure",
     "is_normal",
     "quotient",
@@ -96,44 +95,28 @@ class PermBacking:
 
 
 class MatrixBacking:
-    """Square matrices over a field, optionally normalised modulo scalars."""
+    """Square matrices of one dimension over a field."""
 
-    __slots__ = ("spec", "dim", "projective")
+    __slots__ = ("spec", "dim")
 
-    def __init__(self, spec, dim, projective=False):
+    def __init__(self, spec, dim):
         self.spec = spec
         self.dim = dim
-        self.projective = projective
-
-    def normalize(self, m):
-        if not self.projective:
-            return m
-        for row in m.rows:
-            for e in row:
-                if e:
-                    if e == 1:
-                        return m
-                    f = self.spec.inv(e)
-                    return Matrix(
-                        self.spec,
-                        tuple(tuple(self.spec.mul(f, x) for x in r) for r in m.rows),
-                    )
-        raise GroupError("zero matrix has no projective normal form")
 
     def identity(self):
         return Matrix.identity(self.spec, self.dim)
 
     def mul(self, a, b):
-        return self.normalize(mat_mul(a, b))
+        return mat_mul(a, b)
 
     def inv(self, a):
-        return self.normalize(mat_inv(a))
+        return mat_inv(a)
 
     def fast_order(self, a):
         return None
 
     def token(self):
-        return ("matrix", self.spec.p, self.spec.k, self.spec.modulus, self.dim, self.projective)
+        return ("matrix", self.spec.p, self.spec.k, self.spec.modulus, self.dim)
 
 
 class VectorBacking:
@@ -315,10 +298,6 @@ class Group:
         return self._fp
 
 
-def element_order(group, i):
-    return group.order_of(i)
-
-
 def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
     """BFS closure of the generators; deterministic indexing, identity first."""
     generators = list(generators)
@@ -443,6 +422,4 @@ def commutator_subgroup(group, a_gens, b_gens):
 
 def derived_subgroup(group):
     """[G, G] from `group.generators`, which generate G (as `is_normal` assumes)."""
-    if len(group) > QUOTIENT_THRESHOLD:
-        raise GroupError(f"group order {len(group)} exceeds threshold {QUOTIENT_THRESHOLD}")
     return commutator_subgroup(group, group.generators, group.generators)[0]

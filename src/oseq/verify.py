@@ -79,24 +79,22 @@ DEFAULT_PRIMES = {
     "thm29": (5, 7, 11),
 }
 
+# Theorem suite -> (hypothesis on each prime, its statement for error text).
 _PRIME_GUARDS = {
-    "thm23": lambda p: isprime(p) and p % 2 == 1 and p != 5 and p % 5 != 1,
-    "thm25": lambda p: isprime(p) and p >= 11 and p % 3 != 1,
-    "thm29": lambda p: isprime(p) and p >= 5,
-}
-
-_GUARD_TEXT = {
-    "thm23": "odd primes p != 5 with p % 5 != 1",
-    "thm25": "primes p >= 11 with p % 3 != 1",
-    "thm29": "primes p >= 5",
+    "thm23": (
+        lambda p: isprime(p) and p % 2 == 1 and p != 5 and p % 5 != 1,
+        "odd primes p != 5 with p % 5 != 1",
+    ),
+    "thm25": (lambda p: isprime(p) and p >= 11 and p % 3 != 1, "primes p >= 11 with p % 3 != 1"),
+    "thm29": (lambda p: isprime(p) and p >= 5, "primes p >= 5"),
 }
 
 
 def _check_primes(suite, primes):
-    guard = _PRIME_GUARDS[suite]
+    guard, text = _PRIME_GUARDS[suite]
     for p in primes:
         if not guard(p):
-            raise SuiteUsageError(f"{suite} requires {_GUARD_TEXT[suite]}; got {p}")
+            raise SuiteUsageError(f"{suite} requires {text}; got {p}")
     return tuple(primes)
 
 

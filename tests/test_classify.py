@@ -18,6 +18,7 @@ from oseq.construct import (
     direct_product,
     elementary_abelian,
     heisenberg,
+    psl2,
     symmetric,
 )
 from oseq.groups import GroupError, is_normal
@@ -110,8 +111,12 @@ def test_implication_chain_on_assorted_groups():
 
 
 def test_threshold_guard():
+    # the derived series runs at any order; only the quotient search is capped
     big = direct_product(cyclic(150), cyclic(150))
-    with pytest.raises(GroupError):
-        is_solvable(big)
+    assert is_solvable(big) is True
     with pytest.raises(GroupError):
         supersolvable_chain(big)
+
+
+def test_psl2_64_is_not_solvable():
+    assert is_solvable(psl2(64)) is False

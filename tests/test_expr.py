@@ -3,33 +3,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.construct import ConstructionError
-from oseq.expr import (
-    Alt,
-    CatalogRef,
-    Cyclic,
-    CyclicPower,
-    Dihedral,
-    Frob42,
-    ParseError,
-    Product,
-    Psl2,
-    Sym,
-    WreathSquare,
-    build,
-    parse,
-    print_expr,
-)
+from oseq.expr import _CONSTRUCTORS, Node, ParseError, build, parse, print_expr
 from oseq.order_sequence import os_of_group
 
 
+def C(n):
+    return Node("C", (n,))
+
+
+def _product(left, right):
+    return Node("x", (left, right))
+
+
 def test_parse_examples():
-    assert parse("C(5)^2") == CyclicPower(5, 2)
-    assert parse("C(5) x A(5)") == Product(Cyclic(5), Alt(5))
-    assert parse("Cat(SD_300_23)") == CatalogRef("SD_300_23")
-    assert parse("Cat(CpxA4, 11)") == CatalogRef("CpxA4", 11)
-    assert parse("Wr2(S(3))") == WreathSquare(Sym(3))
-    assert parse("F7") == Frob42()
-    assert parse("PSL2(64)") == Psl2(64)
+    assert parse("C(5)^2") == Node("^", (C(5), 2))
+    assert parse("C(5) x A(5)") == _product(C(5), Node("A", (5,)))
+    assert parse("Cat(SD_300_23)") == Node("Cat", ("SD_300_23",))
+    assert parse("Cat(CpxA4, 11)") == Node("Cat", ("CpxA4", 11))
+    assert parse("Wr2(S(3))") == Node("Wr2", (Node("S", (3,)),))
+    assert parse("F7") == Node("F7")
+    assert parse("PSL2(64)") == Node("PSL2", (64,))
 
 
 def test_whitespace_insignificant():
@@ -37,9 +30,10 @@ def test_whitespace_insignificant():
 
 
 def test_power_desugars():
-    assert parse("D(8)^2") == Product(Dihedral(8), Dihedral(8))
-    assert parse("C(2)^4") == CyclicPower(2, 4)
-    assert parse("C(3)^1") == Cyclic(3)
+    d8 = Node("D", (8,))
+    assert parse("D(8)^2") == _product(d8, d8)
+    assert parse("C(2)^4") == Node("^", (C(2), 4))
+    assert parse("C(3)^1") == C(3)
 
 
 def test_parse_errors_carry_position():
@@ -56,6 +50,29 @@ def test_parse_errors_carry_position():
         parse("")
 
 
+# Canonical text is the `os --cache` key and the `poset` label, so it is
+# pinned literally rather than only through the round trip.
+@pytest.mark.parametrize(
+    ("text", "canonical"),
+    [
+        ("C(5)xA(5)", "C(5) x A(5)"),
+        ("Cat(CpxA4,11)", "Cat(CpxA4, 11)"),
+        ("C(2)^2^3", "C(2)^6"),
+        ("D(8)^2", "D(8) x D(8)"),
+        ("F7()", "F7"),
+        ("Dic( 12 )", "Dic(12)"),
+        ("He(3)xS(3)", "He(3) x S(3)"),
+        ("F8", "F8"),
+        ("Sz8()", "Sz8"),
+        ("PSL2(64)", "PSL2(64)"),
+        ("Cat( SD_300_23 )", "Cat(SD_300_23)"),
+        ("Wr2(C(2)^2xS(3))^2", "Wr2(C(2)^2 x S(3)) x Wr2(C(2)^2 x S(3))"),
+    ],
+)
+def test_canonical_text(text, canonical):
+    assert print_expr(parse(text)) == canonical
+
+
 def test_print_parse_roundtrip_examples():
     for text in ("C(5)^2", "C(5) x A(5)", "Cat(SD_300_23)", "Cat(CpxA4, 11)",
                  "Wr2(S(3))", "F7 x F8", "Dic(12) x He(3)", "PSL2(9)"):
@@ -63,9 +80,21 @@ def test_print_parse_roundtrip_examples():
         assert parse(print_expr(node)) == node
 
 
-_ATOMS = st.sampled_from(
-    [Cyclic(3), Cyclic(5), CyclicPower(2, 3), Dihedral(8), Sym(3), Alt(4), Frob42(), Psl2(5)]
-)
+# One atom per entry of the constructor table (both Cat forms), so a new
+# entry without a round-trip case fails test_atoms_cover_the_table.  The
+# product "x" is drawn by _exprs: an atom is always a right operand, and a
+# right-nested product is not canonical.
+_ATOM_LIST = [
+    C(3), C(5), Node("D", (8,)), Node("Dic", (12,)), Node("S", (3,)), Node("A", (4,)),
+    Node("He", (3,)), Node("PSL2", (5,)), Node("F7"), Node("F8"), Node("Sz8"),
+    Node("Wr2", (Node("S", (3,)),)), Node("Cat", ("SD_300_23",)), Node("Cat", ("CpxA4", 11)),
+    Node("^", (C(2), 3)),
+]
+_ATOMS = st.sampled_from(_ATOM_LIST)
+
+
+def test_atoms_cover_the_table():
+    assert {node.name for node in _ATOM_LIST} | {"x"} == set(_CONSTRUCTORS)
 
 
 def _exprs(depth):
@@ -73,7 +102,9 @@ def _exprs(depth):
     if depth == 0:
         return _ATOMS
     sub = _exprs(depth - 1)
-    return st.one_of(_ATOMS, st.builds(Product, sub, _ATOMS), st.builds(WreathSquare, _ATOMS))
+    return st.one_of(
+        _ATOMS, st.builds(_product, sub, _ATOMS), st.builds(lambda n: Node("Wr2", (n,)), sub)
+    )
 
 
 @settings(max_examples=200)
@@ -94,3 +125,5 @@ def test_sz8_feature_gate():
     node = parse("Sz8")
     with pytest.raises(ConstructionError):
         build(node)
+    with pytest.raises(ConstructionError):
+        build(parse("C(2) x Wr2(Sz8)"))

@@ -4,11 +4,11 @@ import pytest
 
 from oseq.construct import alternating, cyclic, dicyclic, dihedral, direct_product, symmetric
 from oseq.groups import (
+    QUOTIENT_THRESHOLD,
     GroupError,
     PermBacking,
     derived_subgroup,
     enumerate_group,
-    element_order,
     is_normal,
     quotient,
     subgroup_closure,
@@ -50,7 +50,7 @@ def test_element_orders():
     assert len(three_cycles) == 8
     # order of a (2,3) cycle type is the lcm of the cycle lengths
     mixed = direct_product(cyclic(2), cyclic(3))
-    assert element_order(mixed, mixed.mul(mixed.generators[0], mixed.generators[1])) == 6
+    assert mixed.order_of(mixed.mul(mixed.generators[0], mixed.generators[1])) == 6
 
 
 @pytest.mark.parametrize("group", [symmetric(3), alternating(4), dihedral(12), dicyclic(12)])
@@ -126,10 +126,10 @@ def test_quotient_rejects_non_normal():
         quotient(s3, subgroup_closure(s3, [refl]))
 
 
-def test_quotient_threshold():
+def test_derived_subgroup_above_quotient_threshold():
     big = direct_product(cyclic(150), cyclic(150))
-    with pytest.raises(GroupError):
-        derived_subgroup(big)
+    assert len(big) > QUOTIENT_THRESHOLD
+    assert derived_subgroup(big).members == (0,)
 
 
 def test_derived_subgroups():
