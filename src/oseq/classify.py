@@ -138,13 +138,16 @@ class ClassificationReport:
 
 
 def classify_group(group):
-    chain = supersolvable_chain(group)
+    """Full report.  A group that is not solvable is not supersolvable, so it
+    skips the quotient search, which refuses orders above QUOTIENT_THRESHOLD."""
     series = derived_series(group)
+    solvable = len(series[-1]) == 1
+    chain = supersolvable_chain(group) if solvable else None
     return ClassificationReport(
         order=len(group),
         nilpotent=is_nilpotent(group),
         supersolvable=chain is not None,
-        solvable=len(series[-1]) == 1,
+        solvable=solvable,
         chain=chain,
         derived_orders=tuple(len(s) for s in series),
     )

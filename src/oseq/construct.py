@@ -257,9 +257,12 @@ def _matvec(spec, rows, v):
 def validate_action(action):
     """Check the ActionMap invariants; raises ConstructionError on failure.
 
-    Generator images are verified to be automorphisms in full; the
-    homomorphism law is checked for every element against every generator,
-    which pins all remaining images by induction.
+    A generator image is an automorphism of N when it is a bijection fixing
+    0 with perm(i * s) = perm(i) * perm(s) for every i in N and every
+    generator s of N: every element of a finite group is a positive word in
+    its generators, so the law extends to all pairs by induction on word
+    length.  The homomorphism law of the action is checked the same way, for
+    every element of H against every generator of H.
     """
     h, n, perms = action.acting, action.target, action.perms
     size = len(n)
@@ -273,8 +276,8 @@ def validate_action(action):
         if sorted(perm) != list(range(size)) or perm[0] != 0:
             raise ConstructionError("generator image is not an identity-fixing permutation")
         for i in range(size):
-            for j in range(size):
-                if perm[n.mul(i, j)] != n.mul(perm[i], perm[j]):
+            for s in n.generators:
+                if perm[n.mul(i, s)] != n.mul(perm[i], perm[s]):
                     raise ConstructionError("generator image is not an automorphism")
     for g in h.generators:
         pg = perms[g]

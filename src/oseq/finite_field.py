@@ -10,7 +10,7 @@ encoding is identical across runs.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from sympy import isprime
 
@@ -280,7 +280,11 @@ class Matrix:
         return mat_mul(self, other)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and other.rows == self.rows and other.spec == self.spec
+        return (
+            isinstance(other, Matrix)
+            and other.rows == self.rows
+            and (other.spec is self.spec or other.spec == self.spec)
+        )
 
     def __hash__(self):
         h = self._hash
@@ -292,29 +296,33 @@ class Matrix:
         return f"Matrix({self.spec!r}, {self.rows})"
 
 
-def _check_pair(a, b):
-    if a.spec != b.spec:
-        raise FieldError("matrices over different fields")
-    if a.dim != b.dim:
-        raise FieldError("matrix dimension mismatch")
-
-
 def mat_mul(a, b):
-    _check_pair(a, b)
+    """a * b.  Fields up to _TABLE_LIMIT elements read their add/mul tables inline."""
     spec = a.spec
-    mul, add = spec.mul, spec.add
+    if b.spec is not spec and b.spec != spec:
+        raise FieldError("matrices over different fields")
+    if len(b.rows) != len(a.rows):
+        raise FieldError("matrix dimension mismatch")
     cols = tuple(zip(*b.rows))
-    out = []
-    for row in a.rows:
-        line = []
-        for col in cols:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            line.append(acc)
-        out.append(tuple(line))
-    return Matrix(spec, out)
+    tmul, tadd, q = spec._mul, spec._add, spec.q
+    if tmul is None:
+        mul, add = spec.mul, spec.add
+        rows = tuple(tuple(reduce(add, map(mul, row, col), 0) for col in cols) for row in a.rows)
+    else:
+        out = []
+        for row in a.rows:
+            line = []
+            for col in cols:
+                acc = 0
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = tadd[acc * q + tmul[x * q + y]]
+                line.append(acc)
+            out.append(tuple(line))
+        rows = tuple(out)
+    m = Matrix.__new__(Matrix)  # rows made here are square tuples already
+    m.spec, m.rows, m._hash = spec, rows, None
+    return m
 
 
 def mat_pow(a, e):

@@ -11,7 +11,7 @@ assign identical indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .finite_field import Matrix, mat_inv, mat_mul
 
@@ -45,15 +45,21 @@ QUOTIENT_THRESHOLD = 20_000
 
 
 class PermBacking:
-    """Permutations of a fixed degree; packed as bytes up to degree 255."""
+    """Permutations of a fixed degree; packed as bytes up to degree 255.
 
-    __slots__ = ("degree", "_bytes")
+    Packed products are one `bytes.translate` of the right factor through
+    the left one, padded with the fixed points `degree..255` to the
+    256-entry table `translate` takes.
+    """
+
+    __slots__ = ("degree", "_bytes", "_tail")
 
     def __init__(self, degree):
         if degree < 1:
             raise GroupError("permutation degree must be >= 1")
         self.degree = degree
         self._bytes = degree <= 255
+        self._tail = bytes(range(degree, 256)) if self._bytes else None
 
     def pack(self, images):
         images = tuple(images)
@@ -67,7 +73,7 @@ class PermBacking:
     def mul(self, a, b):
         # (a*b)(i) = a(b(i))
         if self._bytes:
-            return bytes(map(a.__getitem__, b))
+            return b.translate(a + self._tail)
         return tuple(map(a.__getitem__, b))
 
     def inv(self, a):
@@ -77,18 +83,7 @@ class PermBacking:
         return bytes(out) if self._bytes else tuple(out)
 
     def fast_order(self, a):
-        seen = [False] * self.degree
-        o = 1
-        for i in range(self.degree):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = a[j]
-                    length += 1
-                o = lcm(o, length)
-        return o
+        return None
 
     def token(self):
         return ("perm", self.degree)
@@ -227,15 +222,6 @@ class CosetBacking:
         return ("coset", self.parent.fingerprint())
 
 
-def _element_order_by_powers(backing, g):
-    ident = backing.identity()
-    x, o = g, 1
-    while x != ident:
-        x = backing.mul(x, g)
-        o += 1
-    return o
-
-
 class Group:
     """A fully enumerated finite group; index 0 is the identity."""
 
@@ -276,16 +262,34 @@ class Group:
         return v
 
     def order_of(self, i):
+        """Order of element i: the backing's closed form, else a walk of <g>.
+
+        Without a closed form, g, g^2, ..., g^o = 1 are walked once through
+        the backing and the index, and every power g^k whose order is not
+        yet known gets ord(g^k) = o / gcd(k, o).
+        """
         orders = self._orders
         if orders is None:
             orders = self._orders = [0] * len(self.table)
         o = orders[i]
-        if o == 0:
-            elem = self.table[i]
-            o = self.backing.fast_order(elem)
-            if o is None:
-                o = _element_order_by_powers(self.backing, elem)
+        if o:
+            return o
+        g = self.table[i]
+        o = self.backing.fast_order(g)
+        if o is not None:
             orders[i] = o
+            return o
+        bmul, index = self.backing.mul, self.index
+        powers = [i]  # powers[k - 1] is the index of g^k; the last is 0
+        x, j = g, i
+        while j:
+            x = bmul(x, g)
+            j = index[x]
+            powers.append(j)
+        o = len(powers)
+        for k, j in enumerate(powers, 1):
+            if not orders[j]:
+                orders[j] = o // gcd(k, o)
         return o
 
     def orders(self):

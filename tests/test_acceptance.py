@@ -5,7 +5,6 @@ the (C2xC6, Dic12) pair is mathematically incomparable, so that single
 parametrized case fails by design rather than being weakened away.
 """
 
-import os
 import random
 
 import pytest
@@ -42,9 +41,6 @@ from oseq.verify import (
     suite_thm25,
     suite_thm29,
 )
-
-RUN_SZ8 = os.environ.get("OSEQ_SKIP_SZ8") != "1"
-
 
 @pytest.fixture(scope="module")
 def fixtures():
@@ -143,7 +139,6 @@ def test_criterion_10_simple_group_block(by_label):
     print("ACCEPTANCE 10: PASS (PSL(2,64) display, incomparability, psi inequality)")
 
 
-@pytest.mark.skipif(not RUN_SZ8, reason="sz8 feature disabled by env")
 def test_criterion_10_optional_suzuki(by_label):
     product = direct_product(elementary_abelian(3, 2), suzuki8())
     assert os_of_group(product).entries == by_label["C32xSz8"].seq.entries

@@ -21,7 +21,7 @@ from oseq.construct import (
     psl2,
     symmetric,
 )
-from oseq.groups import GroupError, is_normal
+from oseq.groups import QUOTIENT_THRESHOLD, GroupError, is_normal
 from sympy import isprime
 
 
@@ -116,6 +116,15 @@ def test_threshold_guard():
     assert is_solvable(big) is True
     with pytest.raises(GroupError):
         supersolvable_chain(big)
+
+
+def test_classify_skips_quotients_when_not_solvable():
+    # A8 (order 20160) is above the quotient threshold, but is not solvable
+    report = classify_group(alternating(8))
+    assert len(alternating(8)) > QUOTIENT_THRESHOLD
+    assert (report.nilpotent, report.supersolvable, report.solvable) == (False, False, False)
+    assert report.chain is None
+    assert report.derived_orders == (20160,)
 
 
 def test_psl2_64_is_not_solvable():

@@ -1,4 +1,4 @@
-import os
+import itertools
 
 import pytest
 
@@ -124,6 +124,39 @@ def test_semidirect_rejects_bogus_action():
         semidirect_product(n, h, ActionMap(h, n, bogus))
 
 
+def _is_automorphism_all_pairs(n, perm):
+    return all(perm[n.mul(i, j)] == n.mul(perm[i], perm[j]) for i in range(len(n)) for j in range(len(n)))
+
+
+def _power_action(n, perm):
+    """The cyclic group <perm> acting on n, one permutation per power."""
+    powers = [tuple(range(len(n)))]
+    while True:
+        nxt = tuple(perm[x] for x in powers[-1])
+        if nxt == powers[0]:
+            break
+        powers.append(nxt)
+    return ActionMap(cyclic(len(powers)), n, tuple(powers))
+
+
+@pytest.mark.parametrize(
+    "n,automorphisms", [(symmetric(3), 6), (dihedral(8), 8), (dicyclic(8), 24)], ids=["S3", "D8", "Q8"]
+)
+def test_validate_action_accepts_exactly_the_automorphisms(n, automorphisms):
+    # every bijection fixing 0, checked against the law on all |N|^2 pairs
+    accepted = 0
+    for images in itertools.permutations(range(1, len(n))):
+        perm = (0, *images)
+        action = _power_action(n, perm)
+        if _is_automorphism_all_pairs(n, perm):
+            validate_action(action)
+            accepted += 1
+        else:
+            with pytest.raises(ConstructionError, match="not an automorphism"):
+                validate_action(action)
+    assert accepted == automorphisms
+
+
 def test_frobenius42_against_affine_permutations():
     # independent model: x -> x + 1 and x -> 3x on 7 points
     backing = PermBacking(7)
@@ -152,6 +185,19 @@ def test_wreath_square():
     small = wreath_square(cyclic(2))
     assert sorted(small.orders()).count(2) == 5
     assert os_of_group(small).entries == os_of_group(dihedral(8)).entries
+
+
+def test_wreath_square_of_a5_against_degree_10_permutations():
+    # independent model: A5 on points 0-4, A5 on points 5-9, and the block swap
+    backing = PermBacking(10)
+    a5_gens = [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)]  # (0 1 2) and (2 3 4)
+    gens = [backing.pack((*c, *range(5, 10))) for c in a5_gens]
+    gens += [backing.pack((*range(5), *(5 + x for x in c))) for c in a5_gens]
+    gens.append(backing.pack((*range(5, 10), *range(5))))
+    model = enumerate_group(backing, gens)
+    w = wreath_square(alternating(5))
+    assert len(w) == len(model) == 7200
+    assert os_of_group(w).entries == os_of_group(model).entries
 
 
 @pytest.mark.parametrize(
@@ -256,7 +302,6 @@ def test_oracle_matched_entries():
         "(1,1)(2,21)(3,8)(4,18)(6,24)").entries
 
 
-@pytest.mark.skipif(os.environ.get("OSEQ_SKIP_SZ8") == "1", reason="sz8 disabled by env")
 def test_suzuki8():
     sz = suzuki8()
     assert len(sz) == 29120

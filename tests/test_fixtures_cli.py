@@ -203,3 +203,12 @@ def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_classify_non_solvable_group_above_quotient_threshold():
+    proc = _run_cli("classify", "A(8)")
+    assert proc.returncode == 0
+    assert proc.stdout == (
+        "order: 20160\nnilpotent: False\nsupersolvable: False\nsolvable: False\n"
+        "derived series orders: 20160\n"
+    )
