@@ -32,7 +32,6 @@ from .construct import (
     frobenius56,
     general_linear,
     heisenberg,
-    matrix_action,
     psl2,
     semidirect_product,
     suzuki8,

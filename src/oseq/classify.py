@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import isprime
-
+from .arith import isprime
 from .groups import (
     QUOTIENT_THRESHOLD,
     Group,

@@ -10,14 +10,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from sympy import factorint, isprime
-
+from .arith import factorint, isprime
 from .finite_field import (
     Matrix,
     companion_matrix,
     field_make,
     mat_det,
-    mat_inv,
     mat_mul,
     projective_action,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "direct_product",
     "semidirect_product",
     "trivial_action",
-    "matrix_action",
     "validate_action",
     "wreath_square",
     "psl2",
@@ -73,11 +70,22 @@ class ConstructionError(ValueError):
 # -- standard families -------------------------------------------------------
 
 
+def _require_under_cap(name, factors):
+    """Fail before any generator is built when the group order, the product of
+    the factors, passes the closure cap; the product stops growing there."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > DEFAULT_CLOSURE_CAP:
+            raise GroupError(f"{name} has more than {DEFAULT_CLOSURE_CAP} elements, the closure cap")
+
+
 @lru_cache(maxsize=None)
 def cyclic(n):
     """C_n as the rotation of n points; index i holds the i-th power."""
     if n < 1:
         raise ConstructionError("cyclic group order must be >= 1")
+    _require_under_cap(f"C{n}", (n,))
     backing = PermBacking(n)
     gens = [] if n == 1 else [backing.pack((i + 1) % n for i in range(n))]
     return enumerate_group(backing, gens, name=f"C{n}")
@@ -88,6 +96,7 @@ def dihedral(n):
     """Dihedral group of order n (order-subscript convention: D12 has 12 elements)."""
     if n < 4 or n % 2:
         raise ConstructionError("dihedral order must be an even integer >= 4")
+    _require_under_cap(f"D{n}", (n,))
     m = n // 2
     if m == 2:
         backing = PermBacking(4)
@@ -126,6 +135,7 @@ def dicyclic(n):
 def symmetric(k):
     if k < 1:
         raise ConstructionError("symmetric degree must be >= 1")
+    _require_under_cap(f"S{k}", range(2, k + 1))
     backing = PermBacking(k)
     gens = []
     if k >= 2:
@@ -139,6 +149,7 @@ def symmetric(k):
 def alternating(k):
     if k < 1:
         raise ConstructionError("alternating degree must be >= 1")
+    _require_under_cap(f"A{k}", range(3, k + 1))
     backing = PermBacking(k)
     gens = []
     if k >= 3:
@@ -231,15 +242,6 @@ class ActionMap:
 def trivial_action(n, h):
     ident = tuple(range(len(n)))
     return ActionMap(h, n, (ident,) * len(h))
-
-
-def matrix_action(vectors, mats):
-    """Each matrix of an enumerated matrix group acting linearly on a vector group."""
-    spec = mats.backing.spec
-    perms = tuple(
-        tuple(vectors.index[_matvec(spec, m.rows, v)] for v in vectors.table) for m in mats.table
-    )
-    return ActionMap(mats, vectors, perms)
 
 
 def _matvec(spec, rows, v):
@@ -428,25 +430,36 @@ def general_linear(spec, dim):
     return out
 
 
-def _word_value(images, inverses, word, ident):
-    m = ident
+def _word_value(mul, letters, word, ident):
+    x = ident
     for s in word:
-        m = mat_mul(m, images[s - 1] if s > 0 else inverses[-s - 1])
-    return m
+        x = mul(x, letters[s])
+    return x
 
 
 def find_action_by_relations(pres, dim, p, oracle=None):
     """Search GL(dim,p) for faithful generator images of a presented group.
 
-    Returns the actions on GF(p)^dim, deduplicated by the order sequence of
-    the semidirect product they induce; if an oracle sequence is given only
-    matching actions survive.  Raises ConstructionError when nothing fits.
+    Each matrix is replaced by the permutation it induces on the table of
+    GF(p)^dim.  That action is faithful and (AB)v = A(Bv) is the product a*b
+    of the permutation backing, so relator words, the image group's BFS
+    (same generators in the same order, hence the same indices) and the
+    action on the vectors are all computed on permutations.  Returns the
+    actions, deduplicated by the order sequence of the semidirect product
+    they induce; if an oracle sequence is given only matching actions
+    survive.  Raises ConstructionError when nothing fits.
     """
     spec = field_make(p)
-    gl = general_linear(spec, dim)
-    ident = Matrix.identity(spec, dim)
-    inv_of = {m: mat_inv(m) for m in gl}
     vectors = elementary_abelian(p, dim)
+    backing = PermBacking(len(vectors))
+    index, table = vectors.index, vectors.table
+    gl = [
+        backing.pack(index[_matvec(spec, m.rows, v)] for v in table)
+        for m in general_linear(spec, dim)
+    ]
+    ident = backing.identity()
+    mul = backing.mul
+    inv_of = {a: backing.inv(a) for a in gl}
 
     if pres.generators == 1:
         first_only, rest = pres.relators, ()
@@ -456,21 +469,20 @@ def find_action_by_relations(pres, dim, p, oracle=None):
 
     def candidates():
         for a in gl:
-            ia = inv_of[a]
-            if not all(_word_value([a], [ia], w, ident) == ident for w in first_only):
+            letters = {1: a, -1: inv_of[a]}
+            if not all(_word_value(mul, letters, w, ident) == ident for w in first_only):
                 continue
             if pres.generators == 1:
                 yield [a]
                 continue
             for b in gl:
-                images, inverses = [a, b], [ia, inv_of[b]]
-                if all(_word_value(images, inverses, w, ident) == ident for w in rest):
-                    yield images
+                letters[2], letters[-2] = b, inv_of[b]
+                if all(_word_value(mul, letters, w, ident) == ident for w in rest):
+                    yield [a, b]
 
     results = []
     seen_subgroups = set()
     seen_sequences = set()
-    backing = MatrixBacking(spec, dim)
     for images in candidates():
         try:
             image = enumerate_group(backing, images, cap=pres.order)
@@ -482,7 +494,7 @@ def find_action_by_relations(pres, dim, p, oracle=None):
         if key in seen_subgroups:
             continue
         seen_subgroups.add(key)
-        action = matrix_action(vectors, image)
+        action = ActionMap(image, vectors, tuple(map(tuple, image.table)))
         seq = os_of_group(semidirect_product(vectors, image, action))
         if seq.entries in seen_sequences:
             continue

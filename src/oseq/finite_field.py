@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache, reduce
 
-from sympy import isprime
+from .arith import isprime
 
 __all__ = [
     "FieldError",

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from sympy import divisors, factorint, totient
+from .arith import divisors, factorint, totient
 
 __all__ = [
     "SequenceError",
@@ -80,7 +80,7 @@ def os_cyclic(n):
     """Closed form for the cyclic group: one entry (d, phi(d)) per divisor."""
     if n < 1:
         raise SequenceError("group order must be >= 1")
-    return OrderSequence(tuple((d, int(totient(d))) for d in divisors(n)))
+    return OrderSequence(tuple((d, totient(d)) for d in divisors(n)))
 
 
 def psi(seq):
@@ -159,7 +159,7 @@ def is_plausible(seq, n):
         if n % o:
             return False, f"order {o} does not divide n={n}"
     for o, m in seq.entries:
-        t = int(totient(o))
+        t = totient(o)
         if m % t:
             return False, f"phi({o})={t} does not divide multiplicity {m}"
     return True, None

@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from sympy import isprime
-
+from .arith import isprime
 from .classify import is_nilpotent, is_solvable, is_supersolvable
 from .construct import (
     alternating,

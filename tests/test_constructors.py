@@ -28,7 +28,7 @@ from oseq.construct import (
     wreath_square,
 )
 from oseq.finite_field import field_make
-from oseq.groups import PermBacking, derived_subgroup, enumerate_group
+from oseq.groups import DEFAULT_CLOSURE_CAP, GroupError, PermBacking, derived_subgroup, enumerate_group
 from oseq.order_sequence import os_of_group, parse_pairs
 
 
@@ -217,6 +217,23 @@ def test_psl2_5_matches_a5():
 def test_psl2_is_perfect(q):
     g = psl2(q)
     assert len(derived_subgroup(g)) == len(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclic(DEFAULT_CLOSURE_CAP + 1),
+        lambda: dihedral(2 * DEFAULT_CLOSURE_CAP),
+        lambda: symmetric(10),
+        lambda: alternating(10),
+        lambda: symmetric(10**9),  # k! is multiplied only until it passes the cap
+        lambda: alternating(10**9),
+    ],
+    ids=["C", "D", "S10", "A10", "S-huge", "A-huge"],
+)
+def test_named_families_above_the_cap_fail_before_building(make):
+    with pytest.raises(GroupError, match="closure cap"):
+        make()
 
 
 def test_psl2_rejects_bad_q():

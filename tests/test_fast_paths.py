@@ -2,9 +2,11 @@
 
 `PermBacking.mul` composes packed permutations with one `bytes.translate`,
 `Group.order_of` fills the orders of a whole cyclic subgroup from one walk,
-and `mat_mul` reads the field's add/mul tables inline.  The references here
-compose a permutation point by point, count powers until the identity, and
-multiply matrices entry by entry with `FieldSpec.add` and `FieldSpec.mul`.
+`mat_mul` reads the field's add/mul tables inline, and the GL(k,p) relator
+search runs on the permutations the matrices induce on GF(p)^k.  The
+references here compose a permutation point by point, count powers until the
+identity, multiply matrices entry by entry with `FieldSpec.add` and
+`FieldSpec.mul`, and search over matrix words.
 """
 
 import random
@@ -15,16 +17,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.construct import (
+    ActionMap,
+    ConstructionError,
+    PresentationSpec,
     cyclic,
     dicyclic,
     direct_product,
+    elementary_abelian,
+    find_action_by_relations,
     frobenius42,
+    general_linear,
     heisenberg,
     psl2,
+    semidirect_product,
     symmetric,
 )
-from oseq.finite_field import FieldError, Matrix, field_make, mat_mul
-from oseq.groups import Group, PermBacking, enumerate_group, quotient, subgroup_closure
+from oseq.finite_field import FieldError, Matrix, field_make, mat_inv, mat_mul
+from oseq.groups import (
+    Group,
+    GroupError,
+    MatrixBacking,
+    PermBacking,
+    enumerate_group,
+    quotient,
+    subgroup_closure,
+)
+from oseq.order_sequence import os_of_group, parse_pairs
 
 
 class _MapPermBacking(PermBacking):
@@ -162,3 +180,91 @@ def test_mat_mul_rejects_mismatched_operands(p, k):
     with pytest.raises(FieldError):
         mat_mul(two, Matrix.identity(field_make(7), 2))
     assert two != Matrix.identity(field_make(7), 2)
+
+
+def _matvec(spec, rows, v):
+    return tuple(reduce(spec.add, map(spec.mul, row, v), 0) for row in rows)
+
+
+def _matrix_word_search(pres, dim, p, oracle=None):
+    """The relator search over matrix words, with the image group enumerated
+    as matrices and each matrix applied to every vector."""
+    spec = field_make(p)
+    gl = general_linear(spec, dim)
+    ident = Matrix.identity(spec, dim)
+    inv_of = {m: mat_inv(m) for m in gl}
+    vectors = elementary_abelian(p, dim)
+
+    def value(letters, word):
+        m = ident
+        for s in word:
+            m = mat_mul(m, letters[s])
+        return m
+
+    first = [w for w in pres.relators if all(abs(s) == 1 for s in w)]
+    rest = [w for w in pres.relators if w not in first]
+    candidates = []
+    for a in gl:
+        letters = {1: a, -1: inv_of[a]}
+        if all(value(letters, w) == ident for w in first):
+            if pres.generators == 1:
+                candidates.append([a])
+                continue
+            for b in gl:
+                letters[2], letters[-2] = b, inv_of[b]
+                if all(value(letters, w) == ident for w in rest):
+                    candidates.append([a, b])
+    results, seen_subgroups, seen_sequences = [], set(), set()
+    for images in candidates:
+        try:
+            image = enumerate_group(MatrixBacking(spec, dim), images, cap=pres.order)
+        except GroupError:
+            continue
+        if len(image) != pres.order or frozenset(image.table) in seen_subgroups:
+            continue
+        seen_subgroups.add(frozenset(image.table))
+        perms = tuple(
+            tuple(vectors.index[_matvec(spec, m.rows, v)] for v in vectors.table) for m in image.table
+        )
+        action = ActionMap(image, vectors, perms)
+        seq = os_of_group(semidirect_product(vectors, image, action)).entries
+        if seq in seen_sequences:
+            continue
+        seen_sequences.add(seq)
+        if oracle is None or seq == oracle.entries:
+            results.append(action)
+    if not results:
+        raise ConstructionError("no action found")
+    return results
+
+
+_D8 = PresentationSpec(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1)), 8)
+_DIC12 = PresentationSpec(2, ((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
+SEARCHES = [
+    (PresentationSpec(1, ((1,),), 1), 1, 5, None),
+    (_D8, 2, 3, None),
+    (_D8, 2, 3, parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")),
+    (_DIC12, 2, 5, parse_pairs("(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)")),
+]
+
+
+@pytest.mark.parametrize(
+    "pres,dim,p,oracle", SEARCHES, ids=["trivial-GF5", "D8-GF3", "D8-GF3-oracle", "Dic12-GF5-oracle"]
+)
+def test_relator_search_matches_matrix_words(pres, dim, p, oracle):
+    fast = find_action_by_relations(pres, dim, p, oracle=oracle)
+    slow = _matrix_word_search(pres, dim, p, oracle=oracle)
+    assert [a.perms for a in fast] == [a.perms for a in slow]
+    for f, s in zip(fast, slow):
+        assert f.target is s.target
+        # same generators in the same order: the permutation image keeps every BFS index
+        assert len(f.acting) == len(s.acting)
+        assert f.acting.generators == s.acting.generators
+
+
+def test_relator_search_failure_matches_matrix_words():
+    pres, oracle = PresentationSpec(1, ((1, 1, 1),), 3), parse_pairs("(1,1)(2,1)")
+    with pytest.raises(ConstructionError):
+        find_action_by_relations(pres, 1, 2, oracle=oracle)
+    with pytest.raises(ConstructionError):
+        _matrix_word_search(pres, 1, 2, oracle=oracle)

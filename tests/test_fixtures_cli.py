@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -183,10 +184,14 @@ def test_cli_verify_props_reports_known_failure(capsys):
     assert "FAIL nilpotent dominates: C2xC6 > Dic12" in out
 
 
-def _run_cli(*args):
+def _run_python(*args, **kwargs):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "oseq", *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+def _run_cli(*args, **kwargs):
+    return _run_python("-m", "oseq", *args, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -212,3 +217,35 @@ def test_cli_classify_non_solvable_group_above_quotient_threshold():
         "order: 20160\nnilpotent: False\nsupersolvable: False\nsolvable: False\n"
         "derived series orders: 20160\n"
     )
+
+
+def test_cli_runs_without_importing_sympy():
+    code = (
+        "import sys, oseq.cli\n"
+        "assert 'sympy' not in sys.modules, 'import'\n"
+        "assert oseq.cli.main(['catalog']) == 0\n"
+        "assert 'sympy' not in sys.modules, 'catalog'\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+_CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("os", "C(1000000)"), ("os", "S(100000)"), ("verify", "thm29", "--primes", "1000003")],
+    ids=["C(1000000)", "S(100000)", "thm29-1000003"],
+)
+def test_oversized_named_family_fails_before_allocating(args):
+    # only the child's address space is capped: an allocation of the group
+    # would end in a MemoryError traceback instead of the checked error line
+    proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("construction error: ") and proc.stderr.count("\n") == 1
