@@ -4,16 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import isprime
-from .groups import (
-    QUOTIENT_THRESHOLD,
-    Group,
-    GroupError,
-    SubgroupSet,
-    commutator_subgroup,
-    is_normal,
-    quotient,
-)
+from .arith import factorint
+from .groups import GroupError, SubgroupSet, commutator_subgroup
 
 __all__ = [
     "ClassificationReport",
@@ -24,7 +16,6 @@ __all__ = [
     "is_supersolvable",
     "lower_central_series",
     "supersolvable_chain",
-    "prime_order_normal_subgroups",
 ]
 
 
@@ -61,59 +52,64 @@ def is_solvable(group):
     return len(derived_series(group)[-1]) == 1
 
 
-def _cyclic_members(group, i):
-    out = [0]
-    x = i
-    while x != 0:
-        out.append(x)
-        x = group.mul(x, i)
-    return frozenset(out)
+def _normal_prime_coset(group, x, members):
+    """p when <xN> is a normal subgroup of prime order p in G/N, else 0.
 
-
-def prime_order_normal_subgroups(group):
-    """All distinct normal subgroups of prime order, in index order."""
-    seen = set()
-    found = []
-    for i in range(1, len(group)):
-        if isprime(group.order_of(i)):
-            members = _cyclic_members(group, i)
-            if members in seen:
-                continue
-            seen.add(members)
-            sub = SubgroupSet(group, tuple(sorted(members)))
-            if is_normal(group, sub):
-                found.append(sub)
-    return found
+    N is the normal subgroup `members`.  The order of xN divides ord(x), and
+    x^p lies in N for at most one prime p when x does not, so the powers of x
+    are walked up to each prime factor of ord(x) in turn.  <xN> is normal
+    when each generator conjugate g^-1 x g lies in some x^-i N.
+    """
+    mul, inv = group.mul, group.inv
+    y, k = x, 1
+    for p in factorint(group.order_of(x)):
+        for _ in range(p - k):
+            y = mul(y, x)
+        k = p
+        if y in members:
+            break
+    else:
+        return 0
+    for g in group.generators:
+        z = mul(mul(inv(g), x), g)
+        for _ in range(p):
+            if z in members:
+                break
+            z = mul(x, z)
+        else:
+            return 0
+    return p
 
 
 def supersolvable_chain(group):
-    """Primes consumed along a chain of prime-order normal subgroups, or None.
+    """Primes of a chain 1 = N0 < N1 < ... < Nk = G of normal subgroups of G
+    with prime indices [N(i+1) : N(i)], or None when G is not supersolvable.
 
     A group is supersolvable exactly when it is trivial or has a normal
-    subgroup of prime order with supersolvable quotient; the search
-    backtracks over all candidates and memoises quotients by their
-    structural fingerprint.
+    subgroup of prime order with supersolvable quotient (Huppert, Endliche
+    Gruppen I, 1967).  Quotients of a supersolvable group are supersolvable,
+    so the first such subgroup never leads to a dead end.  The walk stays
+    inside G: N is a set of member indices, each coset xN is tried once, at
+    its least index x, and the first that passes grows N by xN, ..., x^(p-1)N.
     """
-    if len(group) > QUOTIENT_THRESHOLD:
-        raise GroupError(f"group order {len(group)} exceeds threshold {QUOTIENT_THRESHOLD}")
-    memo = {}
-
-    def rec(g):
-        if len(g) == 1:
-            return ()
-        fp = g.fingerprint()
-        if fp in memo:
-            return memo[fp]
-        result = None
-        for sub in prime_order_normal_subgroups(g):
-            tail = rec(quotient(g, sub))
-            if tail is not None:
-                result = (len(sub),) + tail
-                break
-        memo[fp] = result
-        return result
-
-    return rec(group)
+    n, mul = len(group), group.mul
+    members, chain = {0}, []
+    while len(members) < n:
+        tried = set(members)
+        for x in range(1, n):
+            if x not in tried:
+                tried.update(mul(x, h) for h in members)
+                p = _normal_prime_coset(group, x, members)
+                if p:
+                    break
+        else:
+            return None
+        layer = members
+        for _ in range(p - 1):
+            layer = {mul(x, h) for h in layer}
+            members |= layer
+        chain.append(p)
+    return tuple(chain)
 
 
 def is_supersolvable(group):
@@ -138,7 +134,7 @@ class ClassificationReport:
 
 def classify_group(group):
     """Full report.  A group that is not solvable is not supersolvable, so it
-    skips the quotient search, which refuses orders above QUOTIENT_THRESHOLD."""
+    skips the supersolvable chain search."""
     series = derived_series(group)
     solvable = len(series[-1]) == 1
     chain = supersolvable_chain(group) if solvable else None

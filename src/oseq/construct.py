@@ -117,6 +117,7 @@ def dicyclic(n):
     """
     if n < 8 or n % 4:
         raise ConstructionError("dicyclic order must be a multiple of 4, at least 8")
+    _require_under_cap(f"Dic{n}", (n,))
     half = n // 2
     q = half + 1
     while not (isprime(q) and (q - 1) % half == 0):
@@ -167,6 +168,7 @@ def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as unitriangular matrices."""
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
+    _require_under_cap(f"He{p}", (p, p, p))
     spec = field_make(p)
     x = Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
     y = Matrix(spec, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))

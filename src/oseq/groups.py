@@ -85,8 +85,6 @@ class PermBacking:
     def fast_order(self, a):
         return None
 
-    def token(self):
-        return ("perm", self.degree)
 
 
 class MatrixBacking:
@@ -110,8 +108,6 @@ class MatrixBacking:
     def fast_order(self, a):
         return None
 
-    def token(self):
-        return ("matrix", self.spec.p, self.spec.k, self.spec.modulus, self.dim)
 
 
 class VectorBacking:
@@ -137,8 +133,6 @@ class VectorBacking:
     def fast_order(self, a):
         return 1 if not any(a) else self.p
 
-    def token(self):
-        return ("vector", self.p, self.k)
 
 
 class DirectProductBacking:
@@ -162,8 +156,6 @@ class DirectProductBacking:
     def fast_order(self, a):
         return lcm(self.left.order_of(a[0]), self.right.order_of(a[1]))
 
-    def token(self):
-        return ("product", self.left.fingerprint(), self.right.fingerprint())
 
 
 class SemidirectBacking:
@@ -192,8 +184,6 @@ class SemidirectBacking:
     def fast_order(self, a):
         return None
 
-    def token(self):
-        return ("semidirect", self.normal.fingerprint(), self.acting.fingerprint(), self.perms)
 
 
 class CosetBacking:
@@ -218,14 +208,12 @@ class CosetBacking:
     def fast_order(self, a):
         return None
 
-    def token(self):
-        return ("coset", self.parent.fingerprint())
 
 
 class Group:
     """A fully enumerated finite group; index 0 is the identity."""
 
-    __slots__ = ("backing", "table", "index", "generators", "name", "_orders", "_invs", "_fp")
+    __slots__ = ("backing", "table", "index", "generators", "name", "_orders", "_invs")
 
     def __init__(self, backing, table, generator_elements=(), name="", index=None):
         self.backing = backing
@@ -241,13 +229,12 @@ class Group:
         self.name = name
         self._orders = None
         self._invs = None
-        self._fp = None
 
     def __len__(self):
         return len(self.table)
 
     def __repr__(self):
-        return f"Group({self.name or self.backing.token()[0]!s}, order={len(self.table)})"
+        return f"Group({self.name or type(self.backing).__name__}, order={len(self.table)})"
 
     def mul(self, i, j):
         return self.index[self.backing.mul(self.table[i], self.table[j])]
@@ -295,11 +282,6 @@ class Group:
     def orders(self):
         return [self.order_of(i) for i in range(len(self.table))]
 
-    def fingerprint(self):
-        """Deterministic structural key; equal keys mean equal multiplication."""
-        if self._fp is None:
-            self._fp = (self.backing.token(), tuple(self.table))
-        return self._fp
 
 
 def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import oseq
 from oseq.cli import main
 from oseq.fixtures import (
     FixtureError,
@@ -219,6 +222,16 @@ def test_cli_classify_non_solvable_group_above_quotient_threshold():
     )
 
 
+def test_cli_classify_supersolvable_group_above_quotient_threshold():
+    proc = _run_cli("classify", "C(150)xC(150)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "order: 22500\nnilpotent: True\nsupersolvable: True\nsolvable: True\n"
+        "chain of prime-order normal subgroups: 5 > 5 > 3 > 2 > 5 > 5 > 3 > 2\n"
+        "derived series orders: 22500 > 1\n"
+    )
+
+
 def test_cli_runs_without_importing_sympy():
     code = (
         "import sys, oseq.cli\n"
@@ -239,8 +252,14 @@ def _cap_address_space():
 
 @pytest.mark.parametrize(
     "args",
-    [("os", "C(1000000)"), ("os", "S(100000)"), ("verify", "thm29", "--primes", "1000003")],
-    ids=["C(1000000)", "S(100000)", "thm29-1000003"],
+    [
+        ("os", "C(1000000)"),
+        ("os", "S(100000)"),
+        ("verify", "thm29", "--primes", "1000003"),
+        ("os", "Dic(2000000)"),
+        ("os", "He(101)"),
+    ],
+    ids=["C(1000000)", "S(100000)", "thm29-1000003", "Dic(2000000)", "He(101)"],
 )
 def test_oversized_named_family_fails_before_allocating(args):
     # only the child's address space is capped: an allocation of the group
@@ -249,3 +268,24 @@ def test_oversized_named_family_fails_before_allocating(args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("construction error: ") and proc.stderr.count("\n") == 1
+
+
+def test_every_exported_name_resolves():
+    names = [m.name for m in pkgutil.iter_modules(oseq.__path__) if m.name != "__main__"]
+    for name in names:
+        module = importlib.import_module(f"oseq.{name}")
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), f"oseq.{name}.__all__ names the missing {attr}"
+
+
+def test_bench_tracer_installs_on_a_fresh_import():
+    # the bench tracer wraps every name in each module's __all__
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        f"import sys; sys.path.insert(0, {str(perfbench)!r})\n"
+        "import oseq.cli, oseq\n"
+        "from tracer import Tracer, install\n"
+        "install(Tracer(), oseq)\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
