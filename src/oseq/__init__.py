@@ -51,7 +51,6 @@ from .finite_field import (
     mat_mul,
     mat_order,
     mat_pow,
-    projective_action,
 )
 from .fixtures import Fixture, FixtureError, default_fixtures, load_fixtures
 from .groups import (

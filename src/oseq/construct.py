@@ -17,7 +17,6 @@ from .finite_field import (
     field_make,
     mat_det,
     mat_mul,
-    projective_action,
 )
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -333,9 +332,39 @@ def _prime_power(q):
     return p, k
 
 
+def _projective_group(name, mats, start, order):
+    """The permutations the matrices induce, v -> Mv, on the orbit of the
+    projective point `start`, each point kept with first non-zero entry 1 and
+    numbered in BFS order.  An orbit of over 255 points is refused, and the
+    group must have the given order, so that the action has no kernel."""
+    spec = mats[0].spec
+
+    def point(v):
+        lead = spec.inv(next(x for x in v if x))
+        return tuple(spec.mul(lead, x) for x in v)
+
+    points = [point(start)]
+    number = {points[0]: 0}
+    images = [[] for _ in mats]
+    for v in points:  # grows while it is walked
+        for m, row in zip(mats, images):
+            w = point(_matvec(spec, m.rows, v))
+            if w not in number:
+                if len(points) == 255:
+                    raise ConstructionError(f"{name}: projective orbit has more than 255 points")
+                number[w] = len(points)
+                points.append(w)
+            row.append(number[w])
+    backing = PermBacking(len(points))
+    grp = enumerate_group(backing, [backing.pack(row) for row in images], name=name)
+    if len(grp) != order:
+        raise ConstructionError(f"{name} closure has order {len(grp)}, expected {order}")
+    return grp
+
+
 @lru_cache(maxsize=None)
 def psl2(q):
-    """PSL(2,q) as the permutation group induced by SL(2,q) on the projective line."""
+    """PSL(2,q) as the permutations SL(2,q) induces on the q + 1 points of the projective line."""
     if q < 2 or q > 64:
         raise ConstructionError("psl2 supports 2 <= q <= 64")
     p, k = _prime_power(q)
@@ -346,18 +375,11 @@ def psl2(q):
         Matrix(spec, ((1, 0), (alpha, 1))),
         Matrix(spec, ((alpha, 0), (0, spec.inv(alpha)))),
     ]
-    backing = PermBacking(q + 1)
-    gens = [backing.pack(projective_action(m, pt) for pt in range(q + 1)) for m in mats]
-    grp = enumerate_group(backing, gens, name=f"PSL(2,{q})")
-    expected = q * (q * q - 1) // gcd(2, q - 1)
-    if len(grp) != expected:
-        raise ConstructionError(f"PSL(2,{q}) closure has order {len(grp)}, expected {expected}")
-    return grp
+    return _projective_group(f"PSL(2,{q})", mats, (1, 0), q * (q * q - 1) // gcd(2, q - 1))
 
 
-@lru_cache(maxsize=None)
-def suzuki8():
-    """Sz(8) as 4x4 matrices over GF(8), from the standard generator triple.
+def _suzuki8_matrices():
+    """The standard generators of Sz(8) as 4x4 matrices over GF(8).
 
     The unipotent family uses the twist t(x) = x^4 (t(t(x)) = x^2 on GF(8));
     the torus element carries weights (3, 2, -2, -3), and the antidiagonal
@@ -383,11 +405,13 @@ def suzuki8():
         ),
     )
     tau = Matrix(spec, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
-    gens = [unipotent(1, 0), unipotent(0, 1), torus, tau]
-    grp = enumerate_group(MatrixBacking(spec, 4), gens, name="Sz(8)")
-    if len(grp) != 29120:
-        raise ConstructionError(f"Sz(8) closure has order {len(grp)}, expected 29120")
-    return grp
+    return [unipotent(1, 0), unipotent(0, 1), torus, tau]
+
+
+@lru_cache(maxsize=None)
+def suzuki8():
+    """Sz(8) on the 65 points of the Suzuki-Tits ovoid in PG(3,8), the orbit of [0:0:0:1]."""
+    return _projective_group("Sz(8)", _suzuki8_matrices(), (0, 0, 0, 1), 29120)
 
 
 # -- relation-driven action searches ------------------------------------------

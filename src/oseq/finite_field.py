@@ -25,7 +25,6 @@ __all__ = [
     "mat_det",
     "mat_order",
     "companion_matrix",
-    "projective_action",
     "MATRIX_ORDER_CAP",
 ]
 
@@ -406,25 +405,3 @@ def companion_matrix(spec, poly):
         rows.append(tuple(row))
     return Matrix(spec, rows)
 
-
-def projective_action(m, point):
-    """Image of a point of the projective line under a 2x2 matrix.
-
-    The q + 1 points are numbered 0..q: point 0 is [1:0] and point 1+x is
-    [x:1] for the element encoded x.  Scalar matrices act trivially.
-    """
-    if m.dim != 2:
-        raise FieldError("projective line action needs a 2x2 matrix")
-    if mat_det(m) == 0:
-        raise FieldError("singular matrix cannot act on the projective line")
-    spec = m.spec
-    (a, b), (c, d) = m.rows
-    if point == 0:  # [1:0]
-        num, den = a, c
-    else:
-        x = point - 1
-        num = spec.add(spec.mul(a, x), b)
-        den = spec.add(spec.mul(c, x), d)
-    if den == 0:
-        return 0
-    return 1 + spec.mul(num, spec.inv(den))

@@ -2,15 +2,19 @@
 
 `PermBacking.mul` composes packed permutations with one `bytes.translate`,
 `Group.order_of` fills the orders of a whole cyclic subgroup from one walk,
-`mat_mul` reads the field's add/mul tables inline, and the GL(k,p) relator
-search runs on the permutations the matrices induce on GF(p)^k.  The
-references here compose a permutation point by point, count powers until the
-identity, multiply matrices entry by entry with `FieldSpec.add` and
-`FieldSpec.mul`, and search over matrix words.
+`mat_mul` reads the field's add/mul tables inline, the GL(k,p) relator
+search runs on the permutations the matrices induce on GF(p)^k, and PSL(2,q)
+and Sz(8) are enumerated as the permutations their matrices induce on one
+projective orbit.  The references here compose a permutation point by point,
+count powers until the identity, multiply matrices entry by entry with
+`FieldSpec.add` and `FieldSpec.mul`, search over matrix words, enumerate
+Sz(8) as matrices, and number the projective line by field element.
 """
 
+import itertools
 import random
 from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from oseq.construct import (
     ActionMap,
     ConstructionError,
     PresentationSpec,
+    _projective_group,
+    _suzuki8_matrices,
     cyclic,
     dicyclic,
     direct_product,
@@ -30,9 +36,10 @@ from oseq.construct import (
     heisenberg,
     psl2,
     semidirect_product,
+    suzuki8,
     symmetric,
 )
-from oseq.finite_field import FieldError, Matrix, field_make, mat_inv, mat_mul
+from oseq.finite_field import FieldError, Matrix, field_make, mat_det, mat_inv, mat_mul
 from oseq.groups import (
     Group,
     GroupError,
@@ -268,3 +275,149 @@ def test_relator_search_failure_matches_matrix_words():
         find_action_by_relations(pres, 1, 2, oracle=oracle)
     with pytest.raises(ConstructionError):
         _matrix_word_search(pres, 1, 2, oracle=oracle)
+
+
+def _point(spec, v):
+    """The representative of a projective point with first non-zero entry 1."""
+    lead = spec.inv(next(x for x in v if x))
+    return tuple(spec.mul(lead, x) for x in v)
+
+
+def _orbit(spec, mats, start):
+    """The projective points reached from `start`, in the order a BFS meets them."""
+    points = [_point(spec, start)]
+    for v in points:
+        for m in mats:
+            w = _point(spec, _matvec(spec, m.rows, v))
+            if w not in points:
+                points.append(w)
+    return points
+
+
+def test_suzuki8_matches_the_matrix_bfs():
+    mats = _suzuki8_matrices()
+    spec = mats[0].spec
+    slow = enumerate_group(MatrixBacking(spec, 4), mats)
+    fast = suzuki8()
+    assert len(slow) == len(fast) == 29120
+    assert slow.generators == fast.generators
+    points = _orbit(spec, mats, (0, 0, 0, 1))
+    number = {
+        tuple(spec.mul(c, x) for x in v): i for i, v in enumerate(points) for c in range(1, 8)
+    }
+    # M applied to the 4 x 65 matrix whose columns are the points.  GF(8) adds
+    # by XOR of the encodings, so row r of the product is the XOR over k of
+    # row k of the points with each entry multiplied by M[r][k].
+    scaled = {
+        (k, c): int.from_bytes(bytes(spec.mul(c, v[k]) for v in points), "big")
+        for k in range(4) for c in range(8)
+    }
+    for i, m in enumerate(slow.table):
+        image = [
+            reduce(xor, (scaled[k, c] for k, c in enumerate(row))).to_bytes(65, "big") for row in m.rows
+        ]
+        assert bytes(number[w] for w in zip(*image)) == fast.table[i]
+    assert slow.orders() == fast.orders()
+
+
+def test_suzuki8_acts_on_an_ovoid():
+    sz = suzuki8()
+    assert type(sz.backing) is PermBacking and sz.backing.degree == 65
+    spec = field_make(2, 3)
+    points = _orbit(spec, _suzuki8_matrices(), (0, 0, 0, 1))
+    assert len(points) == 65
+    ovoid = set(points)
+    # the line through a and b holds b and the points a + cb for c in GF(8):
+    # besides a and b, none of them is on the ovoid
+    for a, b in itertools.combinations(points, 2):
+        for c in range(1, 8):
+            w = _point(spec, tuple(spec.add(x, spec.mul(c, y)) for x, y in zip(a, b)))
+            assert w not in ovoid
+    # Sz(8) is 2-transitive on the 65 points: |Sz(8)| = 65 * 448 and 448 = 64 * 7
+    assert sum(1 for g in sz.table if g[0] == 0) == 448
+    assert sum(1 for g in sz.table if g[0] == 0 and g[1] == 1) == 7
+
+
+def test_wide_projective_orbit_is_refused():
+    # PG(2,16) has 16^2 + 16 + 1 = 273 points, one orbit under these matrices
+    spec = field_make(2, 4)
+    mats = [
+        Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+        Matrix(spec, ((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+        Matrix(spec, ((2, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ]
+    assert len(_orbit(spec, mats, (1, 0, 0))) == 273
+    with pytest.raises(ConstructionError, match="more than 255 points"):
+        _projective_group("PGL(3,16)", mats, (1, 0, 0), 0)
+
+
+def projective_action(m, point):
+    """Image of a point of the projective line under a 2x2 matrix.
+
+    The q + 1 points are numbered 0..q: point 0 is [1:0] and point 1+x is
+    [x:1] for the element encoded x.  Scalar matrices act trivially.
+    """
+    if m.dim != 2:
+        raise FieldError("projective line action needs a 2x2 matrix")
+    if mat_det(m) == 0:
+        raise FieldError("singular matrix cannot act on the projective line")
+    spec = m.spec
+    (a, b), (c, d) = m.rows
+    if point == 0:  # [1:0]
+        num, den = a, c
+    else:
+        x = point - 1
+        num = spec.add(spec.mul(a, x), b)
+        den = spec.add(spec.mul(c, x), d)
+    if den == 0:
+        return 0
+    return 1 + spec.mul(num, spec.inv(den))
+
+
+def test_projective_line_points():
+    # GF(64) has 65 points; the diagonal torus fixes [1:0] and [0:1] and
+    # moves every other point
+    f64 = field_make(2, 6)
+    torus = Matrix(f64, ((2, 0), (0, f64.inv(2))))
+    assert [pt for pt in range(65) if projective_action(torus, pt) == pt] == [0, 1]
+    assert sorted(projective_action(torus, pt) for pt in range(65)) == list(range(65))
+    f5 = field_make(5)
+    shear = Matrix(f5, ((1, 1), (0, 1)))
+    # [0:1] is point 1, [1:1] is point 2
+    assert projective_action(shear, 1) == 2
+
+
+def test_projective_scalars_act_trivially():
+    f5 = field_make(5)
+    scalar = Matrix(f5, ((3, 0), (0, 3)))
+    points = list(range(6))
+    assert [projective_action(scalar, pt) for pt in points] == points
+
+
+def test_projective_rejects_singular():
+    f5 = field_make(5)
+    with pytest.raises(FieldError):
+        projective_action(Matrix(f5, ((1, 2), (2, 4))), 0)
+
+
+PSL_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("p,k", PSL_FIELDS, ids=[str(p**k) for p, k in PSL_FIELDS])
+def test_psl2_matches_the_projective_line_numbering(p, k):
+    spec = field_make(p, k)
+    q = spec.q
+    alpha = next(x for x in range(1, q) if spec.element_order(x) == q - 1)
+    mats = [
+        Matrix(spec, ((1, 1), (0, 1))),
+        Matrix(spec, ((1, 0), (alpha, 1))),
+        Matrix(spec, ((alpha, 0), (0, spec.inv(alpha)))),
+    ]
+    backing = PermBacking(q + 1)
+    gens = [backing.pack(projective_action(m, pt) for pt in range(q + 1)) for m in mats]
+    slow = enumerate_group(backing, gens)
+    fast = psl2(q)
+    assert type(fast.backing) is PermBacking and fast.backing.degree == q + 1
+    assert len(slow) == len(fast)
+    assert slow.generators == fast.generators
+    assert slow.orders() == fast.orders()

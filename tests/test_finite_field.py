@@ -14,7 +14,6 @@ from oseq.finite_field import (
     mat_mul,
     mat_order,
     mat_pow,
-    projective_action,
 )
 
 
@@ -136,29 +135,3 @@ def test_order_cap():
     f5 = field_make(5)
     with pytest.raises(FieldError):
         mat_order(Matrix(f5, ((2, 0), (0, 1))), cap=2)
-
-
-def test_projective_line_points():
-    # GF(64) has 65 points; the diagonal torus fixes [1:0] and [0:1] and
-    # moves every other point
-    f64 = field_make(2, 6)
-    torus = Matrix(f64, ((2, 0), (0, f64.inv(2))))
-    assert [pt for pt in range(65) if projective_action(torus, pt) == pt] == [0, 1]
-    assert sorted(projective_action(torus, pt) for pt in range(65)) == list(range(65))
-    f5 = field_make(5)
-    shear = Matrix(f5, ((1, 1), (0, 1)))
-    # [0:1] is point 1, [1:1] is point 2
-    assert projective_action(shear, 1) == 2
-
-
-def test_projective_scalars_act_trivially():
-    f5 = field_make(5)
-    scalar = Matrix(f5, ((3, 0), (0, 3)))
-    points = list(range(6))
-    assert [projective_action(scalar, pt) for pt in points] == points
-
-
-def test_projective_rejects_singular():
-    f5 = field_make(5)
-    with pytest.raises(FieldError):
-        projective_action(Matrix(f5, ((1, 2), (2, 4))), 0)
