@@ -23,7 +23,7 @@ from .groups import (
     DirectProductBacking,
     Group,
     GroupError,
-    MatrixBacking,
+    MetacyclicBacking,
     PermBacking,
     SemidirectBacking,
     VectorBacking,
@@ -81,13 +81,12 @@ def _require_under_cap(name, factors):
 
 @lru_cache(maxsize=None)
 def cyclic(n):
-    """C_n as the rotation of n points; index i holds the i-th power."""
+    """C_n as the integers mod n; index i holds the i-th power of the generator."""
     if n < 1:
         raise ConstructionError("cyclic group order must be >= 1")
     _require_under_cap(f"C{n}", (n,))
-    backing = PermBacking(n)
-    gens = [] if n == 1 else [backing.pack((i + 1) % n for i in range(n))]
-    return enumerate_group(backing, gens, name=f"C{n}")
+    gens = [] if n == 1 else [(1, 0)]
+    return enumerate_group(MetacyclicBacking(n), gens, name=f"C{n}")
 
 
 @lru_cache(maxsize=None)
@@ -96,39 +95,16 @@ def dihedral(n):
     if n < 4 or n % 2:
         raise ConstructionError("dihedral order must be an even integer >= 4")
     _require_under_cap(f"D{n}", (n,))
-    m = n // 2
-    if m == 2:
-        backing = PermBacking(4)
-        gens = [backing.pack((1, 0, 3, 2)), backing.pack((2, 3, 0, 1))]
-    else:
-        backing = PermBacking(m)
-        rot = backing.pack((i + 1) % m for i in range(m))
-        ref = backing.pack((m - i) % m for i in range(m))
-        gens = [rot, ref]
-    return enumerate_group(backing, gens, name=f"D{n}")
+    return enumerate_group(MetacyclicBacking(n // 2), [(1, 0), (0, 1)], name=f"D{n}")
 
 
 @lru_cache(maxsize=None)
 def dicyclic(n):
-    """Dicyclic group of order n = 4m: <a,b | a^(2m)=1, b^2=a^m, b^-1 a b=a^-1>.
-
-    Realised as 2x2 matrices over GF(q) for the smallest prime q = 1 mod 2m.
-    """
+    """Dicyclic group of order n = 4m: <a,b | a^(2m)=1, b^2=a^m, b^-1 a b=a^-1>."""
     if n < 8 or n % 4:
         raise ConstructionError("dicyclic order must be a multiple of 4, at least 8")
     _require_under_cap(f"Dic{n}", (n,))
-    half = n // 2
-    q = half + 1
-    while not (isprime(q) and (q - 1) % half == 0):
-        q += 1
-    spec = field_make(q)
-    zeta = next(x for x in range(2, q) if spec.element_order(x) == half)
-    a = Matrix(spec, ((zeta, 0), (0, spec.inv(zeta))))
-    b = Matrix(spec, ((0, 1), (spec.neg(1), 0)))
-    grp = enumerate_group(MatrixBacking(spec, 2), [a, b], name=f"Dic{n}")
-    if len(grp) != n:
-        raise ConstructionError(f"dicyclic construction produced order {len(grp)}")
-    return grp
+    return enumerate_group(MetacyclicBacking(n // 2, n // 4), [(1, 0), (0, 1)], name=f"Dic{n}")
 
 
 @lru_cache(maxsize=None)
@@ -164,14 +140,19 @@ def alternating(k):
 
 @lru_cache(maxsize=None)
 def heisenberg(p):
-    """Non-abelian group of order p^3 and exponent p, as unitriangular matrices."""
+    """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
+
+    y^j acts on the vectors by (u, w) -> (u, w + j*u); the generators are
+    x = (1, 0) in the normal factor and y, in the order of the unitriangular
+    matrices I + E12 and I + E23 they stand for.
+    """
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
-    spec = field_make(p)
-    x = Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    y = Matrix(spec, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
-    grp = enumerate_group(MatrixBacking(spec, 3), [x, y], name=f"He{p}")
+    n = elementary_abelian(p, 2)
+    perms = [[n.index[u, (w + j * u) % p] for u, w in n.table] for j in range(p)]
+    backing = SemidirectBacking(n, cyclic(p), perms)
+    grp = enumerate_group(backing, [(n.index[1, 0], 0), (0, 1)], name=f"He{p}")
     if len(grp) != p**3:
         raise ConstructionError("heisenberg construction produced a wrong order")
     return grp
@@ -473,8 +454,11 @@ def find_action_by_relations(pres, dim, p, oracle=None):
     action on the vectors are all computed on permutations.  Returns the
     actions, deduplicated by the order sequence of the semidirect product
     they induce; if an oracle sequence is given only matching actions
-    survive.  Raises ConstructionError when nothing fits.
+    survive.  Raises ConstructionError when nothing fits, and at once when
+    GF(p)^dim has more than the 255 points a permutation backing takes.
     """
+    if p**dim > 255:
+        raise ConstructionError(f"GF({p})^{dim} has more than 255 vectors")
     spec = field_make(p)
     vectors = elementary_abelian(p, dim)
     backing = PermBacking(len(vectors))

@@ -10,7 +10,7 @@ encoding is identical across runs.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .arith import isprime
 
@@ -34,9 +34,8 @@ class FieldError(ValueError):
 
 
 MAX_EXTENSION_DEGREE = 8
-MAX_FIELD_SIZE = 4096
+MAX_FIELD_SIZE = 256  # every field holds full add/mul tables
 MATRIX_ORDER_CAP = 10**6
-_TABLE_LIMIT = 256  # full add/mul tables up to this field size
 
 # Pinned irreducible moduli (ascending coefficients, monic).
 _PINNED_MODULI = {
@@ -87,6 +86,17 @@ def _is_irreducible(modulus, p):
     return True
 
 
+def _check_field(p, k):
+    """Refuse GF(p^k) unless p is prime, 1 <= k <= MAX_EXTENSION_DEGREE and
+    p^k <= MAX_FIELD_SIZE."""
+    if not isprime(p):
+        raise FieldError(f"p={p} is not prime")
+    if not 1 <= k <= MAX_EXTENSION_DEGREE:
+        raise FieldError(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
+    if p**k > MAX_FIELD_SIZE:
+        raise FieldError(f"field size {p**k} exceeds supported maximum {MAX_FIELD_SIZE}")
+
+
 @lru_cache(maxsize=None)
 def _search_modulus(p, k):
     """First irreducible monic of degree k, by coefficient-tuple order."""
@@ -107,13 +117,7 @@ class FieldSpec:
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_inv")
 
     def __init__(self, p, k, modulus):
-        if not isprime(p):
-            raise FieldError(f"p={p} is not prime")
-        if not 1 <= k <= MAX_EXTENSION_DEGREE:
-            raise FieldError(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
-        q = p**k
-        if q > MAX_FIELD_SIZE:
-            raise FieldError(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
+        _check_field(p, k)
         modulus = _trim(modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1 or any(not 0 <= c < p for c in modulus):
             raise FieldError("modulus must be monic of degree k with coefficients in [0, p)")
@@ -121,12 +125,9 @@ class FieldSpec:
             raise FieldError(f"modulus {modulus} is not irreducible over GF({p})")
         self.p = p
         self.k = k
-        self.q = q
+        self.q = p**k
         self.modulus = modulus
-        if q <= _TABLE_LIMIT:
-            self._build_tables()
-        else:
-            self._add = self._mul = self._inv = None
+        self._build_tables()
 
     # -- encoding ---------------------------------------------------------
 
@@ -176,10 +177,7 @@ class FieldSpec:
         return self.encode(poly + (0,) * (self.k - len(poly)))
 
     def add(self, a, b):
-        if self._add is not None:
-            return self._add[a * self.q + b]
-        p = self.p
-        return self.encode((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return self._add[a * self.q + b]
 
     def neg(self, a):
         p = self.p
@@ -189,16 +187,12 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._mul is not None:
-            return self._mul[a * self.q + b]
-        return self.encode_poly(_poly_mul(self.coeffs(a), self.coeffs(b), self.p))
+        return self._mul[a * self.q + b]
 
     def inv(self, a):
         if a == 0:
             raise FieldError("zero has no multiplicative inverse")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a, e):
         if e < 0:
@@ -245,10 +239,7 @@ def field_make(p, k=1):
     elif (p, k) in _PINNED_MODULI:
         modulus = _PINNED_MODULI[p, k]
     else:
-        if not isprime(p):
-            raise FieldError(f"p={p} is not prime")
-        if not 1 <= k <= MAX_EXTENSION_DEGREE:
-            raise FieldError(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
+        _check_field(p, k)  # before the search, which is slow for large p^k
         modulus = _search_modulus(p, k)
     return FieldSpec(p, k, modulus)
 
@@ -296,7 +287,7 @@ class Matrix:
 
 
 def mat_mul(a, b):
-    """a * b.  Fields up to _TABLE_LIMIT elements read their add/mul tables inline."""
+    """a * b, reading the field's add/mul tables inline."""
     spec = a.spec
     if b.spec is not spec and b.spec != spec:
         raise FieldError("matrices over different fields")
@@ -304,23 +295,18 @@ def mat_mul(a, b):
         raise FieldError("matrix dimension mismatch")
     cols = tuple(zip(*b.rows))
     tmul, tadd, q = spec._mul, spec._add, spec.q
-    if tmul is None:
-        mul, add = spec.mul, spec.add
-        rows = tuple(tuple(reduce(add, map(mul, row, col), 0) for col in cols) for row in a.rows)
-    else:
-        out = []
-        for row in a.rows:
-            line = []
-            for col in cols:
-                acc = 0
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = tadd[acc * q + tmul[x * q + y]]
-                line.append(acc)
-            out.append(tuple(line))
-        rows = tuple(out)
+    out = []
+    for row in a.rows:
+        line = []
+        for col in cols:
+            acc = 0
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = tadd[acc * q + tmul[x * q + y]]
+            line.append(acc)
+        out.append(tuple(line))
     m = Matrix.__new__(Matrix)  # rows made here are square tuples already
-    m.spec, m.rows, m._hash = spec, rows, None
+    m.spec, m.rows, m._hash = spec, tuple(out), None
     return m
 
 

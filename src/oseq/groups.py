@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .finite_field import Matrix, mat_inv, mat_mul
-
 __all__ = [
     "GroupError",
     "Group",
     "SubgroupSet",
     "PermBacking",
-    "MatrixBacking",
+    "MetacyclicBacking",
     "VectorBacking",
     "DirectProductBacking",
     "SemidirectBacking",
@@ -45,68 +43,77 @@ QUOTIENT_THRESHOLD = 20_000
 
 
 class PermBacking:
-    """Permutations of a fixed degree; packed as bytes up to degree 255.
+    """Permutations of a fixed degree 1..255, packed as bytes.
 
-    Packed products are one `bytes.translate` of the right factor through
-    the left one, padded with the fixed points `degree..255` to the
-    256-entry table `translate` takes.
+    A product is one `bytes.translate` of the right factor through the left
+    one, padded with the fixed points `degree..255` to the 256-entry table
+    `translate` takes.
     """
 
-    __slots__ = ("degree", "_bytes", "_tail")
+    __slots__ = ("degree", "_tail")
 
     def __init__(self, degree):
-        if degree < 1:
-            raise GroupError("permutation degree must be >= 1")
+        if not 1 <= degree <= 255:
+            raise GroupError("permutation degree must be in 1..255")
         self.degree = degree
-        self._bytes = degree <= 255
-        self._tail = bytes(range(degree, 256)) if self._bytes else None
+        self._tail = bytes(range(degree, 256))
 
     def pack(self, images):
         images = tuple(images)
         if sorted(images) != list(range(self.degree)):
             raise GroupError(f"not a permutation of 0..{self.degree - 1}")
-        return bytes(images) if self._bytes else images
+        return bytes(images)
 
     def identity(self):
-        return bytes(range(self.degree)) if self._bytes else tuple(range(self.degree))
+        return bytes(range(self.degree))
 
     def mul(self, a, b):
         # (a*b)(i) = a(b(i))
-        if self._bytes:
-            return b.translate(a + self._tail)
-        return tuple(map(a.__getitem__, b))
+        return b.translate(a + self._tail)
 
     def inv(self, a):
         out = [0] * self.degree
         for i, j in enumerate(a):
             out[j] = i
-        return bytes(out) if self._bytes else tuple(out)
+        return bytes(out)
 
     def fast_order(self, a):
         return None
 
 
 
-class MatrixBacking:
-    """Square matrices of one dimension over a field."""
+class MetacyclicBacking:
+    """Pairs (k, s) standing for a^k b^s, with a^m = 1, b^2 = a^z and b^-1 a b = a^-1.
 
-    __slots__ = ("spec", "dim")
+    C(m) uses only s = 0, D(2m) has z = 0 and Dic(2m) has z = m/2.
+    """
 
-    def __init__(self, spec, dim):
-        self.spec = spec
-        self.dim = dim
+    __slots__ = ("m", "z")
+
+    def __init__(self, m, z=0):
+        if m < 1 or (2 * z) % m:
+            raise GroupError("metacyclic backing needs m >= 1 and a^z central")
+        self.m = m
+        self.z = z
 
     def identity(self):
-        return Matrix.identity(self.spec, self.dim)
+        return (0, 0)
 
     def mul(self, a, b):
-        return mat_mul(a, b)
+        k, s = a
+        j, t = b
+        if s:  # b a^j = a^-j b
+            return ((k - j + self.z * t) % self.m, 1 - t)
+        return ((k + j) % self.m, t)
 
     def inv(self, a):
-        return mat_inv(a)
+        k, s = a
+        return ((k + self.z) % self.m, 1) if s else (-k % self.m, 0)
 
     def fast_order(self, a):
-        return None
+        k, s = a
+        m = self.m
+        return 2 * m // gcd(self.z, m) if s else m // gcd(k, m)
 
 
 

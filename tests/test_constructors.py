@@ -255,6 +255,20 @@ def test_find_action_trivial_presentation():
     assert actions[0].perms == (tuple(range(5)),)
 
 
+def test_find_action_refuses_more_than_255_vectors(monkeypatch):
+    # GF(17)^2 has 289 vectors, more than a permutation backing takes: the
+    # search must stop before it builds the field or GL(2,17)
+    import oseq.construct
+
+    def unreachable(*args):
+        raise AssertionError("built before the size check")
+
+    monkeypatch.setattr(oseq.construct, "field_make", unreachable)
+    monkeypatch.setattr(oseq.construct, "general_linear", unreachable)
+    with pytest.raises(ConstructionError, match="more than 255 vectors"):
+        find_action_by_relations(PresentationSpec(1, ((1,),), 1), 2, 17)
+
+
 def test_find_action_dic12_with_oracle():
     oracle = parse_pairs("(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)")
     pres = PresentationSpec(2, ((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)

@@ -3,12 +3,15 @@
 `PermBacking.mul` composes packed permutations with one `bytes.translate`,
 `Group.order_of` fills the orders of a whole cyclic subgroup from one walk,
 `mat_mul` reads the field's add/mul tables inline, the GL(k,p) relator
-search runs on the permutations the matrices induce on GF(p)^k, and PSL(2,q)
+search runs on the permutations the matrices induce on GF(p)^k, PSL(2,q)
 and Sz(8) are enumerated as the permutations their matrices induce on one
-projective orbit.  The references here compose a permutation point by point,
-count powers until the identity, multiply matrices entry by entry with
-`FieldSpec.add` and `FieldSpec.mul`, search over matrix words, enumerate
-Sz(8) as matrices, and number the projective line by field element.
+projective orbit, C(n), D(n) and Dic(n) are pairs (k, s) standing for
+a^k b^s, and He(p) is C_p^2 : C_p.  The references here compose a
+permutation point by point, count powers until the identity, multiply
+matrices entry by entry with `FieldSpec.add` and `FieldSpec.mul`, search
+over matrix words, enumerate Sz(8), Dic(n) and He(p) as matrices, number
+the projective line by field element, and enumerate C(n) and D(n) as the
+rotations and reflections of a polygon.
 """
 
 import itertools
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oseq.arith import isprime
 from oseq.construct import (
     ActionMap,
     ConstructionError,
@@ -28,6 +32,7 @@ from oseq.construct import (
     _suzuki8_matrices,
     cyclic,
     dicyclic,
+    dihedral,
     direct_product,
     elementary_abelian,
     find_action_by_relations,
@@ -43,7 +48,6 @@ from oseq.finite_field import FieldError, Matrix, field_make, mat_det, mat_inv, 
 from oseq.groups import (
     Group,
     GroupError,
-    MatrixBacking,
     PermBacking,
     enumerate_group,
     quotient,
@@ -127,7 +131,7 @@ def _c4xs3_mod_c2():
         _c4xs3_mod_c2,
         lambda: direct_product(cyclic(4), symmetric(3)),
     ],
-    ids=["Dic12", "He3-matrix", "F42-semidirect", "C4xS3/C2-coset", "C4xS3-product"],
+    ids=["Dic12", "He3-semidirect", "F42-semidirect", "C4xS3/C2-coset", "C4xS3-product"],
 )
 def test_orders_match_powers_on_named_groups(make):
     _check_orders(make(), random.Random(5))
@@ -147,6 +151,153 @@ def test_bfs_indices_match_the_pointwise_product(group):
     assert slow.generators == group.generators
 
 
+class MatrixBacking:
+    """Square matrices of one dimension over a field."""
+
+    __slots__ = ("spec", "dim")
+
+    def __init__(self, spec, dim):
+        self.spec = spec
+        self.dim = dim
+
+    def identity(self):
+        return Matrix.identity(self.spec, self.dim)
+
+    def mul(self, a, b):
+        return mat_mul(a, b)
+
+    def inv(self, a):
+        return mat_inv(a)
+
+    def fast_order(self, a):
+        return None
+
+
+class _TuplePermBacking:
+    """Permutations as tuples: the branch `PermBacking` had above degree 255."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree):
+        self.degree = degree
+
+    def pack(self, images):
+        return tuple(images)
+
+    def identity(self):
+        return tuple(range(self.degree))
+
+    def mul(self, a, b):
+        return tuple(map(a.__getitem__, b))
+
+    def inv(self, a):
+        out = [0] * self.degree
+        for i, j in enumerate(a):
+            out[j] = i
+        return tuple(out)
+
+    def fast_order(self, a):
+        return None
+
+
+def _perm_backing(degree):
+    return PermBacking(degree) if degree <= 255 else _TuplePermBacking(degree)
+
+
+def _perm_cyclic(n):
+    """C_n as the rotation of n points."""
+    backing = _perm_backing(n)
+    gens = [] if n == 1 else [backing.pack((i + 1) % n for i in range(n))]
+    return enumerate_group(backing, gens, name=f"C{n}")
+
+
+def _perm_dihedral(n):
+    """D_n as the rotation and reflection of n/2 points (D4 on 4 points)."""
+    m = n // 2
+    if m == 2:
+        backing = PermBacking(4)
+        gens = [backing.pack((1, 0, 3, 2)), backing.pack((2, 3, 0, 1))]
+    else:
+        backing = _perm_backing(m)
+        rot = backing.pack((i + 1) % m for i in range(m))
+        ref = backing.pack((m - i) % m for i in range(m))
+        gens = [rot, ref]
+    return enumerate_group(backing, gens, name=f"D{n}")
+
+
+class _ModMatrixBacking:
+    """2x2 matrices over the integers mod a prime q, as row-major 4-tuples."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q):
+        self.q = q
+
+    def identity(self):
+        return (1, 0, 0, 1)
+
+    def mul(self, x, y):
+        (a, b, c, d), (e, f, g, h), q = x, y, self.q
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+    def inv(self, x):
+        (a, b, c, d), q = x, self.q
+        r = pow(a * d - b * c, -1, q)
+        return (d * r % q, -b * r % q, -c * r % q, a * r % q)
+
+    def fast_order(self, x):
+        return None
+
+
+def _matrix_dicyclic(n):
+    """Dic_n as 2x2 matrices over GF(q) for the smallest prime q = 1 mod n/2.
+
+    The generators are diag(zeta, 1/zeta), for the least zeta of order n/2,
+    and ((0, 1), (-1, 0)).  The entries are integers mod q, since q may pass
+    the 256 elements `field_make` supports (Dic(256) needs q = 257).
+    """
+    half = n // 2
+    q = half + 1
+    while not (isprime(q) and (q - 1) % half == 0):
+        q += 1
+    zeta = next(x for x in range(2, q) if min(e for e in range(1, q) if pow(x, e, q) == 1) == half)
+    a = (zeta, 0, 0, pow(zeta, -1, q))
+    b = (0, 1, q - 1, 0)
+    return enumerate_group(_ModMatrixBacking(q), [a, b], name=f"Dic{n}")
+
+
+def _matrix_heisenberg(p):
+    """Non-abelian group of order p^3 and exponent p, as unitriangular matrices."""
+    spec = field_make(p)
+    x = Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    y = Matrix(spec, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+    grp = enumerate_group(MatrixBacking(spec, 3), [x, y], name=f"He{p}")
+    if len(grp) != p**3:
+        raise ConstructionError("heisenberg construction produced a wrong order")
+    return grp
+
+
+INDEX_ORACLES = (
+    [(cyclic, _perm_cyclic, n) for n in (1, 2, 7, 12, 256, 300)]
+    + [(dihedral, _perm_dihedral, n) for n in (4, 6, 14, 512)]
+    + [(dicyclic, _matrix_dicyclic, n) for n in (8, 12, 20, 256)]
+    + [(heisenberg, _matrix_heisenberg, p) for p in (3, 5, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "fast,slow,n", INDEX_ORACLES, ids=[f"{fast.__name__}({n})" for fast, _, n in INDEX_ORACLES]
+)
+def test_families_keep_the_indices_of_their_old_models(fast, slow, n):
+    new, old = fast(n), slow(n)
+    assert len(new) == len(old)
+    assert new.generators == old.generators
+    assert new.orders() == old.orders()
+    for i in range(len(old)):
+        assert new.inv(i) == old.inv(i)
+        assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
+
+
 def _mat_mul_by_entries(a, b):
     spec, d = a.spec, a.dim
     return tuple(
@@ -156,13 +307,7 @@ def _mat_mul_by_entries(a, b):
     )
 
 
-FIELDS = [(2, 1), (5, 1), (2, 3), (2, 6), (3, 6)]
-
-
-@pytest.mark.parametrize("p,k", FIELDS, ids=[f"GF({p}^{k})" for p, k in FIELDS])
-def test_table_limit_splits_the_fields(p, k):
-    # GF(3^6) has 729 elements, above the table limit: mat_mul takes its per-call loop
-    assert (field_make(p, k)._mul is None) == (p**k > 256)
+FIELDS = [(2, 1), (5, 1), (2, 3), (2, 6)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -178,7 +323,7 @@ def test_mat_mul_matches_entrywise_arithmetic(field, dim, data):
     assert hash(product) == hash(Matrix(spec, product.rows))
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (3, 6)])
+@pytest.mark.parametrize("p,k", [(5, 1)])
 def test_mat_mul_rejects_mismatched_operands(p, k):
     spec = field_make(p, k)
     two = Matrix.identity(spec, 2)

@@ -104,9 +104,21 @@ def test_field_errors():
 
 
 def test_large_field_without_tables():
-    f = field_make(3, 6)  # 729 elements, functional arithmetic path
-    assert f.mul(5, f.inv(5)) == 1
-    assert f.add(5, f.neg(5)) == 0
+    # every field holds full add/mul tables, so one above 256 elements is refused
+    with pytest.raises(FieldError, match="exceeds supported maximum 256"):
+        field_make(3, 6)
+
+
+def test_large_field_is_refused_before_the_modulus_search(monkeypatch):
+    # the search for a degree-8 modulus over GF(31) takes longer than 20 s
+    import oseq.finite_field
+
+    def unreachable(p, k):
+        raise AssertionError("modulus searched before the size check")
+
+    monkeypatch.setattr(oseq.finite_field, "_search_modulus", unreachable)
+    with pytest.raises(FieldError, match="exceeds supported maximum 256"):
+        field_make(31, 8)
 
 
 def test_matrix_orders():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -17,7 +18,7 @@ from oseq.fixtures import (
     load_fixtures,
     parse_fixture_lines,
 )
-from oseq.order_sequence import is_plausible
+from oseq.order_sequence import OrderSequence, format_sequence, is_plausible, os_cyclic
 
 
 def test_default_fixtures_load_and_are_plausible():
@@ -270,6 +271,30 @@ def test_oversized_named_family_fails_before_allocating(args):
     assert proc.stderr.startswith("construction error: ") and proc.stderr.count("\n") == 1
 
 
+def _with_elements_of_order(seq, order, count):
+    counts = dict(seq.entries)
+    counts[order] = counts.get(order, 0) + count
+    return OrderSequence(tuple(sorted(counts.items())))
+
+
+@pytest.mark.parametrize(
+    "expr,expected",
+    [
+        ("C(100000)", os_cyclic(100000)),
+        ("D(200000)", _with_elements_of_order(os_cyclic(100000), 2, 100000)),
+        ("Dic(10000)", _with_elements_of_order(os_cyclic(5000), 4, 5000)),
+    ],
+    ids=["C(100000)", "D(200000)", "Dic(10000)"],
+)
+def test_large_metacyclic_family_fits_in_memory(expr, expected):
+    # D(2m) adds m reflections of order 2 to C(m); Dic(4m) adds 2m elements
+    # of order 4 to C(2m)
+    proc = _run_cli("os", expr, preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == format_sequence(expected) + "\n"
+
+
 def test_every_exported_name_resolves():
     names = [m.name for m in pkgutil.iter_modules(oseq.__path__) if m.name != "__main__"]
     for name in names:
@@ -289,3 +314,15 @@ def test_bench_tracer_installs_on_a_fresh_import():
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_script_imports_resolve():
+    # no test runs the scripts, so each name they import from oseq is checked here
+    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    for script in scripts:
+        for node in ast.walk(ast.parse(script.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "oseq":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"

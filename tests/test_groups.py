@@ -6,6 +6,7 @@ from oseq.construct import alternating, cyclic, dicyclic, dihedral, direct_produ
 from oseq.groups import (
     QUOTIENT_THRESHOLD,
     GroupError,
+    MetacyclicBacking,
     PermBacking,
     derived_subgroup,
     enumerate_group,
@@ -35,6 +36,19 @@ def test_enumerate_is_deterministic():
 def test_empty_generators_give_trivial_group():
     g = enumerate_group(PermBacking(4), [])
     assert len(g) == 1
+
+
+@pytest.mark.parametrize("degree", [0, 256])
+def test_perm_backing_takes_degrees_1_to_255(degree):
+    with pytest.raises(GroupError):
+        PermBacking(degree)
+
+
+@pytest.mark.parametrize("m,z", [(0, 0), (6, 1), (8, 2)])
+def test_metacyclic_backing_needs_a_central_square(m, z):
+    # b^2 = a^z commutes with b only when a^-z = a^z
+    with pytest.raises(GroupError):
+        MetacyclicBacking(m, z)
 
 
 def test_closure_cap():
