@@ -20,21 +20,8 @@ from oseq.construct import (
     general_linear,
     semidirect_product,
 )
-from oseq.finite_field import Matrix, field_make, mat_mul
 from oseq.groups import subgroup_closure
 from oseq.order_sequence import compare, format_sequence, os_of_group
-
-
-def gf2_rank(rows):
-    rows = [int("".join(map(str, r)), 2) for r in rows]
-    rank = 0
-    for bit in range(3, -1, -1):
-        pivot = next((r for r in rows if r >> bit & 1), None)
-        if pivot is None:
-            continue
-        rows = [r ^ pivot if r >> bit & 1 else r for r in rows if r is not pivot]
-        rank += 1
-    return rank
 
 
 def c7_rtimes_d8_candidates():
@@ -59,16 +46,15 @@ def c24_rtimes_d14_candidates():
     """D14 on C2^4: the rotation cannot be inverted by any involution of
     GL(4,2) (the two order-7 rational forms are not conjugate to their
     inverses), so every nontrivial action factors through the C2 quotient;
-    one candidate per involution class rank."""
-    spec = field_make(2)
-    gl = general_linear(spec, 4)
-    involutions = [m for m in gl if mat_mul(m, m) == Matrix.identity(spec, 4)
-                   and m != Matrix.identity(spec, 4)]
+    one candidate per involution class rank.  GL(4,2) comes as permutations
+    of the table of C2^4, and T + I has rank 4 - log2 |Fix T|, since the
+    fixed vectors of T are the kernel of T + I."""
+    one = bytes(range(16))
+    involutions = [t for t in general_linear(2, 4) if t != one and bytes(t[i] for i in t) == one]
     by_rank = {}
-    for m in involutions:
-        shifted = tuple(tuple((a + (1 if i == j else 0)) % 2 for j, a in enumerate(row))
-                        for i, row in enumerate(m.rows))
-        by_rank.setdefault(gf2_rank(shifted), m)
+    for t in involutions:
+        fixed = sum(1 for i, j in enumerate(t) if i == j)
+        by_rank.setdefault(4 - (fixed.bit_length() - 1), t)
     print(f"GL(4,2): {len(involutions)} involutions in {len(by_rank)} classes "
           f"(rank of T+I: {sorted(by_rank)})")
 
@@ -78,9 +64,7 @@ def c24_rtimes_d14_candidates():
     c7 = set(subgroup_closure(h, [rot]).members)
     ident = tuple(range(len(n)))
     for rank, t in sorted(by_rank.items()):
-        perm = tuple(n.index[tuple(sum(r * v for r, v in zip(row, vec)) % 2 for row in t.rows)]
-                     for vec in n.table)
-        perms = tuple(ident if j in c7 else perm for j in range(len(h)))
+        perms = tuple(ident if j in c7 else tuple(t) for j in range(len(h)))
         yield f"reflection acts with rank(T+I)={rank}", semidirect_product(n, h, ActionMap(h, n, perms))
 
 

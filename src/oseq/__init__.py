@@ -40,18 +40,7 @@ from .construct import (
     wreath_square,
 )
 from .expr import ParseError, build, parse, print_expr
-from .finite_field import (
-    FieldError,
-    FieldSpec,
-    Matrix,
-    companion_matrix,
-    field_make,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_order,
-    mat_pow,
-)
+from .finite_field import FieldError, FieldSpec, field_make
 from .fixtures import Fixture, FixtureError, default_fixtures, load_fixtures
 from .groups import (
     Group,

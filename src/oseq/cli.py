@@ -47,12 +47,13 @@ def _fixtures(args):
 
 def cmd_os(args):
     features = _features(args)
-    key = print_expr(parse(args.expr))
+    node = parse(args.expr)
+    key = print_expr(node)
     cached = cache_get(args.cache, key) if args.cache else None
     if cached is not None and not args.check_cache:
         print(cached)
         return 0
-    text = format_sequence(os_of_group(build(parse(args.expr), features)))
+    text = format_sequence(os_of_group(build(node, features)))
     if cached is not None and cached != text:
         print(f"cache mismatch for {key!r}: cached {cached!r}, computed {text!r}", file=sys.stderr)
         return VERIFICATION_ERROR

@@ -11,13 +11,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import factorint, isprime
-from .finite_field import (
-    Matrix,
-    companion_matrix,
-    field_make,
-    mat_det,
-    mat_mul,
-)
+from .finite_field import field_make
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     DirectProductBacking,
@@ -181,17 +175,19 @@ def frobenius42():
 
 @lru_cache(maxsize=None)
 def frobenius56():
-    """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top."""
+    """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top.
+
+    The vectors are the coefficient tuples of GF(8) = GF(2)[x]/(x^3 + x + 1),
+    and the j-th power of the C7 generator multiplies them by x^j.
+    """
     n = elementary_abelian(2, 3)
     h = cyclic(7)
-    spec = field_make(2)
-    m = companion_matrix(spec, (1, 1, 0, 1))
-    perms = []
-    power = Matrix.identity(spec, 3)
-    for _ in range(7):
-        perms.append(tuple(n.index[_matvec(spec, power.rows, v)] for v in n.table))
-        power = mat_mul(power, m)
-    grp = semidirect_product(n, h, ActionMap(h, n, tuple(perms)))
+    spec = field_make(2, 3)
+    perms = tuple(
+        tuple(n.index[spec.coeffs(spec.mul(spec.pow(2, j), spec.encode(v)))] for v in n.table)
+        for j in range(7)
+    )
+    grp = semidirect_product(n, h, ActionMap(h, n, perms))
     grp.name = "F8"
     return grp
 
@@ -313,12 +309,12 @@ def _prime_power(q):
     return p, k
 
 
-def _projective_group(name, mats, start, order):
-    """The permutations the matrices induce, v -> Mv, on the orbit of the
-    projective point `start`, each point kept with first non-zero entry 1 and
-    numbered in BFS order.  An orbit of over 255 points is refused, and the
-    group must have the given order, so that the action has no kernel."""
-    spec = mats[0].spec
+def _projective_group(name, spec, mats, start, order):
+    """The permutations the matrices (row tuples over `spec`) induce, v -> Mv,
+    on the orbit of the projective point `start`, each point kept with first
+    non-zero entry 1 and numbered in BFS order.  An orbit of over 255 points
+    is refused, and the group must have the given order, so that the action
+    has no kernel."""
 
     def point(v):
         lead = spec.inv(next(x for x in v if x))
@@ -329,7 +325,7 @@ def _projective_group(name, mats, start, order):
     images = [[] for _ in mats]
     for v in points:  # grows while it is walked
         for m, row in zip(mats, images):
-            w = point(_matvec(spec, m.rows, v))
+            w = point(_matvec(spec, m, v))
             if w not in number:
                 if len(points) == 255:
                     raise ConstructionError(f"{name}: projective orbit has more than 255 points")
@@ -351,16 +347,12 @@ def psl2(q):
     p, k = _prime_power(q)
     spec = field_make(p, k)
     alpha = next(x for x in range(1, spec.q) if spec.element_order(x) == spec.q - 1)
-    mats = [
-        Matrix(spec, ((1, 1), (0, 1))),
-        Matrix(spec, ((1, 0), (alpha, 1))),
-        Matrix(spec, ((alpha, 0), (0, spec.inv(alpha)))),
-    ]
-    return _projective_group(f"PSL(2,{q})", mats, (1, 0), q * (q * q - 1) // gcd(2, q - 1))
+    mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]
+    return _projective_group(f"PSL(2,{q})", spec, mats, (1, 0), q * (q * q - 1) // gcd(2, q - 1))
 
 
 def _suzuki8_matrices():
-    """The standard generators of Sz(8) as 4x4 matrices over GF(8).
+    """The standard generators of Sz(8) as 4x4 row tuples over GF(8).
 
     The unipotent family uses the twist t(x) = x^4 (t(t(x)) = x^2 on GF(8));
     the torus element carries weights (3, 2, -2, -3), and the antidiagonal
@@ -373,26 +365,23 @@ def _suzuki8_matrices():
     def unipotent(a, b):
         r2 = add(mul(a, th(a)), b)  # a^(1+t) + b
         r3 = add(add(mul(mul(a, a), th(a)), mul(a, b)), th(b))  # a^(2+t) + ab + b^t
-        return Matrix(spec, ((1, 0, 0, 0), (a, 1, 0, 0), (r2, th(a), 1, 0), (r3, b, a, 1)))
+        return ((1, 0, 0, 0), (a, 1, 0, 0), (r2, th(a), 1, 0), (r3, b, a, 1))
 
     alpha = 2  # the class of x, a multiplicative generator
-    torus = Matrix(
-        spec,
-        (
-            (spec.pow(alpha, 3), 0, 0, 0),
-            (0, spec.pow(alpha, 2), 0, 0),
-            (0, 0, spec.pow(alpha, -2), 0),
-            (0, 0, 0, spec.pow(alpha, -3)),
-        ),
+    torus = (
+        (spec.pow(alpha, 3), 0, 0, 0),
+        (0, spec.pow(alpha, 2), 0, 0),
+        (0, 0, spec.pow(alpha, -2), 0),
+        (0, 0, 0, spec.pow(alpha, -3)),
     )
-    tau = Matrix(spec, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)))
+    tau = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
     return [unipotent(1, 0), unipotent(0, 1), torus, tau]
 
 
 @lru_cache(maxsize=None)
 def suzuki8():
     """Sz(8) on the 65 points of the Suzuki-Tits ovoid in PG(3,8), the orbit of [0:0:0:1]."""
-    return _projective_group("Sz(8)", _suzuki8_matrices(), (0, 0, 0, 1), 29120)
+    return _projective_group("Sz(8)", field_make(2, 3), _suzuki8_matrices(), (0, 0, 0, 1), 29120)
 
 
 # -- relation-driven action searches ------------------------------------------
@@ -420,20 +409,30 @@ class PresentationSpec:
 _GL_ORDER_CAP = 10**6
 
 
-def general_linear(spec, dim):
-    """All invertible dim x dim matrices, in lexicographic entry order."""
-    q = spec.q
+def general_linear(p, dim):
+    """GL(dim,p) as the byte permutations v -> Mv its matrices induce on the
+    table of `elementary_abelian(p, dim)`, the matrices taken in lexicographic
+    order of their row-major entries.  A matrix is kept when its map is a
+    bijection, that is when it is invertible."""
+    if p**dim > 255:
+        raise ConstructionError(f"GF({p})^{dim} has more than 255 vectors")
     order = 1
     for i in range(dim):
-        order *= q**dim - q**i
+        order *= p**dim - p**i
     if order > _GL_ORDER_CAP:
-        raise ConstructionError(f"GL({dim},{q}) order {order} exceeds search cap")
+        raise ConstructionError(f"GL({dim},{p}) order {order} exceeds search cap")
+    vectors = elementary_abelian(p, dim)
+    index, size = vectors.index, len(vectors)
+    # dots[r][t]: row r times vector t; row i of M v is dots[M[i]][t]
+    dots = {
+        row: [sum(a * b for a, b in zip(row, v)) % p for v in vectors.table]
+        for row in itertools.product(range(p), repeat=dim)
+    }
     out = []
-    for entries in itertools.product(range(q), repeat=dim * dim):
-        rows = tuple(entries[i * dim : (i + 1) * dim] for i in range(dim))
-        m = Matrix(spec, rows)
-        if mat_det(m) != 0:
-            out.append(m)
+    for rows in itertools.product(dots, repeat=dim):
+        perm = bytes(map(index.__getitem__, zip(*map(dots.__getitem__, rows))))
+        if len(set(perm)) == size:
+            out.append(perm)
     return out
 
 
@@ -447,26 +446,22 @@ def _word_value(mul, letters, word, ident):
 def find_action_by_relations(pres, dim, p, oracle=None):
     """Search GL(dim,p) for faithful generator images of a presented group.
 
-    Each matrix is replaced by the permutation it induces on the table of
-    GF(p)^dim.  That action is faithful and (AB)v = A(Bv) is the product a*b
-    of the permutation backing, so relator words, the image group's BFS
-    (same generators in the same order, hence the same indices) and the
-    action on the vectors are all computed on permutations.  Returns the
-    actions, deduplicated by the order sequence of the semidirect product
-    they induce; if an oracle sequence is given only matching actions
-    survive.  Raises ConstructionError when nothing fits, and at once when
-    GF(p)^dim has more than the 255 points a permutation backing takes.
+    The search runs on `general_linear(p, dim)`, the permutations the
+    matrices induce on the table of GF(p)^dim.  That action is faithful and
+    (AB)v = A(Bv) is the product a*b of the permutation backing, so relator
+    words, the image group's BFS (same generators in the same order, hence
+    the same indices) and the action on the vectors are all computed on
+    permutations.  Returns the actions, deduplicated by the order sequence of
+    the semidirect product they induce; if an oracle sequence is given only
+    matching actions survive.  Raises ConstructionError when nothing fits,
+    and at once when GF(p)^dim has more than the 255 points a permutation
+    backing takes.
     """
     if p**dim > 255:
         raise ConstructionError(f"GF({p})^{dim} has more than 255 vectors")
-    spec = field_make(p)
     vectors = elementary_abelian(p, dim)
     backing = PermBacking(len(vectors))
-    index, table = vectors.index, vectors.table
-    gl = [
-        backing.pack(index[_matvec(spec, m.rows, v)] for v in table)
-        for m in general_linear(spec, dim)
-    ]
+    gl = general_linear(p, dim)
     ident = backing.identity()
     mul = backing.mul
     inv_of = {a: backing.inv(a) for a in gl}
@@ -520,7 +515,6 @@ def find_action_by_relations(pres, dim, p, oracle=None):
 # -- the named catalog ---------------------------------------------------------
 
 _DIC12_PRESENTATION = PresentationSpec(2, ((1, 1, 1, 1, 1, 1), (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
-_D8_PRESENTATION = PresentationSpec(2, ((1, 1, 1, 1), (2, 2), (-2, 1, 2, 1)), 8)
 
 # Sequences that pin which semidirect action is intended when several exist.
 _PINNED_SEQUENCES = {

@@ -1,10 +1,12 @@
-"""Exact arithmetic in GF(p) and GF(p^k), plus square matrices over them.
+"""Exact arithmetic in GF(p) and GF(p^k), p^k <= 256, by full add/mul tables.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
 significant digit = constant term.  That encoding is the element key used
 for hashing everywhere else in the package.  Moduli are pinned so the
-encoding is identical across runs.
+encoding is identical across runs.  There is no matrix type: a matrix is a
+tuple of rows of encoded elements, and `construct._matvec` applies one to a
+vector.
 """
 
 from __future__ import annotations
@@ -14,19 +16,7 @@ from functools import lru_cache
 
 from .arith import isprime
 
-__all__ = [
-    "FieldError",
-    "FieldSpec",
-    "Matrix",
-    "field_make",
-    "mat_mul",
-    "mat_pow",
-    "mat_inv",
-    "mat_det",
-    "mat_order",
-    "companion_matrix",
-    "MATRIX_ORDER_CAP",
-]
+__all__ = ["FieldError", "FieldSpec", "field_make"]
 
 
 class FieldError(ValueError):
@@ -35,7 +25,6 @@ class FieldError(ValueError):
 
 MAX_EXTENSION_DEGREE = 8
 MAX_FIELD_SIZE = 256  # every field holds full add/mul tables
-MATRIX_ORDER_CAP = 10**6
 
 # Pinned irreducible moduli (ascending coefficients, monic).
 _PINNED_MODULI = {
@@ -145,9 +134,6 @@ class FieldSpec:
             x = x * self.p + (c % self.p)
         return x
 
-    def elements(self):
-        return range(self.q)
-
     # -- arithmetic on int-encoded elements -------------------------------
 
     def _build_tables(self):
@@ -179,13 +165,6 @@ class FieldSpec:
     def add(self, a, b):
         return self._add[a * self.q + b]
 
-    def neg(self, a):
-        p = self.p
-        return self.encode((p - c) % p for c in self.coeffs(a))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return self._mul[a * self.q + b]
 
@@ -214,19 +193,6 @@ class FieldSpec:
             o += 1
         return o
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
@@ -242,152 +208,4 @@ def field_make(p, k=1):
         _check_field(p, k)  # before the search, which is slow for large p^k
         modulus = _search_modulus(p, k)
     return FieldSpec(p, k, modulus)
-
-
-class Matrix:
-    """Square matrix over a FieldSpec; rows hold int-encoded entries."""
-
-    __slots__ = ("spec", "rows", "_hash")
-
-    def __init__(self, spec, rows):
-        rows = tuple(tuple(r) for r in rows)
-        d = len(rows)
-        if d == 0 or any(len(r) != d for r in rows):
-            raise FieldError("matrix must be square and non-empty")
-        self.spec = spec
-        self.rows = rows
-        self._hash = None
-
-    @classmethod
-    def identity(cls, spec, dim):
-        return cls(spec, tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)))
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def __mul__(self, other):
-        return mat_mul(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.rows == self.rows
-            and (other.spec is self.spec or other.spec == self.spec)
-        )
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.rows)
-        return h
-
-    def __repr__(self):
-        return f"Matrix({self.spec!r}, {self.rows})"
-
-
-def mat_mul(a, b):
-    """a * b, reading the field's add/mul tables inline."""
-    spec = a.spec
-    if b.spec is not spec and b.spec != spec:
-        raise FieldError("matrices over different fields")
-    if len(b.rows) != len(a.rows):
-        raise FieldError("matrix dimension mismatch")
-    cols = tuple(zip(*b.rows))
-    tmul, tadd, q = spec._mul, spec._add, spec.q
-    out = []
-    for row in a.rows:
-        line = []
-        for col in cols:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = tadd[acc * q + tmul[x * q + y]]
-            line.append(acc)
-        out.append(tuple(line))
-    m = Matrix.__new__(Matrix)  # rows made here are square tuples already
-    m.spec, m.rows, m._hash = spec, tuple(out), None
-    return m
-
-
-def mat_pow(a, e):
-    if e < 0:
-        a, e = mat_inv(a), -e
-    r = Matrix.identity(a.spec, a.dim)
-    while e:
-        if e & 1:
-            r = mat_mul(r, a)
-        a = mat_mul(a, a)
-        e >>= 1
-    return r
-
-
-def mat_det(a):
-    spec = a.spec
-    rows = [list(r) for r in a.rows]
-    d = a.dim
-    det = 1
-    for c in range(d):
-        piv = next((r for r in range(c, d) if rows[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = spec.neg(det)
-        pivot = rows[c][c]
-        det = spec.mul(det, pivot)
-        pinv = spec.inv(pivot)
-        for r in range(c + 1, d):
-            f = spec.mul(rows[r][c], pinv)
-            if f:
-                for j in range(c, d):
-                    rows[r][j] = spec.sub(rows[r][j], spec.mul(f, rows[c][j]))
-    return det
-
-
-def mat_inv(a):
-    spec = a.spec
-    d = a.dim
-    rows = [list(r) + [1 if i == j else 0 for j in range(d)] for i, r in enumerate(a.rows)]
-    for c in range(d):
-        piv = next((r for r in range(c, d) if rows[r][c]), None)
-        if piv is None:
-            raise FieldError("singular matrix")
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-        pinv = spec.inv(rows[c][c])
-        rows[c] = [spec.mul(pinv, x) for x in rows[c]]
-        for r in range(d):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(rows[r], rows[c])]
-    return Matrix(spec, tuple(tuple(row[d:]) for row in rows))
-
-
-def mat_order(a, cap=MATRIX_ORDER_CAP):
-    """Least m >= 1 with a^m = identity, by iteration."""
-    ident = Matrix.identity(a.spec, a.dim)
-    x, m = a, 1
-    while x != ident:
-        x = mat_mul(x, a)
-        m += 1
-        if m > cap:
-            raise FieldError(f"matrix order exceeds cap {cap}")
-    return m
-
-
-def companion_matrix(spec, poly):
-    """Companion matrix of a monic polynomial (ascending coefficients)."""
-    poly = tuple(poly)
-    d = len(poly) - 1
-    if d < 1 or poly[-1] != 1:
-        raise FieldError("companion matrix needs a monic polynomial of degree >= 1")
-    rows = []
-    for i in range(d):
-        row = [0] * d
-        if i > 0:
-            row[i - 1] = 1
-        row[d - 1] = spec.neg(poly[i])
-        rows.append(tuple(row))
-    return Matrix(spec, rows)
 

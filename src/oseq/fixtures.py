@@ -26,6 +26,12 @@ class FixtureError(ValueError):
     """Malformed or implausible fixture data."""
 
 
+# The plausibility filter factors the order.  Below 2^64 the least prime
+# factor of a composite is below 2^32, which Pollard's rho finds in about 2^16
+# steps; a product of two primes near 10^15 would take seconds to minutes.
+MAX_FIXTURE_ORDER = 2**64
+
+
 @dataclass(frozen=True)
 class Fixture:
     label: str
@@ -57,6 +63,8 @@ def parse_fixture_lines(lines, source="<fixtures>"):
             n = int(n_text)
         except ValueError:
             raise FixtureError(f"{source}:{lineno}: bad order {n_text!r}") from None
+        if n > MAX_FIXTURE_ORDER:
+            raise FixtureError(f"{source}:{lineno}: order {n} exceeds {MAX_FIXTURE_ORDER}")
         try:
             seq = parse_pairs(pairs_text)
         except SequenceError as exc:

@@ -65,6 +65,10 @@ def _eq(name, computed, expected):
     return Check(name, ok, detail)
 
 
+def _os_eq(name, computed, expected):
+    return _eq(name, format_sequence(computed), format_sequence(expected))
+
+
 def _verdict(name, a, b, expected):
     v = compare(a, b)
     return _eq(name, v.value, expected.value)
@@ -144,9 +148,7 @@ def suite_table1(fixtures=None):
     checks = []
     for cat_name, label in _TABLE1_CONSTRUCTIBLE:
         seq = os_of_group(catalog(cat_name))
-        checks.append(
-            _eq(f"os({cat_name}) == {label}", format_sequence(seq), format_sequence(by_label[label].seq))
-        )
+        checks.append(_os_eq(f"os({cat_name}) == {label}", seq, by_label[label].seq))
     for top, low in _TABLE1_DOMINATIONS:
         checks.append(
             _verdict(f"{top} > {low}", by_label[top].seq, by_label[low].seq, Verdict.PROPERLY_DOMINATES)
@@ -172,8 +174,8 @@ def suite_table2(fixtures=None):
         _verdict("C7xA5 > D10xF7", seqs["C7xA5"], seqs["D10xF7"], Verdict.PROPERLY_DOMINATES),
         _verdict("C35xA4 > D10xF7", seqs["C35xA4"], seqs["D10xF7"], Verdict.PROPERLY_DOMINATES),
         _verdict("C5xC7A4 > D10xF7", seqs["C5xC7A4"], seqs["D10xF7"], Verdict.PROPERLY_DOMINATES),
-        _eq("os(C7xA5) == SG420_13", format_sequence(seqs["C7xA5"]), format_sequence(by_label["SG420_13"].seq)),
-        _eq("os(D10xF7) == SG420_16", format_sequence(seqs["D10xF7"]), format_sequence(by_label["SG420_16"].seq)),
+        _os_eq("os(C7xA5) == SG420_13", seqs["C7xA5"], by_label["SG420_13"].seq),
+        _os_eq("os(D10xF7) == SG420_16", seqs["D10xF7"], by_label["SG420_16"].seq),
         _eq("supersolvable(C24xD14)", is_supersolvable(groups["C24xD14"]), True),
         _eq("supersolvable(D10xF7)", is_supersolvable(groups["D10xF7"]), True),
         _eq("supersolvable(C4xF8)", is_supersolvable(groups["C4xF8"]), False),
@@ -197,10 +199,8 @@ def suite_table3(fixtures=None):
             )
     wreath = catalog("S3wrC2")
     twisted = catalog("SD_72_35")
-    checks.append(_eq("os(S3wrC2) == SG72_40", format_sequence(os_of_group(wreath)),
-                      format_sequence(by_label["SG72_40"].seq)))
-    checks.append(_eq("os(SD_72_35) == SG72_35", format_sequence(os_of_group(twisted)),
-                      format_sequence(by_label["SG72_35"].seq)))
+    checks.append(_os_eq("os(S3wrC2) == SG72_40", os_of_group(wreath), by_label["SG72_40"].seq))
+    checks.append(_os_eq("os(SD_72_35) == SG72_35", os_of_group(twisted), by_label["SG72_35"].seq))
     checks.append(_eq("supersolvable(S3wrC2)", is_supersolvable(wreath), False))
     checks.append(_eq("supersolvable(SD_72_35)", is_supersolvable(twisted), True))
     return checks
@@ -220,10 +220,8 @@ def suite_thm23(primes=None):
         checks.append(_verdict(f"C{5 * p}xA5 > CpxSD300 (p={p})", h, g, Verdict.PROPERLY_DOMINATES))
         if gcd(p, 300) == 1:
             cp = os_cyclic(p)
-            checks.append(_eq(f"os(C{5 * p}xA5) == os(Cp)os(C5xA5) (p={p})",
-                              format_sequence(h), format_sequence(os_product(cp, base_h))))
-            checks.append(_eq(f"os(CpxSD300) == os(Cp)os(SD_300_23) (p={p})",
-                              format_sequence(g), format_sequence(os_product(cp, base_g))))
+            checks.append(_os_eq(f"os(C{5 * p}xA5) == os(Cp)os(C5xA5) (p={p})", h, os_product(cp, base_h)))
+            checks.append(_os_eq(f"os(CpxSD300) == os(Cp)os(SD_300_23) (p={p})", g, os_product(cp, base_g)))
     return checks
 
 
@@ -243,10 +241,8 @@ def suite_thm25(primes=None):
     for p in primes:
         h = os_of_group(catalog("CpxA4", p))
         g = os_of_group(catalog("S3xD2p", p))
-        checks.append(_eq(f"os(CpxA4) closed form (p={p})",
-                          format_sequence(h), format_sequence(_thm25_expected_h(p))))
-        checks.append(_eq(f"os(S3xD2p) closed form (p={p})",
-                          format_sequence(g), format_sequence(_thm25_expected_g(p))))
+        checks.append(_os_eq(f"os(CpxA4) closed form (p={p})", h, _thm25_expected_h(p)))
+        checks.append(_os_eq(f"os(S3xD2p) closed form (p={p})", g, _thm25_expected_g(p)))
         checks.append(_verdict(f"CpxA4 > S3xD2p (p={p})", h, g, Verdict.PROPERLY_DOMINATES))
     return checks
 
@@ -257,16 +253,15 @@ def suite_thm29(primes=None):
     wreath_seq = os_of_group(catalog("S3wrC2"))
     twisted_seq = os_of_group(catalog("SD_72_35"))
     checks = [
-        _eq("os(S3wrC2) == printed", format_sequence(wreath_seq), format_sequence(printed)),
-        _eq("os(SD_72_35) == printed", format_sequence(twisted_seq), format_sequence(printed)),
+        _os_eq("os(S3wrC2) == printed", wreath_seq, printed),
+        _os_eq("os(SD_72_35) == printed", twisted_seq, printed),
     ]
     for p in primes:
         h_grp = catalog("CpxS3wrC2", p)
         g_grp = catalog("CpxSD72", p)
         h, g = os_of_group(h_grp), os_of_group(g_grp)
-        checks.append(_eq(f"os equality at order {72 * p}", format_sequence(h), format_sequence(g)))
-        checks.append(_eq(f"os == os(Cp)os(base) (p={p})",
-                          format_sequence(h), format_sequence(os_product(os_cyclic(p), printed))))
+        checks.append(_os_eq(f"os equality at order {72 * p}", h, g))
+        checks.append(_os_eq(f"os == os(Cp)os(base) (p={p})", h, os_product(os_cyclic(p), printed)))
         checks.append(_eq(f"supersolvable(CpxS3wrC2) (p={p})", is_supersolvable(h_grp), False))
         checks.append(_eq(f"supersolvable(CpxSD72) (p={p})", is_supersolvable(g_grp), True))
     return checks
@@ -281,7 +276,7 @@ def suite_simple(fixtures=None, features=frozenset()):
     sz_fix = by_label["C32xSz8"].seq
     computed = os_of_group(psl2(64))
     checks = [
-        _eq("os(PSL2(64)) == L2_64", format_sequence(computed), format_sequence(l2_fix)),
+        _os_eq("os(PSL2(64)) == L2_64", computed, l2_fix),
         _verdict("L2_64 vs C32xSz8", l2_fix, sz_fix, Verdict.INCOMPARABLE),
         _eq("psi(L2_64)", psi(l2_fix), 12106687),
         _eq("psi(C32xSz8)", psi(sz_fix), 5482775),
@@ -289,8 +284,7 @@ def suite_simple(fixtures=None, features=frozenset()):
     ]
     if "sz8" in features:
         product = direct_product(elementary_abelian(3, 2), suzuki8())
-        checks.append(_eq("os(C3^2 x Sz8) == C32xSz8",
-                          format_sequence(os_of_group(product)), format_sequence(sz_fix)))
+        checks.append(_os_eq("os(C3^2 x Sz8) == C32xSz8", os_of_group(product), sz_fix))
     return checks
 
 
@@ -360,8 +354,7 @@ def suite_props():
         pair_count += 1
         left = os_of_group(direct_product(a, b))
         right = os_product(os_of_group(a), os_of_group(b))
-        checks.append(_eq(f"product law {name_a} x {name_b}",
-                          format_sequence(left), format_sequence(right)))
+        checks.append(_os_eq(f"product law {name_a} x {name_b}", left, right))
     checks.append(_eq("coprime pairs checked >= 10", pair_count >= 10, True))
 
     c2 = os_of_group(cyclic(2))

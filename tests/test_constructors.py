@@ -244,8 +244,21 @@ def test_psl2_rejects_bad_q():
 
 
 def test_general_linear_sizes():
-    assert len(general_linear(field_make(3), 2)) == 48
-    assert len(general_linear(field_make(5), 2)) == 480
+    assert len(general_linear(3, 2)) == 48
+    assert len(general_linear(5, 2)) == 480
+
+
+def test_general_linear_refuses_more_than_255_vectors(monkeypatch):
+    # GF(17)^2 has 289 vectors, more than a byte permutation moves: the
+    # refusal must come before the vectors, and so any matrix, are enumerated
+    import oseq.construct
+
+    def unreachable(*args):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(oseq.construct, "elementary_abelian", unreachable)
+    with pytest.raises(ConstructionError, match="more than 255 vectors"):
+        general_linear(17, 2)
 
 
 def test_find_action_trivial_presentation():
@@ -257,13 +270,13 @@ def test_find_action_trivial_presentation():
 
 def test_find_action_refuses_more_than_255_vectors(monkeypatch):
     # GF(17)^2 has 289 vectors, more than a permutation backing takes: the
-    # search must stop before it builds the field or GL(2,17)
+    # search must stop before it builds the vectors or GL(2,17)
     import oseq.construct
 
     def unreachable(*args):
         raise AssertionError("built before the size check")
 
-    monkeypatch.setattr(oseq.construct, "field_make", unreachable)
+    monkeypatch.setattr(oseq.construct, "elementary_abelian", unreachable)
     monkeypatch.setattr(oseq.construct, "general_linear", unreachable)
     with pytest.raises(ConstructionError, match="more than 255 vectors"):
         find_action_by_relations(PresentationSpec(1, ((1,),), 1), 2, 17)

@@ -1,17 +1,20 @@
 """The element-layer fast paths checked against their slow, obvious references.
 
-`PermBacking.mul` composes packed permutations with one `bytes.translate`,
-`Group.order_of` fills the orders of a whole cyclic subgroup from one walk,
-`mat_mul` reads the field's add/mul tables inline, the GL(k,p) relator
-search runs on the permutations the matrices induce on GF(p)^k, PSL(2,q)
-and Sz(8) are enumerated as the permutations their matrices induce on one
-projective orbit, C(n), D(n) and Dic(n) are pairs (k, s) standing for
-a^k b^s, and He(p) is C_p^2 : C_p.  The references here compose a
-permutation point by point, count powers until the identity, multiply
-matrices entry by entry with `FieldSpec.add` and `FieldSpec.mul`, search
-over matrix words, enumerate Sz(8), Dic(n) and He(p) as matrices, number
-the projective line by field element, and enumerate C(n) and D(n) as the
-rotations and reflections of a polygon.
+The fast paths: `PermBacking.mul` composes packed permutations with one
+`bytes.translate`; `Group.order_of` fills the orders of a whole cyclic
+subgroup from one walk; `general_linear` keeps the permutations of GF(p)^k
+its matrices induce that are bijections, and the relator search runs on
+them; PSL(2,q) and Sz(8) are the permutations their matrices induce on one
+projective orbit; the C7 of F8 multiplies GF(8) by powers of x; C(n), D(n)
+and Dic(n) are pairs (k, s) standing for a^k b^s; He(p) is C_p^2 : C_p.
+
+The references compose a permutation point by point, count powers until the
+identity, multiply matrices (tuples of rows) entry by entry with
+`FieldSpec.add` and `FieldSpec.mul`, pick invertible matrices by a Leibniz
+determinant, search over matrix words, enumerate Sz(8), Dic(n) and He(p) as
+matrices, apply the powers of a companion matrix, number the projective line
+by field element, and enumerate C(n) and D(n) as the rotations and
+reflections of a polygon.
 """
 
 import itertools
@@ -37,6 +40,7 @@ from oseq.construct import (
     elementary_abelian,
     find_action_by_relations,
     frobenius42,
+    frobenius56,
     general_linear,
     heisenberg,
     psl2,
@@ -44,7 +48,7 @@ from oseq.construct import (
     suzuki8,
     symmetric,
 )
-from oseq.finite_field import FieldError, Matrix, field_make, mat_det, mat_inv, mat_mul
+from oseq.finite_field import FieldError, field_make
 from oseq.groups import (
     Group,
     GroupError,
@@ -151,8 +155,16 @@ def test_bfs_indices_match_the_pointwise_product(group):
     assert slow.generators == group.generators
 
 
+def _mat_mul_by_entries(spec, a, b):
+    d = len(a)
+    return tuple(
+        tuple(reduce(spec.add, (spec.mul(a[i][k], b[k][j]) for k in range(d)), 0) for j in range(d))
+        for i in range(d)
+    )
+
+
 class MatrixBacking:
-    """Square matrices of one dimension over a field."""
+    """Square matrices of one dimension over a field, as tuples of rows."""
 
     __slots__ = ("spec", "dim")
 
@@ -161,13 +173,17 @@ class MatrixBacking:
         self.dim = dim
 
     def identity(self):
-        return Matrix.identity(self.spec, self.dim)
+        return tuple(tuple(int(i == j) for j in range(self.dim)) for i in range(self.dim))
 
     def mul(self, a, b):
-        return mat_mul(a, b)
+        return _mat_mul_by_entries(self.spec, a, b)
 
     def inv(self, a):
-        return mat_inv(a)
+        # the last power of a before the identity
+        x, ident = a, self.identity()
+        while (y := self.mul(x, a)) != ident:
+            x = y
+        return x
 
     def fast_order(self, a):
         return None
@@ -268,10 +284,9 @@ def _matrix_dicyclic(n):
 
 def _matrix_heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as unitriangular matrices."""
-    spec = field_make(p)
-    x = Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    y = Matrix(spec, ((1, 0, 0), (0, 1, 1), (0, 0, 1)))
-    grp = enumerate_group(MatrixBacking(spec, 3), [x, y], name=f"He{p}")
+    x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    grp = enumerate_group(MatrixBacking(field_make(p), 3), [x, y], name=f"He{p}")
     if len(grp) != p**3:
         raise ConstructionError("heisenberg construction produced a wrong order")
     return grp
@@ -298,59 +313,66 @@ def test_families_keep_the_indices_of_their_old_models(fast, slow, n):
         assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
 
 
-def _mat_mul_by_entries(a, b):
-    spec, d = a.spec, a.dim
-    return tuple(
-        tuple(reduce(spec.add, (spec.mul(a.rows[i][k], b.rows[k][j]) for k in range(d)), 0)
-              for j in range(d))
-        for i in range(d)
-    )
-
-
-FIELDS = [(2, 1), (5, 1), (2, 3), (2, 6)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FIELDS), st.integers(1, 4), st.data())
-def test_mat_mul_matches_entrywise_arithmetic(field, dim, data):
-    spec = field_make(*field)
-    entry = st.one_of(st.just(0), st.integers(0, spec.q - 1))
-    square = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
-    a, b = Matrix(spec, data.draw(square)), Matrix(spec, data.draw(square))
-    product = mat_mul(a, b)
-    assert product.rows == _mat_mul_by_entries(a, b)
-    assert product == Matrix(spec, product.rows)
-    assert hash(product) == hash(Matrix(spec, product.rows))
-
-
-@pytest.mark.parametrize("p,k", [(5, 1)])
-def test_mat_mul_rejects_mismatched_operands(p, k):
-    spec = field_make(p, k)
-    two = Matrix.identity(spec, 2)
-    with pytest.raises(FieldError):
-        mat_mul(two, Matrix.identity(spec, 3))
-    with pytest.raises(FieldError):
-        mat_mul(two, Matrix.identity(field_make(7), 2))
-    assert two != Matrix.identity(field_make(7), 2)
-
-
 def _matvec(spec, rows, v):
     return tuple(reduce(spec.add, map(spec.mul, row, v), 0) for row in rows)
+
+
+def _det(m, p):
+    """The Leibniz determinant of a square matrix over GF(p), p prime."""
+    total = 0
+    for sigma in itertools.permutations(range(len(m))):
+        term = (-1) ** sum(1 for i, j in itertools.combinations(sigma, 2) if i > j)
+        for row, col in enumerate(sigma):
+            term *= m[row][col]
+        total += term
+    return total % p
+
+
+def _invertible_matrices(p, dim):
+    """The dim x dim matrices over GF(p) with a non-zero determinant, in
+    lexicographic order of their row-major entries."""
+    rows = list(itertools.product(range(p), repeat=dim))
+    return [m for m in itertools.product(rows, repeat=dim) if _det(m, p)]
+
+
+def _induced_permutation(spec, vectors, m):
+    return bytes(vectors.index[_matvec(spec, m, v)] for v in vectors.table)
+
+
+@pytest.mark.parametrize("p,dim", [(2, 3), (3, 2), (5, 2)])
+def test_general_linear_matches_the_invertible_matrices(p, dim):
+    spec, vectors = field_make(p), elementary_abelian(p, dim)
+    slow = [_induced_permutation(spec, vectors, m) for m in _invertible_matrices(p, dim)]
+    assert general_linear(p, dim) == slow
+
+
+def test_frobenius56_acts_by_the_companion_matrix_powers():
+    spec, vectors = field_make(2), elementary_abelian(2, 3)
+    # the companion matrix of x^3 + x + 1: column j is x times x^j, reduced
+    companion = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+    backing = MatrixBacking(spec, 3)
+    power, expected = backing.identity(), []
+    for _ in range(7):
+        expected.append(tuple(_induced_permutation(spec, vectors, power)))
+        power = backing.mul(power, companion)
+    assert power == backing.identity()
+    assert frobenius56().backing.perms == tuple(expected)
 
 
 def _matrix_word_search(pres, dim, p, oracle=None):
     """The relator search over matrix words, with the image group enumerated
     as matrices and each matrix applied to every vector."""
     spec = field_make(p)
-    gl = general_linear(spec, dim)
-    ident = Matrix.identity(spec, dim)
-    inv_of = {m: mat_inv(m) for m in gl}
+    backing = MatrixBacking(spec, dim)
+    gl = _invertible_matrices(p, dim)
+    ident = backing.identity()
+    inv_of = {m: backing.inv(m) for m in gl}
     vectors = elementary_abelian(p, dim)
 
     def value(letters, word):
         m = ident
         for s in word:
-            m = mat_mul(m, letters[s])
+            m = backing.mul(m, letters[s])
         return m
 
     first = [w for w in pres.relators if all(abs(s) == 1 for s in w)]
@@ -369,15 +391,13 @@ def _matrix_word_search(pres, dim, p, oracle=None):
     results, seen_subgroups, seen_sequences = [], set(), set()
     for images in candidates:
         try:
-            image = enumerate_group(MatrixBacking(spec, dim), images, cap=pres.order)
+            image = enumerate_group(backing, images, cap=pres.order)
         except GroupError:
             continue
         if len(image) != pres.order or frozenset(image.table) in seen_subgroups:
             continue
         seen_subgroups.add(frozenset(image.table))
-        perms = tuple(
-            tuple(vectors.index[_matvec(spec, m.rows, v)] for v in vectors.table) for m in image.table
-        )
+        perms = tuple(tuple(_induced_permutation(spec, vectors, m)) for m in image.table)
         action = ActionMap(image, vectors, perms)
         seq = os_of_group(semidirect_product(vectors, image, action)).entries
         if seq in seen_sequences:
@@ -433,7 +453,7 @@ def _orbit(spec, mats, start):
     points = [_point(spec, start)]
     for v in points:
         for m in mats:
-            w = _point(spec, _matvec(spec, m.rows, v))
+            w = _point(spec, _matvec(spec, m, v))
             if w not in points:
                 points.append(w)
     return points
@@ -441,7 +461,7 @@ def _orbit(spec, mats, start):
 
 def test_suzuki8_matches_the_matrix_bfs():
     mats = _suzuki8_matrices()
-    spec = mats[0].spec
+    spec = field_make(2, 3)
     slow = enumerate_group(MatrixBacking(spec, 4), mats)
     fast = suzuki8()
     assert len(slow) == len(fast) == 29120
@@ -459,7 +479,7 @@ def test_suzuki8_matches_the_matrix_bfs():
     }
     for i, m in enumerate(slow.table):
         image = [
-            reduce(xor, (scaled[k, c] for k, c in enumerate(row))).to_bytes(65, "big") for row in m.rows
+            reduce(xor, (scaled[k, c] for k, c in enumerate(row))).to_bytes(65, "big") for row in m
         ]
         assert bytes(number[w] for w in zip(*image)) == fast.table[i]
     assert slow.orders() == fast.orders()
@@ -487,27 +507,26 @@ def test_wide_projective_orbit_is_refused():
     # PG(2,16) has 16^2 + 16 + 1 = 273 points, one orbit under these matrices
     spec = field_make(2, 4)
     mats = [
-        Matrix(spec, ((1, 1, 0), (0, 1, 0), (0, 0, 1))),
-        Matrix(spec, ((0, 0, 1), (1, 0, 0), (0, 1, 0))),
-        Matrix(spec, ((2, 0, 0), (0, 1, 0), (0, 0, 1))),
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+        ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
     ]
     assert len(_orbit(spec, mats, (1, 0, 0))) == 273
     with pytest.raises(ConstructionError, match="more than 255 points"):
-        _projective_group("PGL(3,16)", mats, (1, 0, 0), 0)
+        _projective_group("PGL(3,16)", spec, mats, (1, 0, 0), 0)
 
 
-def projective_action(m, point):
-    """Image of a point of the projective line under a 2x2 matrix.
+def projective_action(spec, m, point):
+    """Image of a point of the projective line under a 2x2 matrix over spec.
 
     The q + 1 points are numbered 0..q: point 0 is [1:0] and point 1+x is
     [x:1] for the element encoded x.  Scalar matrices act trivially.
     """
-    if m.dim != 2:
+    if len(m) != 2:
         raise FieldError("projective line action needs a 2x2 matrix")
-    if mat_det(m) == 0:
+    (a, b), (c, d) = m
+    if spec.mul(a, d) == spec.mul(b, c):
         raise FieldError("singular matrix cannot act on the projective line")
-    spec = m.spec
-    (a, b), (c, d) = m.rows
     if point == 0:  # [1:0]
         num, den = a, c
     else:
@@ -523,26 +542,26 @@ def test_projective_line_points():
     # GF(64) has 65 points; the diagonal torus fixes [1:0] and [0:1] and
     # moves every other point
     f64 = field_make(2, 6)
-    torus = Matrix(f64, ((2, 0), (0, f64.inv(2))))
-    assert [pt for pt in range(65) if projective_action(torus, pt) == pt] == [0, 1]
-    assert sorted(projective_action(torus, pt) for pt in range(65)) == list(range(65))
+    torus = ((2, 0), (0, f64.inv(2)))
+    assert [pt for pt in range(65) if projective_action(f64, torus, pt) == pt] == [0, 1]
+    assert sorted(projective_action(f64, torus, pt) for pt in range(65)) == list(range(65))
     f5 = field_make(5)
-    shear = Matrix(f5, ((1, 1), (0, 1)))
+    shear = ((1, 1), (0, 1))
     # [0:1] is point 1, [1:1] is point 2
-    assert projective_action(shear, 1) == 2
+    assert projective_action(f5, shear, 1) == 2
 
 
 def test_projective_scalars_act_trivially():
     f5 = field_make(5)
-    scalar = Matrix(f5, ((3, 0), (0, 3)))
+    scalar = ((3, 0), (0, 3))
     points = list(range(6))
-    assert [projective_action(scalar, pt) for pt in points] == points
+    assert [projective_action(f5, scalar, pt) for pt in points] == points
 
 
 def test_projective_rejects_singular():
     f5 = field_make(5)
     with pytest.raises(FieldError):
-        projective_action(Matrix(f5, ((1, 2), (2, 4))), 0)
+        projective_action(f5, ((1, 2), (2, 4)), 0)
 
 
 PSL_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
@@ -553,13 +572,9 @@ def test_psl2_matches_the_projective_line_numbering(p, k):
     spec = field_make(p, k)
     q = spec.q
     alpha = next(x for x in range(1, q) if spec.element_order(x) == q - 1)
-    mats = [
-        Matrix(spec, ((1, 1), (0, 1))),
-        Matrix(spec, ((1, 0), (alpha, 1))),
-        Matrix(spec, ((alpha, 0), (0, spec.inv(alpha)))),
-    ]
+    mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]
     backing = PermBacking(q + 1)
-    gens = [backing.pack(projective_action(m, pt) for pt in range(q + 1)) for m in mats]
+    gens = [backing.pack(projective_action(spec, m, pt) for pt in range(q + 1)) for m in mats]
     slow = enumerate_group(backing, gens)
     fast = psl2(q)
     assert type(fast.backing) is PermBacking and fast.backing.degree == q + 1

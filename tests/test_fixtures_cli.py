@@ -5,6 +5,7 @@ import pkgutil
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import oseq
 from oseq.cli import main
 from oseq.fixtures import (
+    MAX_FIXTURE_ORDER,
     FixtureError,
     default_fixtures,
     fixtures_by_label,
@@ -212,6 +214,28 @@ def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_refuses_a_huge_fixture_order_before_factoring_it(tmp_path):
+    # the plausibility filter factors the order: with two prime factors near
+    # 10^15 that takes seconds, and larger factors take minutes
+    n = (10**15 + 37) * (3 * 10**15 + 37)
+    path = tmp_path / "big.txt"
+    path.write_text(f"BIG | {n} | (1,1)({n},{n - 1}) | x\n", encoding="utf-8")
+    start = time.perf_counter()
+    proc = _run_cli("fixtures", "--fixtures", str(path), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}:1: order {n} exceeds {MAX_FIXTURE_ORDER}\n"
+
+
+def test_fixture_order_at_the_bound_is_parsed():
+    n = MAX_FIXTURE_ORDER
+    pairs = "".join(f"({o},{m})" for o, m in os_cyclic(n).entries)
+    (fixture,) = parse_fixture_lines([f"EDGE | {n} | {pairs} | cyclic"])
+    assert fixture.n == n and fixture.seq == os_cyclic(n)
+    with pytest.raises(FixtureError, match="exceeds"):
+        parse_fixture_lines([f"OVER | {n + 1} | {pairs} | cyclic"])
 
 
 def test_cli_classify_non_solvable_group_above_quotient_threshold():
