@@ -9,6 +9,10 @@ shows how the candidates compare against the three constructible order-224
 groups of the same block.
 """
 
+import itertools
+from functools import reduce
+from operator import xor
+
 from oseq.classify import classify_group
 from oseq.construct import (
     ActionMap,
@@ -17,7 +21,6 @@ from oseq.construct import (
     dihedral,
     direct_product,
     elementary_abelian,
-    general_linear,
     semidirect_product,
 )
 from oseq.groups import subgroup_closure
@@ -46,11 +49,24 @@ def c24_rtimes_d14_candidates():
     """D14 on C2^4: the rotation cannot be inverted by any involution of
     GL(4,2) (the two order-7 rational forms are not conjugate to their
     inverses), so every nontrivial action factors through the C2 quotient;
-    one candidate per involution class rank.  GL(4,2) comes as permutations
-    of the table of C2^4, and T + I has rank 4 - log2 |Fix T|, since the
-    fixed vectors of T are the kernel of T + I."""
-    one = bytes(range(16))
-    involutions = [t for t in general_linear(2, 4) if t != one and bytes(t[i] for i in t) == one]
+    one candidate per involution class rank.  A vector (x0, .., x3) is the
+    integer sum of x_i 2^i, a matrix T its four columns, and Tv the XOR of the
+    columns v selects; T is an involution when T maps each column back to its
+    unit vector, and it acts as a permutation of the table of C2^4.  T + I has
+    rank 4 - log2 |Fix T|, since the fixed vectors of T are the kernel of
+    T + I."""
+    n = elementary_abelian(2, 4)
+    word = [sum(x << i for i, x in enumerate(v)) for v in n.table]
+    at = {w: i for i, w in enumerate(word)}
+
+    def apply(cols, w):
+        return reduce(xor, (c for i, c in enumerate(cols) if w >> i & 1), 0)
+
+    involutions = [
+        bytes(at[apply(cols, w)] for w in word)
+        for cols in itertools.product(range(16), repeat=4)
+        if cols != (1, 2, 4, 8) and all(apply(cols, c) == 1 << i for i, c in enumerate(cols))
+    ]
     by_rank = {}
     for t in involutions:
         fixed = sum(1 for i, j in enumerate(t) if i == j)
@@ -58,7 +74,6 @@ def c24_rtimes_d14_candidates():
     print(f"GL(4,2): {len(involutions)} involutions in {len(by_rank)} classes "
           f"(rank of T+I: {sorted(by_rank)})")
 
-    n = elementary_abelian(2, 4)
     h = dihedral(14)
     rot, ref = h.generators
     c7 = set(subgroup_closure(h, [rot]).members)

@@ -18,7 +18,6 @@ from .classify import (
 from .construct import (
     ActionMap,
     ConstructionError,
-    PresentationSpec,
     alternating,
     catalog,
     catalog_names,
@@ -27,10 +26,8 @@ from .construct import (
     dihedral,
     direct_product,
     elementary_abelian,
-    find_action_by_relations,
     frobenius42,
     frobenius56,
-    general_linear,
     heisenberg,
     psl2,
     semidirect_product,
@@ -47,10 +44,7 @@ from .groups import (
     GroupError,
     SubgroupSet,
     commutator_subgroup,
-    derived_subgroup,
     enumerate_group,
-    is_normal,
-    quotient,
     subgroup_closure,
 )
 from .order_sequence import (

@@ -35,8 +35,7 @@ def _features(args):
 
 
 def _build_expr(text, features):
-    node = parse(text)
-    return print_expr(node), build(node, features)
+    return build(parse(text), features)
 
 
 def _fixtures(args):
@@ -65,14 +64,14 @@ def cmd_os(args):
 
 def cmd_compare(args):
     features = _features(args)
-    _, g1 = _build_expr(args.expr1, features)
-    _, g2 = _build_expr(args.expr2, features)
+    g1 = _build_expr(args.expr1, features)
+    g2 = _build_expr(args.expr2, features)
     print(compare(os_of_group(g1), os_of_group(g2)).value)
     return 0
 
 
 def cmd_classify(args):
-    _, g = _build_expr(args.expr, _features(args))
+    g = _build_expr(args.expr, _features(args))
     report = classify_group(g)
     print(f"order: {report.order}")
     print(f"nilpotent: {report.nilpotent}")
@@ -85,15 +84,15 @@ def cmd_classify(args):
 
 
 def cmd_psi(args):
-    _, g = _build_expr(args.expr, _features(args))
+    g = _build_expr(args.expr, _features(args))
     print(psi(os_of_group(g)))
     return 0
 
 
 def cmd_product(args):
     features = _features(args)
-    _, g1 = _build_expr(args.expr1, features)
-    _, g2 = _build_expr(args.expr2, features)
+    g1 = _build_expr(args.expr1, features)
+    g2 = _build_expr(args.expr2, features)
     print(format_sequence(os_product(os_of_group(g1), os_of_group(g2))))
     return 0
 
@@ -103,8 +102,8 @@ def cmd_poset(args):
     if args.exprs:
         entries = []
         for text in args.exprs:
-            label, grp = _build_expr(text, features)
-            entries.append(CorpusEntry(label, os_of_group(grp)))
+            node = parse(text)
+            entries.append(CorpusEntry(print_expr(node), os_of_group(build(node, features))))
         corpus = Corpus(entries)
     else:
         if args.order is None:

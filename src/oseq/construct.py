@@ -1,11 +1,9 @@
 """Constructors for the group zoo: standard families, products, PSL(2,q),
-Frobenius and Heisenberg groups, relation-driven action searches in GL(k,p),
-and the named catalog behind the CLI.
+Frobenius and Heisenberg groups, and the named catalog behind the CLI.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -21,9 +19,7 @@ from .groups import (
     PermBacking,
     SemidirectBacking,
     VectorBacking,
-    derived_subgroup,
     enumerate_group,
-    quotient,
     subgroup_closure,
 )
 from .order_sequence import os_of_group, parse_pairs
@@ -31,7 +27,6 @@ from .order_sequence import os_of_group, parse_pairs
 __all__ = [
     "ConstructionError",
     "ActionMap",
-    "PresentationSpec",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -48,8 +43,6 @@ __all__ = [
     "wreath_square",
     "psl2",
     "suzuki8",
-    "general_linear",
-    "find_action_by_relations",
     "catalog",
     "catalog_names",
     "CATALOG_PARAMETRIZED",
@@ -384,151 +377,37 @@ def suzuki8():
     return _projective_group("Sz(8)", field_make(2, 3), _suzuki8_matrices(), (0, 0, 0, 1), 29120)
 
 
-# -- relation-driven action searches ------------------------------------------
-
-
-@dataclass(frozen=True)
-class PresentationSpec:
-    """Generators-and-relators data plus the intended group order.
-
-    Relators are words of signed 1-based generator indices; the order field
-    pins the size a faithful image must have.
-    """
-
-    generators: int
-    relators: tuple
-    order: int
-
-    def __post_init__(self):
-        if self.generators not in (1, 2):
-            raise ConstructionError("presentations are limited to at most 2 generators")
-        if not self.relators or any(not w for w in self.relators):
-            raise ConstructionError("relators must be non-empty words")
-
-
-_GL_ORDER_CAP = 10**6
-
-
-def general_linear(p, dim):
-    """GL(dim,p) as the byte permutations v -> Mv its matrices induce on the
-    table of `elementary_abelian(p, dim)`, the matrices taken in lexicographic
-    order of their row-major entries.  A matrix is kept when its map is a
-    bijection, that is when it is invertible."""
-    if p**dim > 255:
-        raise ConstructionError(f"GF({p})^{dim} has more than 255 vectors")
-    order = 1
-    for i in range(dim):
-        order *= p**dim - p**i
-    if order > _GL_ORDER_CAP:
-        raise ConstructionError(f"GL({dim},{p}) order {order} exceeds search cap")
-    vectors = elementary_abelian(p, dim)
-    index, size = vectors.index, len(vectors)
-    # dots[r][t]: row r times vector t; row i of M v is dots[M[i]][t]
-    dots = {
-        row: [sum(a * b for a, b in zip(row, v)) % p for v in vectors.table]
-        for row in itertools.product(range(p), repeat=dim)
-    }
-    out = []
-    for rows in itertools.product(dots, repeat=dim):
-        perm = bytes(map(index.__getitem__, zip(*map(dots.__getitem__, rows))))
-        if len(set(perm)) == size:
-            out.append(perm)
-    return out
-
-
-def _word_value(mul, letters, word, ident):
-    x = ident
-    for s in word:
-        x = mul(x, letters[s])
-    return x
-
-
-def find_action_by_relations(pres, dim, p, oracle=None):
-    """Search GL(dim,p) for faithful generator images of a presented group.
-
-    The search runs on `general_linear(p, dim)`, the permutations the
-    matrices induce on the table of GF(p)^dim.  That action is faithful and
-    (AB)v = A(Bv) is the product a*b of the permutation backing, so relator
-    words, the image group's BFS (same generators in the same order, hence
-    the same indices) and the action on the vectors are all computed on
-    permutations.  Returns the actions, deduplicated by the order sequence of
-    the semidirect product they induce; if an oracle sequence is given only
-    matching actions survive.  Raises ConstructionError when nothing fits,
-    and at once when GF(p)^dim has more than the 255 points a permutation
-    backing takes.
-    """
-    if p**dim > 255:
-        raise ConstructionError(f"GF({p})^{dim} has more than 255 vectors")
-    vectors = elementary_abelian(p, dim)
-    backing = PermBacking(len(vectors))
-    gl = general_linear(p, dim)
-    ident = backing.identity()
-    mul = backing.mul
-    inv_of = {a: backing.inv(a) for a in gl}
-
-    if pres.generators == 1:
-        first_only, rest = pres.relators, ()
-    else:
-        first_only = tuple(w for w in pres.relators if all(abs(s) == 1 for s in w))
-        rest = tuple(w for w in pres.relators if any(abs(s) == 2 for s in w))
-
-    def candidates():
-        for a in gl:
-            letters = {1: a, -1: inv_of[a]}
-            if not all(_word_value(mul, letters, w, ident) == ident for w in first_only):
-                continue
-            if pres.generators == 1:
-                yield [a]
-                continue
-            for b in gl:
-                letters[2], letters[-2] = b, inv_of[b]
-                if all(_word_value(mul, letters, w, ident) == ident for w in rest):
-                    yield [a, b]
-
-    results = []
-    seen_subgroups = set()
-    seen_sequences = set()
-    for images in candidates():
-        try:
-            image = enumerate_group(backing, images, cap=pres.order)
-        except GroupError:
-            continue
-        if len(image) != pres.order:
-            continue
-        key = frozenset(image.table)
-        if key in seen_subgroups:
-            continue
-        seen_subgroups.add(key)
-        action = ActionMap(image, vectors, tuple(map(tuple, image.table)))
-        seq = os_of_group(semidirect_product(vectors, image, action))
-        if seq.entries in seen_sequences:
-            continue
-        seen_sequences.add(seq.entries)
-        if oracle is not None and seq.entries != oracle.entries:
-            continue
-        results.append(action)
-    if not results:
-        raise ConstructionError("no action satisfying the relations (and oracle) was found")
-    return results
-
-
 # -- the named catalog ---------------------------------------------------------
 
-_DIC12_PRESENTATION = PresentationSpec(2, ((1, 1, 1, 1, 1, 1), (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
-
-# Sequences that pin which semidirect action is intended when several exist.
-_PINNED_SEQUENCES = {
-    "SD_300_23": parse_pairs("(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)"),
-    "SD_72_35": parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)"),
-}
+# The generators a and b of Dic12 = <a, b | a^6 = 1, b^2 = a^3, b^-1 a b = a^-1>
+# as matrices over GF(5), acting on GF(5)^2 by v -> Mv.
+_SD_300_23_MATRICES = (((0, 1), (4, 1)), ((0, 2), (2, 0)))
 
 
 @lru_cache(maxsize=None)
-def _oracle_matched(name, pres, dim, p):
-    action = find_action_by_relations(pres, dim, p, oracle=_PINNED_SEQUENCES[name])[0]
-    grp = semidirect_product(action.target, action.acting, action)
-    grp.name = name
+def _sd_300_23():
+    """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row.
+
+    The acting Dic12 is the group of permutations of GF(5)^2 that the two
+    matrices of `_SD_300_23_MATRICES` generate; its table is the action.
+    """
+    n = elementary_abelian(5, 2)
+    spec = field_make(5)
+    backing = PermBacking(len(n))
+    a, b = (bytes(n.index[_matvec(spec, m, v)] for v in n.table) for m in _SD_300_23_MATRICES)
+    mul, inv = backing.mul, backing.inv
+    a3 = mul(a, mul(a, a))
+    if mul(a3, a3) != backing.identity() or mul(b, b) != a3 or mul(inv(b), mul(a, b)) != inv(a):
+        raise ConstructionError("SD_300_23: the matrices break the relations of Dic12")
+    h = enumerate_group(backing, [a, b])
+    if len(h) != 12:
+        raise ConstructionError(f"SD_300_23: the matrices generate {len(h)} elements, not 12")
+    grp = semidirect_product(n, h, ActionMap(h, n, tuple(map(tuple, h.table))))
+    grp.name = "SD_300_23"
     return grp
+
+
+_SD_72_35_SEQUENCE = parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")
 
 
 @lru_cache(maxsize=None)
@@ -552,7 +431,7 @@ def _sd_72_35():
     perms = tuple(ident if j in kernel else negate for j in range(len(h)))
     grp = semidirect_product(n, h, ActionMap(h, n, perms))
     grp.name = "SD_72_35"
-    if os_of_group(grp).entries != _PINNED_SEQUENCES["SD_72_35"].entries:
+    if os_of_group(grp).entries != _SD_72_35_SEQUENCE.entries:
         raise ConstructionError("SD_72_35 produced a wrong order sequence")
     if not is_supersolvable(grp):
         raise ConstructionError("SD_72_35 must be supersolvable")
@@ -564,9 +443,14 @@ def _c7_rtimes_a4():
     """C7 : A4 acting through the unique order-3 quotient of A4."""
     n = cyclic(7)
     h = alternating(4)
-    v = derived_subgroup(h)
-    q = quotient(h, v)
-    coset_of = q.backing.coset_of
+    klein = [j for j in range(len(h)) if h.order_of(j) <= 2]
+    coset_of = [-1] * len(h)  # the cosets of V4, numbered by their least index
+    cosets = 0
+    for j in range(len(h)):
+        if coset_of[j] < 0:
+            for k in klein:
+                coset_of[h.mul(j, k)] = cosets
+            cosets += 1
     perms = tuple(
         tuple((i * pow(2, coset_of[j], 7)) % 7 for i in range(7)) for j in range(len(h))
     )
@@ -580,7 +464,7 @@ _CATALOG_FIXED = {
     "C7xA5": lambda: direct_product(cyclic(7), alternating(5)),
     "C13xA5": lambda: direct_product(cyclic(13), alternating(5)),
     "C15xA5": lambda: direct_product(cyclic(15), alternating(5)),
-    "SD_300_23": lambda: _oracle_matched("SD_300_23", _DIC12_PRESENTATION, 2, 5),
+    "SD_300_23": _sd_300_23,
     "SD_72_35": _sd_72_35,
     "S3wrC2": lambda: wreath_square(symmetric(3)),
     "C4xF8": lambda: direct_product(cyclic(4), frobenius56()),

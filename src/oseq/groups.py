@@ -22,15 +22,10 @@ __all__ = [
     "VectorBacking",
     "DirectProductBacking",
     "SemidirectBacking",
-    "CosetBacking",
     "enumerate_group",
     "subgroup_closure",
-    "is_normal",
-    "quotient",
     "commutator_subgroup",
-    "derived_subgroup",
     "DEFAULT_CLOSURE_CAP",
-    "QUOTIENT_THRESHOLD",
 ]
 
 
@@ -39,7 +34,6 @@ class GroupError(ValueError):
 
 
 DEFAULT_CLOSURE_CAP = 500_000
-QUOTIENT_THRESHOLD = 20_000
 
 
 class PermBacking:
@@ -193,30 +187,6 @@ class SemidirectBacking:
 
 
 
-class CosetBacking:
-    """Cosets of a normal subgroup; elements are least-index representatives."""
-
-    __slots__ = ("parent", "coset_of", "reps")
-
-    def __init__(self, parent, coset_of, reps):
-        self.parent = parent
-        self.coset_of = coset_of
-        self.reps = reps
-
-    def identity(self):
-        return self.reps[0]
-
-    def mul(self, a, b):
-        return self.reps[self.coset_of[self.parent.mul(a, b)]]
-
-    def inv(self, a):
-        return self.reps[self.coset_of[self.parent.inv(a)]]
-
-    def fast_order(self, a):
-        return None
-
-
-
 class Group:
     """A fully enumerated finite group; index 0 is the identity."""
 
@@ -355,39 +325,6 @@ def subgroup_closure(group, seed):
     return SubgroupSet(group, tuple(sorted(members)))
 
 
-def is_normal(group, sub):
-    """Conjugation check against the group's generators."""
-    if sub.group is not group:
-        raise GroupError("subgroup belongs to a different group")
-    members = set(sub.members)
-    for g in group.generators:
-        gi = group.inv(g)
-        for h in sub.members:
-            if group.mul(group.mul(g, h), gi) not in members:
-                return False
-    return True
-
-
-def quotient(group, sub):
-    """Coset group of a normal subgroup; representatives are least indices."""
-    if len(group) > QUOTIENT_THRESHOLD:
-        raise GroupError(f"group order {len(group)} exceeds quotient threshold {QUOTIENT_THRESHOLD}")
-    if not is_normal(group, sub):
-        raise GroupError("cannot form the quotient by a non-normal subgroup")
-    n = len(group)
-    coset_of = [-1] * n
-    reps = []
-    for i in range(n):
-        if coset_of[i] < 0:
-            cid = len(reps)
-            reps.append(i)
-            for h in sub.members:
-                coset_of[group.mul(i, h)] = cid
-    backing = CosetBacking(group, coset_of, reps)
-    gen_elems = [reps[coset_of[g]] for g in group.generators]
-    return Group(backing, reps, generator_elements=gen_elems, name=f"{group.name}/N")
-
-
 def commutator_subgroup(group, a_gens, b_gens):
     """[A, B] for A = <a_gens> and B = <b_gens>, and the generators collected.
 
@@ -411,8 +348,3 @@ def commutator_subgroup(group, a_gens, b_gens):
             if y not in members:
                 _grow(group, members, gens, y)
     return SubgroupSet(group, tuple(sorted(members))), tuple(gens)
-
-
-def derived_subgroup(group):
-    """[G, G] from `group.generators`, which generate G (as `is_normal` assumes)."""
-    return commutator_subgroup(group, group.generators, group.generators)[0]

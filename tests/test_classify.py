@@ -20,7 +20,6 @@ from oseq.construct import (
     psl2,
     symmetric,
 )
-from oseq.groups import QUOTIENT_THRESHOLD
 from sympy import isprime
 
 
@@ -102,16 +101,18 @@ def test_implication_chain_on_assorted_groups():
 
 def test_threshold_guard():
     # neither the derived series nor the supersolvable chain is capped at
-    # QUOTIENT_THRESHOLD: the chain never forms a quotient group
+    # 20_000, the group order above which a quotient group was once refused:
+    # the chain never forms a quotient group
     big = direct_product(cyclic(150), cyclic(150))
     assert is_solvable(big) is True
     assert supersolvable_chain(big) == (5, 5, 3, 2, 5, 5, 3, 2)
 
 
 def test_classify_skips_quotients_when_not_solvable():
-    # A8 (order 20160) is above the quotient threshold, but is not solvable
+    # A8 (order 20160) is above 20_000, the group order above which a
+    # quotient group was once refused, but is not solvable
     report = classify_group(alternating(8))
-    assert len(alternating(8)) > QUOTIENT_THRESHOLD
+    assert len(alternating(8)) > 20_000
     assert (report.nilpotent, report.supersolvable, report.solvable) == (False, False, False)
     assert report.chain is None
     assert report.derived_orders == (20160,)

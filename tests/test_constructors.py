@@ -5,7 +5,6 @@ import pytest
 from oseq.construct import (
     ActionMap,
     ConstructionError,
-    PresentationSpec,
     alternating,
     catalog,
     catalog_names,
@@ -14,10 +13,8 @@ from oseq.construct import (
     dihedral,
     direct_product,
     elementary_abelian,
-    find_action_by_relations,
     frobenius42,
     frobenius56,
-    general_linear,
     heisenberg,
     psl2,
     semidirect_product,
@@ -28,7 +25,7 @@ from oseq.construct import (
     wreath_square,
 )
 from oseq.finite_field import field_make
-from oseq.groups import DEFAULT_CLOSURE_CAP, GroupError, PermBacking, derived_subgroup, enumerate_group
+from oseq.groups import DEFAULT_CLOSURE_CAP, GroupError, PermBacking, commutator_subgroup, enumerate_group
 from oseq.order_sequence import os_of_group, parse_pairs
 
 
@@ -216,7 +213,7 @@ def test_psl2_5_matches_a5():
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_psl2_is_perfect(q):
     g = psl2(q)
-    assert len(derived_subgroup(g)) == len(g)
+    assert len(commutator_subgroup(g, g.generators, g.generators)[0]) == len(g)
 
 
 @pytest.mark.parametrize(
@@ -241,74 +238,6 @@ def test_psl2_rejects_bad_q():
         psl2(6)
     with pytest.raises(ConstructionError):
         psl2(128)
-
-
-def test_general_linear_sizes():
-    assert len(general_linear(3, 2)) == 48
-    assert len(general_linear(5, 2)) == 480
-
-
-def test_general_linear_refuses_more_than_255_vectors(monkeypatch):
-    # GF(17)^2 has 289 vectors, more than a byte permutation moves: the
-    # refusal must come before the vectors, and so any matrix, are enumerated
-    import oseq.construct
-
-    def unreachable(*args):
-        raise AssertionError("enumerated before the size check")
-
-    monkeypatch.setattr(oseq.construct, "elementary_abelian", unreachable)
-    with pytest.raises(ConstructionError, match="more than 255 vectors"):
-        general_linear(17, 2)
-
-
-def test_find_action_trivial_presentation():
-    pres = PresentationSpec(1, ((1,),), 1)
-    actions = find_action_by_relations(pres, 1, 5)
-    assert len(actions) == 1
-    assert actions[0].perms == (tuple(range(5)),)
-
-
-def test_find_action_refuses_more_than_255_vectors(monkeypatch):
-    # GF(17)^2 has 289 vectors, more than a permutation backing takes: the
-    # search must stop before it builds the vectors or GL(2,17)
-    import oseq.construct
-
-    def unreachable(*args):
-        raise AssertionError("built before the size check")
-
-    monkeypatch.setattr(oseq.construct, "elementary_abelian", unreachable)
-    monkeypatch.setattr(oseq.construct, "general_linear", unreachable)
-    with pytest.raises(ConstructionError, match="more than 255 vectors"):
-        find_action_by_relations(PresentationSpec(1, ((1,),), 1), 2, 17)
-
-
-def test_find_action_dic12_with_oracle():
-    oracle = parse_pairs("(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)")
-    pres = PresentationSpec(2, ((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
-    actions = find_action_by_relations(pres, 2, 5, oracle=oracle)
-    assert actions
-    built = semidirect_product(actions[0].target, actions[0].acting, actions[0])
-    assert os_of_group(built).entries == oracle.entries
-
-
-def test_find_action_d8_with_oracle():
-    oracle = parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")
-    pres = PresentationSpec(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1)), 8)
-    actions = find_action_by_relations(pres, 2, 3, oracle=oracle)
-    assert actions
-
-
-def test_find_action_reports_failure():
-    pres = PresentationSpec(1, ((1, 1, 1),), 3)
-    with pytest.raises(ConstructionError):
-        find_action_by_relations(pres, 1, 2, oracle=parse_pairs("(1,1)(2,1)"))
-
-
-def test_validate_action_on_matrix_searches():
-    oracle = parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")
-    pres = PresentationSpec(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1)), 8)
-    action = find_action_by_relations(pres, 2, 3, oracle=oracle)[0]
-    validate_action(action)
 
 
 def test_catalog_entries():
@@ -344,6 +273,27 @@ def test_oracle_matched_entries():
         "(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)").entries
     assert os_of_group(catalog("SD_72_35")).entries == parse_pairs(
         "(1,1)(2,21)(3,8)(4,18)(6,24)").entries
+
+
+_A, _B = ((0, 1), (4, 1)), ((0, 2), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "mats,match",
+    [
+        ((((1, 1), (0, 1)), _B), "relations"),  # a has order 5
+        ((_A, ((0, 1), (1, 0))), "relations"),  # b^2 = 1, not a^3 = -1
+        ((_A, ((2, 0), (0, 2))), "relations"),  # b = 2 is central, so b^-1 a b = a
+        ((((4, 0), (0, 4)), _B), "4 elements"),  # a = -1 satisfies the relations
+    ],
+    ids=["a^6", "b^2", "b^-1ab", "order"],
+)
+def test_sd_300_23_refuses_matrices_that_are_not_dic12(monkeypatch, mats, match):
+    import oseq.construct
+
+    monkeypatch.setattr(oseq.construct, "_SD_300_23_MATRICES", mats)
+    with pytest.raises(ConstructionError, match=match):
+        oseq.construct._sd_300_23.__wrapped__()
 
 
 def test_suzuki8():

@@ -2,23 +2,25 @@
 
 The fast paths: `PermBacking.mul` composes packed permutations with one
 `bytes.translate`; `Group.order_of` fills the orders of a whole cyclic
-subgroup from one walk; `general_linear` keeps the permutations of GF(p)^k
-its matrices induce that are bijections, and the relator search runs on
-them; PSL(2,q) and Sz(8) are the permutations their matrices induce on one
-projective orbit; the C7 of F8 multiplies GF(8) by powers of x; C(n), D(n)
-and Dic(n) are pairs (k, s) standing for a^k b^s; He(p) is C_p^2 : C_p.
+subgroup from one walk; PSL(2,q) and Sz(8) are the permutations their
+matrices induce on one projective orbit; the C7 of F8 multiplies GF(8) by
+powers of x; C(n), D(n) and Dic(n) are pairs (k, s) standing for a^k b^s;
+He(p) is C_p^2 : C_p; SD_300_23 is built from two pinned GL(2,5) matrices,
+and C7 : A4 numbers the cosets of V4 in A4 inline.
 
 The references compose a permutation point by point, count powers until the
 identity, multiply matrices (tuples of rows) entry by entry with
 `FieldSpec.add` and `FieldSpec.mul`, pick invertible matrices by a Leibniz
-determinant, search over matrix words, enumerate Sz(8), Dic(n) and He(p) as
-matrices, apply the powers of a companion matrix, number the projective line
-by field element, and enumerate C(n) and D(n) as the rotations and
-reflections of a polygon.
+determinant, search matrix words for the first action satisfying the
+relations of Dic12, enumerate Sz(8), Dic(n) and He(p) as matrices, apply the
+powers of a companion matrix, number the projective line by field element,
+enumerate C(n) and D(n) as the rotations and reflections of a polygon, and
+form the quotient group of A4 by V4.
 """
 
 import itertools
 import random
+from collections import namedtuple
 from functools import reduce
 from operator import xor
 
@@ -30,18 +32,19 @@ from oseq.arith import isprime
 from oseq.construct import (
     ActionMap,
     ConstructionError,
-    PresentationSpec,
+    _SD_300_23_MATRICES,
+    _c7_rtimes_a4,
     _projective_group,
     _suzuki8_matrices,
+    alternating,
+    catalog,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
     elementary_abelian,
-    find_action_by_relations,
     frobenius42,
     frobenius56,
-    general_linear,
     heisenberg,
     psl2,
     semidirect_product,
@@ -49,15 +52,17 @@ from oseq.construct import (
     symmetric,
 )
 from oseq.finite_field import FieldError, field_make
+from oseq.fixtures import default_fixtures, fixtures_by_label
 from oseq.groups import (
     Group,
     GroupError,
     PermBacking,
+    commutator_subgroup,
     enumerate_group,
-    quotient,
     subgroup_closure,
 )
-from oseq.order_sequence import os_of_group, parse_pairs
+from oseq.order_sequence import os_of_group
+from quotient_oracle import quotient
 
 
 class _MapPermBacking(PermBacking):
@@ -339,13 +344,6 @@ def _induced_permutation(spec, vectors, m):
     return bytes(vectors.index[_matvec(spec, m, v)] for v in vectors.table)
 
 
-@pytest.mark.parametrize("p,dim", [(2, 3), (3, 2), (5, 2)])
-def test_general_linear_matches_the_invertible_matrices(p, dim):
-    spec, vectors = field_make(p), elementary_abelian(p, dim)
-    slow = [_induced_permutation(spec, vectors, m) for m in _invertible_matrices(p, dim)]
-    assert general_linear(p, dim) == slow
-
-
 def test_frobenius56_acts_by_the_companion_matrix_powers():
     spec, vectors = field_make(2), elementary_abelian(2, 3)
     # the companion matrix of x^3 + x + 1: column j is x times x^j, reduced
@@ -359,9 +357,19 @@ def test_frobenius56_acts_by_the_companion_matrix_powers():
     assert frobenius56().backing.perms == tuple(expected)
 
 
-def _matrix_word_search(pres, dim, p, oracle=None):
-    """The relator search over matrix words, with the image group enumerated
-    as matrices and each matrix applied to every vector."""
+# A two-generator presentation: relators are words of signed 1-based
+# generator indices, and `order` is the size a faithful image must have.
+Presentation = namedtuple("Presentation", "relators order")
+_DIC12 = Presentation(((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
+
+
+def _matrix_word_search(pres, dim, p, oracle):
+    """Faithful actions of a presented group on GF(p)^dim, searched over
+    matrix words, with the image group enumerated as matrices and each
+    matrix applied to every vector.  The candidates are taken in
+    lexicographic order of the generator matrices; an action is kept when it
+    is the first for its image subgroup and for the order sequence of its
+    semidirect product, and that sequence is the oracle's."""
     spec = field_make(p)
     backing = MatrixBacking(spec, dim)
     gl = _invertible_matrices(p, dim)
@@ -381,9 +389,6 @@ def _matrix_word_search(pres, dim, p, oracle=None):
     for a in gl:
         letters = {1: a, -1: inv_of[a]}
         if all(value(letters, w) == ident for w in first):
-            if pres.generators == 1:
-                candidates.append([a])
-                continue
             for b in gl:
                 letters[2], letters[-2] = b, inv_of[b]
                 if all(value(letters, w) == ident for w in rest):
@@ -403,43 +408,31 @@ def _matrix_word_search(pres, dim, p, oracle=None):
         if seq in seen_sequences:
             continue
         seen_sequences.add(seq)
-        if oracle is None or seq == oracle.entries:
+        if seq == oracle.entries:
             results.append(action)
     if not results:
         raise ConstructionError("no action found")
     return results
 
 
-_D8 = PresentationSpec(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1)), 8)
-_DIC12 = PresentationSpec(2, ((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
-SEARCHES = [
-    (PresentationSpec(1, ((1,),), 1), 1, 5, None),
-    (_D8, 2, 3, None),
-    (_D8, 2, 3, parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")),
-    (_DIC12, 2, 5, parse_pairs("(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)")),
-]
+def test_sd_300_23_is_the_first_action_of_the_matrix_word_search():
+    oracle = fixtures_by_label(default_fixtures())["SG300_23"].seq
+    slow = _matrix_word_search(_DIC12, 2, 5, oracle=oracle)[0]
+    assert [slow.acting.table[g] for g in slow.acting.generators] == list(_SD_300_23_MATRICES)
+    fast = catalog("SD_300_23").backing
+    assert fast.normal is slow.target
+    # same generators in the same order: the permutation image keeps every BFS index
+    assert fast.acting.generators == slow.acting.generators
+    assert fast.perms == slow.perms
 
 
-@pytest.mark.parametrize(
-    "pres,dim,p,oracle", SEARCHES, ids=["trivial-GF5", "D8-GF3", "D8-GF3-oracle", "Dic12-GF5-oracle"]
-)
-def test_relator_search_matches_matrix_words(pres, dim, p, oracle):
-    fast = find_action_by_relations(pres, dim, p, oracle=oracle)
-    slow = _matrix_word_search(pres, dim, p, oracle=oracle)
-    assert [a.perms for a in fast] == [a.perms for a in slow]
-    for f, s in zip(fast, slow):
-        assert f.target is s.target
-        # same generators in the same order: the permutation image keeps every BFS index
-        assert len(f.acting) == len(s.acting)
-        assert f.acting.generators == s.acting.generators
-
-
-def test_relator_search_failure_matches_matrix_words():
-    pres, oracle = PresentationSpec(1, ((1, 1, 1),), 3), parse_pairs("(1,1)(2,1)")
-    with pytest.raises(ConstructionError):
-        find_action_by_relations(pres, 1, 2, oracle=oracle)
-    with pytest.raises(ConstructionError):
-        _matrix_word_search(pres, 1, 2, oracle=oracle)
+def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():
+    a4 = alternating(4)
+    q = quotient(a4, commutator_subgroup(a4, a4.generators, a4.generators)[0])
+    assert len(q) == 3
+    coset_of = q.backing.coset_of
+    perms = tuple(tuple(i * pow(2, coset_of[j], 7) % 7 for i in range(7)) for j in range(len(a4)))
+    assert _c7_rtimes_a4().backing.perms == perms
 
 
 def _point(spec, v):

@@ -17,8 +17,9 @@ from sympy import isprime
 from oseq import classify
 from oseq.classify import supersolvable_chain
 from oseq.construct import alternating, catalog, cyclic, direct_product, heisenberg, psl2, symmetric
-from oseq.groups import PermBacking, SubgroupSet, enumerate_group, is_normal, quotient
+from oseq.groups import PermBacking, SubgroupSet, enumerate_group
 from oseq.verify import catalog_sample, order12_corpus_groups
+from quotient_oracle import is_normal, quotient
 
 
 def _cyclic_members(group, i):
