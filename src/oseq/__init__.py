@@ -3,65 +3,50 @@
 Enumerated groups, the run-length-encoded order sequence, the domination
 partial order, sequence products, nilpotency/supersolvability/solvability,
 and the constructors and verification suites behind the ``oseq`` CLI.
+
+Submodules load on first use (PEP 562): ``oseq.cyclic`` imports
+``oseq.construct`` when it is first read, so a CLI verb pays only for the
+modules it runs.
 """
 
-from .classify import (
-    ClassificationReport,
-    classify_group,
-    derived_series,
-    is_nilpotent,
-    is_solvable,
-    is_supersolvable,
-    lower_central_series,
-    supersolvable_chain,
-)
-from .construct import (
-    ActionMap,
-    ConstructionError,
-    alternating,
-    catalog,
-    catalog_names,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    frobenius42,
-    frobenius56,
-    heisenberg,
-    psl2,
-    semidirect_product,
-    suzuki8,
-    symmetric,
-    trivial_action,
-    wreath_square,
-)
-from .expr import ParseError, build, parse, print_expr
-from .finite_field import FieldError, FieldSpec, field_make
-from .fixtures import Fixture, FixtureError, default_fixtures, load_fixtures
-from .groups import (
-    Group,
-    GroupError,
-    SubgroupSet,
-    commutator_subgroup,
-    enumerate_group,
-    subgroup_closure,
-)
-from .order_sequence import (
-    OrderSequence,
-    SequenceError,
-    Verdict,
-    compare,
-    format_sequence,
-    is_plausible,
-    nilpotent_from_os,
-    os_cyclic,
-    os_of_group,
-    os_product,
-    parse_pairs,
-    parse_sequence,
-    psi,
-)
-from .poset import Corpus, CorpusEntry, PosetResult, build_poset, domination_pairs, to_csv, to_dot
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+SUITE_NAMES = ("table1", "table2", "table3", "thm23", "thm25", "thm29", "simple", "props")
+
+
+class InputError(ValueError):
+    """Malformed or inconsistent input; the CLI exits 1."""
+
+
+class BuildError(ValueError):
+    """A group that cannot be built, or not within the caps; the CLI exits 2."""
+
+
+_EXPORTS = {
+    "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
+    "is_supersolvable lower_central_series supersolvable_chain",
+    "construct": "ActionMap ConstructionError alternating catalog catalog_names cyclic dicyclic "
+    "dihedral direct_product elementary_abelian frobenius42 frobenius56 heisenberg psl2 "
+    "semidirect_product suzuki8 symmetric trivial_action wreath_square",
+    "expr": "ParseError build parse print_expr",
+    "finite_field": "FieldError FieldSpec field_make",
+    "fixtures": "Fixture FixtureError default_fixtures load_fixtures",
+    "groups": "Group GroupError SubgroupSet commutator_subgroup enumerate_group subgroup_closure",
+    "order_sequence": "OrderSequence SequenceError Verdict compare format_sequence is_plausible "
+    "nilpotent_from_os os_cyclic os_of_group os_product parse_pairs parse_sequence psi",
+    "poset": "Corpus CorpusEntry PosetResult build_poset domination_pairs to_csv to_dot",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "arith", "cache", "cli", "verify"}
+
+__all__ = ["SUITE_NAMES", "InputError", "BuildError", *_HOME]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

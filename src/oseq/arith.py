@@ -15,8 +15,19 @@ from math import gcd, isqrt
 
 __all__ = ["isprime", "factorint", "divisors", "totient"]
 
+
+def _sieve(limit):
+    """Primes below `limit`, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = bytes(2)
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if flags[p]]
+
+
 _SMALL_LIMIT = 1000
-_SMALL_PRIMES = [p for p in range(2, _SMALL_LIMIT) if all(p % d for d in range(2, isqrt(p) + 1))]
+_SMALL_PRIMES = _sieve(_SMALL_LIMIT)
 _SMALL_SET = frozenset(_SMALL_PRIMES)
 
 

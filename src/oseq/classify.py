@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import factorint
 from .groups import GroupError, SubgroupSet, commutator_subgroup
@@ -116,20 +116,21 @@ def is_supersolvable(group):
     return supersolvable_chain(group) is not None
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    order: int
-    nilpotent: bool
-    supersolvable: bool
-    solvable: bool
-    chain: tuple | None  # primes of the supersolvable witness chain
-    derived_orders: tuple  # subgroup sizes along the derived series
+class ClassificationReport(
+    namedtuple("ClassificationReport", "order nilpotent supersolvable solvable chain derived_orders")
+):
+    """`chain` holds the primes of the supersolvable witness chain, or None;
+    `derived_orders` the subgroup sizes along the derived series."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.nilpotent and not self.supersolvable:
             raise GroupError("inconsistent report: nilpotent but not supersolvable")
         if self.supersolvable and not self.solvable:
             raise GroupError("inconsistent report: supersolvable but not solvable")
+        return self
 
 
 def classify_group(group):

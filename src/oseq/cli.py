@@ -2,6 +2,8 @@
 
 Verbs: os, compare, classify, psi, product, poset, verify, catalog, fixtures.
 Exit codes: 0 ok, 1 user error, 2 construction failure, 3 verification failure.
+Each verb imports the modules it runs when it runs, so building the parser
+and mapping errors to exit codes load no other `oseq` module.
 """
 
 from __future__ import annotations
@@ -9,23 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cache import cache_get, cache_put
-from .classify import classify_group
-from .construct import CATALOG_PARAMETRIZED, ConstructionError, catalog, catalog_names
-from .expr import ParseError, build, parse, print_expr
-from .finite_field import FieldError
-from .fixtures import FixtureError, corpus_for_order, default_fixtures, load_fixtures
-from .groups import GroupError
-from .order_sequence import (
-    SequenceError,
-    compare,
-    format_sequence,
-    os_of_group,
-    os_product,
-    psi,
-)
-from .poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
-from .verify import SUITE_NAMES, SuiteUsageError, run_suite
+from . import SUITE_NAMES, BuildError, InputError
 
 USER_ERROR, CONSTRUCTION_ERROR, VERIFICATION_ERROR = 1, 2, 3
 
@@ -35,20 +21,31 @@ def _features(args):
 
 
 def _build_expr(text, features):
+    from .expr import build, parse
+
     return build(parse(text), features)
 
 
 def _fixtures(args):
+    from .fixtures import default_fixtures, load_fixtures
+
     if getattr(args, "fixtures", None):
         return load_fixtures(args.fixtures)
     return default_fixtures()
 
 
 def cmd_os(args):
+    from .expr import build, parse, print_expr
+    from .order_sequence import format_sequence, os_of_group
+
     features = _features(args)
     node = parse(args.expr)
     key = print_expr(node)
-    cached = cache_get(args.cache, key) if args.cache else None
+    cached = None
+    if args.cache:
+        from .cache import cache_get, cache_put
+
+        cached = cache_get(args.cache, key)
     if cached is not None and not args.check_cache:
         print(cached)
         return 0
@@ -63,6 +60,8 @@ def cmd_os(args):
 
 
 def cmd_compare(args):
+    from .order_sequence import compare, os_of_group
+
     features = _features(args)
     g1 = _build_expr(args.expr1, features)
     g2 = _build_expr(args.expr2, features)
@@ -71,6 +70,8 @@ def cmd_compare(args):
 
 
 def cmd_classify(args):
+    from .classify import classify_group
+
     g = _build_expr(args.expr, _features(args))
     report = classify_group(g)
     print(f"order: {report.order}")
@@ -84,12 +85,16 @@ def cmd_classify(args):
 
 
 def cmd_psi(args):
+    from .order_sequence import os_of_group, psi
+
     g = _build_expr(args.expr, _features(args))
     print(psi(os_of_group(g)))
     return 0
 
 
 def cmd_product(args):
+    from .order_sequence import format_sequence, os_of_group, os_product
+
     features = _features(args)
     g1 = _build_expr(args.expr1, features)
     g2 = _build_expr(args.expr2, features)
@@ -98,19 +103,26 @@ def cmd_product(args):
 
 
 def cmd_poset(args):
-    features = _features(args)
+    from .poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
+
     if args.exprs:
+        from .expr import build, parse, print_expr
+        from .order_sequence import os_of_group
+
+        features = _features(args)
         entries = []
         for text in args.exprs:
             node = parse(text)
             entries.append(CorpusEntry(print_expr(node), os_of_group(build(node, features))))
         corpus = Corpus(entries)
     else:
+        from .fixtures import corpus_for_order
+
         if args.order is None:
-            raise SuiteUsageError("poset over a fixture file needs --order")
+            raise InputError("poset over a fixture file needs --order")
         corpus = corpus_for_order(_fixtures(args), args.order)
         if not len(corpus):
-            raise SuiteUsageError(f"no fixtures of order {args.order}")
+            raise InputError(f"no fixtures of order {args.order}")
     result = build_poset(corpus)
     if args.emit == "dot":
         out = to_dot(result)
@@ -131,15 +143,15 @@ def cmd_poset(args):
     return 0
 
 
-def _primes(text):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise SuiteUsageError(f"--primes takes comma-separated integers; got {text!r}") from None
-
-
 def cmd_verify(args):
-    primes = _primes(args.primes) if args.primes else None
+    from .verify import SuiteUsageError, run_suite
+
+    primes = None
+    if args.primes:
+        try:
+            primes = tuple(int(p) for p in args.primes.split(","))
+        except ValueError:
+            raise SuiteUsageError(f"--primes takes comma-separated integers; got {args.primes!r}") from None
     checks = run_suite(args.suite, fixtures=_fixtures(args), primes=primes, features=_features(args))
     failed = 0
     for check in checks:
@@ -152,6 +164,9 @@ def cmd_verify(args):
 
 
 def cmd_catalog(args):
+    from .construct import CATALOG_PARAMETRIZED, catalog, catalog_names
+    from .order_sequence import format_sequence, os_of_group
+
     if not args.name:
         for name in catalog_names():
             suffix = " (takes a prime)" if name in CATALOG_PARAMETRIZED else ""
@@ -232,10 +247,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, SequenceError, SuiteUsageError, FixtureError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR
-    except (ConstructionError, GroupError, FieldError) as exc:
+    except BuildError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return CONSTRUCTION_ERROR
 

@@ -4,10 +4,11 @@ Frobenius and Heisenberg groups, and the named catalog behind the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, reduce
 from math import gcd
 
+from . import BuildError
 from .arith import factorint, isprime
 from .finite_field import field_make
 from .groups import (
@@ -37,6 +38,7 @@ __all__ = [
     "frobenius42",
     "frobenius56",
     "direct_product",
+    "direct_power",
     "semidirect_product",
     "trivial_action",
     "validate_action",
@@ -49,7 +51,7 @@ __all__ = [
 ]
 
 
-class ConstructionError(ValueError):
+class ConstructionError(BuildError):
     """A constructor was given bad parameters or could not be realised."""
 
 
@@ -201,13 +203,22 @@ def direct_product(g, h):
     return Group(backing, table, generator_elements=gens, name=f"{g.name}x{h.name}", index=index)
 
 
-@dataclass(frozen=True)
-class ActionMap:
-    """Automorphic action: one permutation of the target's indices per acting element."""
+def direct_power(g, k):
+    """g x g x ... x g with k factors.  Every power of the trivial group is
+    trivial; otherwise the first partial product past the closure cap (at
+    most 19 factors in, as 2^19 passes it) is refused before any is built."""
+    if len(g) == 1:
+        return g
+    order = len(g)
+    for _ in range(k - 1):
+        order *= len(g)
+        if order > DEFAULT_CLOSURE_CAP:
+            raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
+    return reduce(direct_product, [g] * k)
 
-    acting: Group
-    target: Group
-    perms: tuple
+
+ActionMap = namedtuple("ActionMap", "acting target perms")
+ActionMap.__doc__ = "Automorphic action: one permutation of the target's indices per acting element."
 
 
 def trivial_action(n, h):

@@ -17,27 +17,22 @@ each walk the one ``_CONSTRUCTORS`` table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from collections import namedtuple
 
-from . import construct
+from . import InputError, construct
 from .construct import ConstructionError
 
 __all__ = ["ParseError", "Node", "parse", "print_expr", "build"]
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Node:
-    """One constructor applied to its arguments: ints, names or sub-nodes."""
-
-    name: str
-    args: tuple = ()
+Node = namedtuple("Node", "name args", defaults=((),))
+Node.__doc__ = "One constructor applied to its arguments: ints, names or sub-nodes."
 
 
 # Name -> (argument kind, `construct` function that builds it).  The kinds
@@ -59,7 +54,7 @@ _CONSTRUCTORS = {
     "Wr2": ("expr", "wreath_square"),
     "Cat": ("catalog", "catalog"),
     "x": ("product", "direct_product"),
-    "^": ("power", "direct_product"),
+    "^": ("power", "direct_power"),
 }
 
 
@@ -203,9 +198,4 @@ def build(node, features=frozenset()):
     if node.name == "Sz8" and "sz8" not in features:
         raise ConstructionError("Sz8 is gated behind the sz8 feature flag")
     args = [build(a, features) if isinstance(a, Node) else a for a in node.args]
-    kind, function = _CONSTRUCTORS[node.name]
-    builder = getattr(construct, function)
-    if kind == "power":
-        group, k = args
-        return reduce(builder, [group] * k)
-    return builder(*args)
+    return getattr(construct, _CONSTRUCTORS[node.name][1])(*args)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+from . import BuildError
 from .arith import isprime
 
 __all__ = ["FieldError", "FieldSpec", "field_make"]
 
 
-class FieldError(ValueError):
+class FieldError(BuildError):
     """Bad field parameters or an undefined field operation."""
 
 

@@ -11,10 +11,11 @@ surface immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
+from . import InputError
 from .order_sequence import SequenceError, is_plausible, parse_pairs
 from .poset import Corpus, CorpusEntry
 
@@ -22,7 +23,7 @@ __all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
            "default_fixtures", "fixtures_by_label", "corpus_for_order"]
 
 
-class FixtureError(ValueError):
+class FixtureError(InputError):
     """Malformed or implausible fixture data."""
 
 
@@ -32,15 +33,7 @@ class FixtureError(ValueError):
 MAX_FIXTURE_ORDER = 2**64
 
 
-@dataclass(frozen=True)
-class Fixture:
-    label: str
-    n: int
-    seq: object
-    tags: frozenset
-
-    def corpus_entry(self):
-        return CorpusEntry(self.label, self.seq, self.tags)
+Fixture = namedtuple("Fixture", "label n seq tags")
 
 
 def parse_fixture_lines(lines, source="<fixtures>"):
@@ -93,4 +86,4 @@ def fixtures_by_label(fixtures):
 
 
 def corpus_for_order(fixtures, n):
-    return Corpus(f.corpus_entry() for f in fixtures if f.n == n)
+    return Corpus(CorpusEntry(f.label, f.seq, f.tags) for f in fixtures if f.n == n)

@@ -10,8 +10,10 @@ assign identical indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm
+
+from . import BuildError
 
 __all__ = [
     "GroupError",
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 
-class GroupError(ValueError):
+class GroupError(BuildError):
     """Invalid group construction or query."""
 
 
@@ -282,16 +284,16 @@ def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
     return Group(backing, table, generator_elements=generators, name=name, index=index)
 
 
-@dataclass(frozen=True)
-class SubgroupSet:
-    """A subgroup of an enumerated group, as a sorted index tuple."""
+class SubgroupSet(namedtuple("SubgroupSet", "group members")):
+    """A subgroup of an enumerated group, as a sorted index tuple; its len()
+    is the subgroup's order, not the record's field count."""
 
-    group: Group
-    members: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.members or self.members[0] != 0:
+    def __new__(cls, group, members):
+        if not members or members[0] != 0:
             raise GroupError("subgroup must contain the identity index 0")
+        return super().__new__(cls, group, members)
 
     def __len__(self):
         return len(self.members)

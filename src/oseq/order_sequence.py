@@ -9,10 +9,10 @@ Canonical text form (used by fixtures, the cache, and the CLI, bit-exact):
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 
+from . import InputError
 from .arith import divisors, factorint, totient
 
 __all__ = [
@@ -33,25 +33,24 @@ __all__ = [
 ]
 
 
-class SequenceError(ValueError):
+class SequenceError(InputError):
     """Malformed order sequence or undefined sequence operation."""
 
 
-@dataclass(frozen=True)
-class OrderSequence:
+class OrderSequence(namedtuple("OrderSequence", "entries")):
     """Ascending (order, multiplicity) pairs; multiplicities >= 1."""
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, entries):
         last = 0
-        for pair in self.entries:
-            o, m = pair
+        for o, m in entries:
             if o <= last:
                 raise SequenceError("orders must be strictly increasing")
             if m < 1:
                 raise SequenceError("multiplicities must be positive")
             last = o
+        return super().__new__(cls, entries)
 
     @property
     def total(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .order_sequence import SequenceError, Verdict, compare
 
@@ -19,11 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    label: str
-    seq: object
-    tags: frozenset = field(default_factory=frozenset)
+CorpusEntry = namedtuple("CorpusEntry", "label seq tags", defaults=(frozenset(),))
 
 
 class Corpus:
@@ -47,13 +43,9 @@ class Corpus:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class PosetResult:
-    labels: tuple
-    verdicts: tuple  # verdicts[i][j] = compare(seq_i, seq_j), four-valued
-    hasse: tuple  # covering pairs (dominator, dominated)
-    minimal: frozenset
-    maximal: frozenset
+# verdicts[i][j] = compare(seq_i, seq_j), four-valued; hasse holds the
+# covering pairs (dominator, dominated); minimal and maximal are frozensets.
+PosetResult = namedtuple("PosetResult", "labels verdicts hasse minimal maximal")
 
 
 def build_poset(corpus):

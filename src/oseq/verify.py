@@ -6,9 +6,10 @@ check.  Suites: table1, table2, table3, thm23, thm25, thm29, simple, props.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
+from . import SUITE_NAMES, InputError
 from .arith import isprime
 from .classify import is_nilpotent, is_solvable, is_supersolvable
 from .construct import (
@@ -48,15 +49,11 @@ __all__ = [
 ]
 
 
-class SuiteUsageError(ValueError):
+class SuiteUsageError(InputError):
     """Bad suite name or primes violating a theorem's hypotheses."""
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+Check = namedtuple("Check", "name ok detail", defaults=("",))
 
 
 def _eq(name, computed, expected):
@@ -73,8 +70,6 @@ def _verdict(name, a, b, expected):
     v = compare(a, b)
     return _eq(name, v.value, expected.value)
 
-
-SUITE_NAMES = ("table1", "table2", "table3", "thm23", "thm25", "thm29", "simple", "props")
 
 DEFAULT_PRIMES = {
     "thm23": (3, 7, 13, 17),

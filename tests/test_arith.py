@@ -22,6 +22,11 @@ def _same_as_sympy(n):
     assert all(type(x) is int for x in (totient(n), *fac, *fac.values(), *divisors(n)))
 
 
+def test_small_prime_table_is_the_primes_below_a_thousand():
+    assert arith._SMALL_PRIMES == list(sympy.primerange(2, 1000))
+    assert arith._sieve(2) == [] and arith._sieve(3) == [2] and arith._sieve(962) == list(sympy.primerange(2, 962))
+
+
 def test_exhaustive_up_to_ten_thousand():
     for n in range(1, 10**4 + 1):
         _same_as_sympy(n)

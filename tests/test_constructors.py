@@ -268,7 +268,7 @@ def test_catalog_names_stable():
         assert required in names
 
 
-def test_oracle_matched_entries():
+def test_sd_300_23_and_sd_72_35_have_their_published_sequences():
     assert os_of_group(catalog("SD_300_23")).entries == parse_pairs(
         "(1,1)(2,25)(3,50)(4,150)(5,24)(6,50)").entries
     assert os_of_group(catalog("SD_72_35")).entries == parse_pairs(

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import oseq
-from oseq.cli import main
+from oseq import SUITE_NAMES, verify
+from oseq.cli import _parser, main
 from oseq.fixtures import (
     MAX_FIXTURE_ORDER,
     FixtureError,
@@ -350,3 +351,117 @@ def test_script_imports_resolve():
                 module = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+
+
+# Every name `oseq/__init__.py` exported when it imported its submodules eagerly.
+EXPORTS = {
+    "classify": [
+        "ClassificationReport", "classify_group", "derived_series", "is_nilpotent", "is_solvable",
+        "is_supersolvable", "lower_central_series", "supersolvable_chain",
+    ],
+    "construct": [
+        "ActionMap", "ConstructionError", "alternating", "catalog", "catalog_names", "cyclic",
+        "dicyclic", "dihedral", "direct_product", "elementary_abelian", "frobenius42", "frobenius56",
+        "heisenberg", "psl2", "semidirect_product", "suzuki8", "symmetric", "trivial_action",
+        "wreath_square",
+    ],
+    "expr": ["ParseError", "build", "parse", "print_expr"],
+    "finite_field": ["FieldError", "FieldSpec", "field_make"],
+    "fixtures": ["Fixture", "FixtureError", "default_fixtures", "load_fixtures"],
+    "groups": [
+        "Group", "GroupError", "SubgroupSet", "commutator_subgroup", "enumerate_group",
+        "subgroup_closure",
+    ],
+    "order_sequence": [
+        "OrderSequence", "SequenceError", "Verdict", "compare", "format_sequence", "is_plausible",
+        "nilpotent_from_os", "os_cyclic", "os_of_group", "os_product", "parse_pairs",
+        "parse_sequence", "psi",
+    ],
+    "poset": ["Corpus", "CorpusEntry", "PosetResult", "build_poset", "domination_pairs", "to_csv", "to_dot"],
+}
+SUBMODULES = [*EXPORTS, "arith", "cache", "cli", "verify"]
+
+
+def test_catalog_and_classify_import_only_what_they_run():
+    code = (
+        "import sys\n"
+        "from oseq.cli import main\n"
+        "assert main(['catalog']) == 0\n"
+        "assert main(['classify', 'C(6)']) == 0\n"
+        "unwanted = ['dataclasses', 'oseq.verify', 'oseq.poset', 'oseq.fixtures', 'oseq.cache']\n"
+        "print('loaded:', [m for m in unwanted if m in sys.modules], file=sys.stderr)\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "loaded: []\n"
+
+
+def test_parser_and_error_mapping_load_no_other_module():
+    code = "import sys, oseq.cli\noseq.cli._parser()\nprint(sorted(m for m in sys.modules if m.startswith('oseq')))\n"
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['oseq', 'oseq.cli']\n"
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_exports_are_the_module_objects(module):
+    mod = importlib.import_module(f"oseq.{module}")
+    for name in EXPORTS[module]:
+        assert getattr(oseq, name) is getattr(mod, name), name
+
+
+def test_submodules_resolve_as_attributes_and_unknown_names_do_not():
+    for name in SUBMODULES:
+        assert getattr(oseq, name) is importlib.import_module(f"oseq.{name}")
+    assert not hasattr(oseq, "no_such_name")
+
+
+def test_suite_names_have_one_source():
+    assert verify.SUITE_NAMES is SUITE_NAMES
+    assert tuple(verify._SUITES) == SUITE_NAMES
+    (verbs,) = [a for a in _parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in verbs.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == SUITE_NAMES
+
+
+@pytest.mark.parametrize(
+    "args,code,stderr",
+    [
+        (("os", "C("), 1, "error: expected 'int', found None (at position 2)\n"),
+        (("compare", "C(2)", "C(3)"), 1, "error: sequences of different totals are not comparable\n"),
+        (("verify", "thm23", "--primes", "x"), 1, "error: --primes takes comma-separated integers; got 'x'\n"),
+        (("fixtures", "--fixtures", "/nonexistent"), 1,
+         "error: [Errno 2] No such file or directory: '/nonexistent'\n"),
+        (("fixtures", "--fixtures", "{tmp}/bad.txt"), 1, "error: {tmp}/bad.txt:1: expected 4 '|'-separated fields\n"),
+        (("classify", "C(0)"), 2, "construction error: cyclic group order must be >= 1\n"),
+        (("os", "C(2)^19"), 2, "construction error: product order 524288 exceeds closure cap 500000\n"),
+    ],
+    ids=["ParseError", "SequenceError", "SuiteUsageError", "OSError", "FixtureError", "ConstructionError",
+         "GroupError"],
+)
+def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
+    # FieldError has no case: the CLI builds fields of fixed sizes, and the
+    # field of PSL2(q) only after psl2 has checked q
+    (tmp_path / "bad.txt").write_text("only | three | fields\n", encoding="utf-8")
+    proc = _run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, stderr.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize(
+    "args,code,stdout,stderr",
+    [
+        (("os", "C(1)^100000000"), 0, "n=1; (1,1)\n", ""),
+        (("os", "C(1)^100000000 x C(5)"), 0, "n=5; (1,1)(5,4)\n", ""),
+        (("classify", "C(1)^100000000"), 0,
+         "order: 1\nnilpotent: True\nsupersolvable: True\nsolvable: True\n"
+         "chain of prime-order normal subgroups: \nderived series orders: 1\n", ""),
+        (("os", "C(2)^1000000000"), 2, "", "construction error: product order 524288 exceeds closure cap 500000\n"),
+        (("os", "C(7)^3^100000000"), 2, "", "construction error: product order 823543 exceeds closure cap 500000\n"),
+    ],
+    ids=["trivial", "trivial-times-C5", "classify-trivial", "C2", "C7-nested"],
+)
+def test_cyclic_power_is_answered_or_refused_before_it_allocates(args, code, stdout, stderr):
+    # only the child's address space is capped: a k-long factor list would
+    # end in a MemoryError traceback
+    proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
