@@ -10,7 +10,6 @@ from math import gcd
 
 from . import BuildError
 from .arith import factorint, isprime
-from .finite_field import field_make
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     DirectProductBacking,
@@ -175,6 +174,8 @@ def frobenius56():
     The vectors are the coefficient tuples of GF(8) = GF(2)[x]/(x^3 + x + 1),
     and the j-th power of the C7 generator multiplies them by x^j.
     """
+    from .finite_field import field_make
+
     n = elementary_abelian(2, 3)
     h = cyclic(7)
     spec = field_make(2, 3)
@@ -191,7 +192,17 @@ def frobenius56():
 
 
 def direct_product(g, h):
-    """Component-wise product; the table is row-major over index pairs."""
+    """Component-wise product; the table is row-major over index pairs.
+
+    A trivial factor (one element, no generators) gives back the other one:
+    the product would repeat its indices, generators and products.  So a
+    chain of product backings is at most 19 deep: the closure cap admits no
+    more non-trivial factors.
+    """
+    if len(h) == 1:
+        return g
+    if len(g) == 1:
+        return h
     n = len(g) * len(h)
     if n > DEFAULT_CLOSURE_CAP:
         raise GroupError(f"product order {n} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
@@ -346,6 +357,8 @@ def _projective_group(name, spec, mats, start, order):
 @lru_cache(maxsize=None)
 def psl2(q):
     """PSL(2,q) as the permutations SL(2,q) induces on the q + 1 points of the projective line."""
+    from .finite_field import field_make
+
     if q < 2 or q > 64:
         raise ConstructionError("psl2 supports 2 <= q <= 64")
     p, k = _prime_power(q)
@@ -362,6 +375,8 @@ def _suzuki8_matrices():
     the torus element carries weights (3, 2, -2, -3), and the antidiagonal
     involution swaps the flag.
     """
+    from .finite_field import field_make
+
     spec = field_make(2, 3)
     th = lambda x: spec.pow(x, 4)
     mul, add = spec.mul, spec.add
@@ -385,6 +400,8 @@ def _suzuki8_matrices():
 @lru_cache(maxsize=None)
 def suzuki8():
     """Sz(8) on the 65 points of the Suzuki-Tits ovoid in PG(3,8), the orbit of [0:0:0:1]."""
+    from .finite_field import field_make
+
     return _projective_group("Sz(8)", field_make(2, 3), _suzuki8_matrices(), (0, 0, 0, 1), 29120)
 
 
@@ -402,6 +419,8 @@ def _sd_300_23():
     The acting Dic12 is the group of permutations of GF(5)^2 that the two
     matrices of `_SD_300_23_MATRICES` generate; its table is the action.
     """
+    from .finite_field import field_make
+
     n = elementary_abelian(5, 2)
     spec = field_make(5)
     backing = PermBacking(len(n))

@@ -12,12 +12,14 @@ C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.
 Every expression is a ``Node(name, args)``.  A product is
 ``Node("x", (left, right))`` and a cyclic power ``Node("^", (C(n), k))``;
 other powers are spelled out as products.  Parsing, printing and building
-each walk the one ``_CONSTRUCTORS`` table.
+each walk the one ``_CONSTRUCTORS`` table; printing and building walk a
+product's left spine in a loop, so a long product cannot exhaust the stack.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 
 from . import InputError, construct
 from .construct import ConstructionError
@@ -180,21 +182,35 @@ def parse(text):
     return _Parser(text).parse()
 
 
+def _factors(node):
+    """The factors of a left-deep product, leftmost first, found without recursion."""
+    factors = []
+    while node.name == "x":
+        node, right = node.args
+        factors.append(right)
+    factors.append(node)
+    factors.reverse()
+    return factors
+
+
 def print_expr(node):
     """Canonical text; parse(print_expr(e)) == e on canonical forms."""
+    if node.name == "x":
+        return " x ".join(map(print_expr, _factors(node)))
     kind = _CONSTRUCTORS[node.name][0]
     args = [print_expr(a) if isinstance(a, Node) else str(a) for a in node.args]
     if kind == "none":
         return node.name
-    if kind == "product":
-        return " x ".join(args)
     if kind == "power":
         return "^".join(args)
     return f"{node.name}({', '.join(args)})"
 
 
 def build(node, features=frozenset()):
-    """Evaluate an expression to an enumerated group."""
+    """Evaluate an expression to an enumerated group; a product's factors are
+    built and multiplied left to right, as the recursion over the tree would."""
+    if node.name == "x":
+        return reduce(construct.direct_product, (build(f, features) for f in _factors(node)))
     if node.name == "Sz8" and "sz8" not in features:
         raise ConstructionError("Sz8 is gated behind the sz8 feature flag")
     args = [build(a, features) if isinstance(a, Node) else a for a in node.args]

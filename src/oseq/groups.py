@@ -241,15 +241,18 @@ class Group:
         if o:
             return o
         g = self.table[i]
-        o = self.backing.fast_order(g)
+        backing = self.backing
+        o = backing.fast_order(g)
         if o is not None:
             orders[i] = o
             return o
-        bmul, index = self.backing.mul, self.index
+        # Permutations: g^(k+1) = g * g^k is one translate through g's table.
+        gt = g + backing._tail if type(backing) is PermBacking else None
+        bmul, index = backing.mul, self.index
         powers = [i]  # powers[k - 1] is the index of g^k; the last is 0
         x, j = g, i
         while j:
-            x = bmul(x, g)
+            x = x.translate(gt) if gt else bmul(x, g)
             j = index[x]
             powers.append(j)
         o = len(powers)
@@ -259,23 +262,34 @@ class Group:
         return o
 
     def orders(self):
-        return [self.order_of(i) for i in range(len(self.table))]
+        if self._orders is None:
+            self._orders = [0] * len(self.table)
+        order_of = self.order_of
+        return [o or order_of(i) for i, o in enumerate(self._orders)]
 
 
 
 def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
-    """BFS closure of the generators; deterministic indexing, identity first."""
+    """BFS closure of the generators; deterministic indexing, identity first.
+
+    A PermBacking row builds x's table once, and each x * g is then one
+    `g.translate` through it; every other backing multiplies through `mul`.
+    """
     generators = list(generators)
     ident = backing.identity()
     table = [ident]
     index = {ident: 0}
     bmul = backing.mul
+    tail = backing._tail if type(backing) is PermBacking else None
+    xt = None
     head = 0
     while head < len(table):
         x = table[head]
         head += 1
+        if tail:
+            xt = x + tail
         for g in generators:
-            y = bmul(x, g)
+            y = g.translate(xt) if xt else bmul(x, g)
             if y not in index:
                 if len(table) >= cap:
                     raise GroupError(f"closure exceeded cap {cap}")

@@ -278,8 +278,10 @@ def suite_simple(fixtures=None, features=frozenset()):
         _eq("psi(C32xSz8) < psi(L2_64)", psi(sz_fix) < psi(l2_fix), True),
     ]
     if "sz8" in features:
-        product = direct_product(elementary_abelian(3, 2), suzuki8())
-        checks.append(_os_eq("os(C3^2 x Sz8) == C32xSz8", os_of_group(product), sz_fix))
+        # gcd(9, |Sz(8)| = 29120) = 1, so the order of each pair (a, b) in
+        # C3^2 x Sz(8) is ord(a) * ord(b): os_product of the factors' sequences.
+        product = os_product(os_of_group(elementary_abelian(3, 2)), os_of_group(suzuki8()))
+        checks.append(_os_eq("os(C3^2 x Sz8) == C32xSz8", product, sz_fix))
     return checks
 
 

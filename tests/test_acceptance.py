@@ -6,6 +6,7 @@ parametrized case fails by design rather than being weakened away.
 """
 
 import random
+from math import gcd
 
 import pytest
 from sympy import totient
@@ -30,6 +31,7 @@ from oseq.order_sequence import (
     compare,
     nilpotent_from_os,
     os_of_group,
+    os_product,
     psi,
 )
 from oseq.verify import (
@@ -140,8 +142,13 @@ def test_criterion_10_simple_group_block(by_label):
 
 
 def test_criterion_10_optional_suzuki(by_label):
-    product = direct_product(elementary_abelian(3, 2), suzuki8())
-    assert os_of_group(product).entries == by_label["C32xSz8"].seq.entries
+    c3sq, sz8 = elementary_abelian(3, 2), suzuki8()
+    product = os_of_group(direct_product(c3sq, sz8))
+    assert product.entries == by_label["C32xSz8"].seq.entries
+    # `verify simple` multiplies the factors' sequences instead of building
+    # the product; that is exact because the factor orders are coprime.
+    assert gcd(len(c3sq), len(sz8)) == 1
+    assert os_product(os_of_group(c3sq), os_of_group(sz8)) == product
     print("ACCEPTANCE 10 (optional sz8): PASS (computed C3^2 x Sz(8) display)")
 
 

@@ -25,7 +25,15 @@ from oseq.construct import (
     wreath_square,
 )
 from oseq.finite_field import field_make
-from oseq.groups import DEFAULT_CLOSURE_CAP, GroupError, PermBacking, commutator_subgroup, enumerate_group
+from oseq.groups import (
+    DEFAULT_CLOSURE_CAP,
+    DirectProductBacking,
+    Group,
+    GroupError,
+    PermBacking,
+    commutator_subgroup,
+    enumerate_group,
+)
 from oseq.order_sequence import os_of_group, parse_pairs
 
 
@@ -104,6 +112,28 @@ def test_direct_product():
     g = direct_product(cyclic(5), alternating(5))
     assert len(g) == 300
     assert os_of_group(g).entries == ((1, 1), (2, 15), (3, 20), (5, 124), (10, 60), (15, 80))
+
+
+def _pair_product(g, h):
+    """g x h on index pairs, as `direct_product` builds it for two non-trivial factors."""
+    width = len(h)
+    table = [(i, j) for i in range(len(g)) for j in range(width)]
+    gens = [(i, 0) for i in g.generators] + [(0, j) for j in h.generators]
+    return Group(DirectProductBacking(g, h), table, generator_elements=gens)
+
+
+@pytest.mark.parametrize("trivial", [cyclic(1), symmetric(1), alternating(2)], ids=["C1", "S1", "A2"])
+@pytest.mark.parametrize("make", [lambda: alternating(4), lambda: dicyclic(12), lambda: cyclic(2)], ids=["A4", "Dic12", "C2"])
+def test_a_trivial_factor_gives_back_the_other_one(trivial, make):
+    g = make()
+    assert direct_product(g, trivial) is g
+    assert direct_product(trivial, g) is g
+    for pairs in (_pair_product(g, trivial), _pair_product(trivial, g)):
+        assert pairs.generators == g.generators  # index for index the same group
+        assert [pairs.mul(i, j) for i in range(len(g)) for j in range(len(g))] == [
+            g.mul(i, j) for i in range(len(g)) for j in range(len(g))
+        ]
+        assert pairs.orders() == g.orders()
 
 
 def test_trivial_semidirect_equals_direct():

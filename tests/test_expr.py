@@ -127,3 +127,38 @@ def test_sz8_feature_gate():
         build(node)
     with pytest.raises(ConstructionError):
         build(parse("C(2) x Wr2(Sz8)"))
+
+
+def _print_recursively(node):
+    """The printer that recursed into both operands of every product."""
+    kind = _CONSTRUCTORS[node.name][0]
+    args = [_print_recursively(a) if isinstance(a, Node) else str(a) for a in node.args]
+    if kind == "none":
+        return node.name
+    if kind == "product":
+        return " x ".join(args)
+    if kind == "power":
+        return "^".join(args)
+    return f"{node.name}({', '.join(args)})"
+
+
+def _trees(depth):
+    # right-nested products too: a spelled-out power such as A(4)^2 is one
+    if depth == 0:
+        return _ATOMS
+    sub = _trees(depth - 1)
+    return st.one_of(_ATOMS, st.builds(_product, sub, sub), st.builds(lambda n: Node("Wr2", (n,)), sub))
+
+
+@settings(max_examples=200)
+@given(_trees(3))
+def test_print_matches_the_recursive_printer(node):
+    assert print_expr(node) == _print_recursively(node)
+
+
+def test_long_products_print_and_build_without_recursion():
+    chain = parse("x".join(["C(1)"] * 50_000))
+    assert print_expr(chain) == " x ".join(["C(1)"] * 50_000)
+    assert len(build(chain)) == 1
+    assert len(build(parse("A(1)^100000"))) == 1
+    assert os_of_group(build(parse("C(2) x A(1)^50000 x C(3) x S(1)"))).entries == ((1, 1), (2, 1), (3, 2), (6, 2))

@@ -1,21 +1,22 @@
 """The element-layer fast paths checked against their slow, obvious references.
 
 The fast paths: `PermBacking.mul` composes packed permutations with one
-`bytes.translate`; `Group.order_of` fills the orders of a whole cyclic
-subgroup from one walk; PSL(2,q) and Sz(8) are the permutations their
-matrices induce on one projective orbit; the C7 of F8 multiplies GF(8) by
-powers of x; C(n), D(n) and Dic(n) are pairs (k, s) standing for a^k b^s;
-He(p) is C_p^2 : C_p; SD_300_23 is built from two pinned GL(2,5) matrices,
-and C7 : A4 numbers the cosets of V4 in A4 inline.
+`bytes.translate`; `enumerate_group` and `Group.order_of` build one such
+table per BFS row or power walk and never call `mul`; `Group.order_of` fills
+the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
+the permutations their matrices induce on one projective orbit; the C7 of F8
+multiplies GF(8) by powers of x; C(n), D(n) and Dic(n) are pairs (k, s)
+standing for a^k b^s; He(p) is C_p^2 : C_p; SD_300_23 is built from two
+pinned GL(2,5) matrices, and C7 : A4 numbers the cosets of V4 in A4 inline.
 
-The references compose a permutation point by point, count powers until the
-identity, multiply matrices (tuples of rows) entry by entry with
-`FieldSpec.add` and `FieldSpec.mul`, pick invertible matrices by a Leibniz
-determinant, search matrix words for the first action satisfying the
-relations of Dic12, enumerate Sz(8), Dic(n) and He(p) as matrices, apply the
-powers of a companion matrix, number the projective line by field element,
-enumerate C(n) and D(n) as the rotations and reflections of a polygon, and
-form the quotient group of A4 by V4.
+The references compose a permutation point by point, enumerate and count
+powers until the identity through `backing.mul`, multiply matrices (tuples
+of rows) entry by entry with `FieldSpec.add` and `FieldSpec.mul`, pick
+invertible matrices by a Leibniz determinant, search matrix words for the
+first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
+He(p) as matrices, apply the powers of a companion matrix, number the
+projective line by field element, enumerate C(n) and D(n) as the rotations
+and reflections of a polygon, and form the quotient group of A4 by V4.
 """
 
 import itertools
@@ -54,6 +55,7 @@ from oseq.construct import (
 from oseq.finite_field import FieldError, field_make
 from oseq.fixtures import default_fixtures, fixtures_by_label
 from oseq.groups import (
+    DEFAULT_CLOSURE_CAP,
     Group,
     GroupError,
     PermBacking,
@@ -158,6 +160,97 @@ def test_bfs_indices_match_the_pointwise_product(group):
     slow = enumerate_group(backing, [group.table[g] for g in group.generators])
     assert slow.table == group.table
     assert slow.generators == group.generators
+
+
+def _bfs_by_mul(backing, generators, cap=DEFAULT_CLOSURE_CAP):
+    """`enumerate_group` with every product x * g through `backing.mul`."""
+    ident = backing.identity()
+    table = [ident]
+    index = {ident: 0}
+    head = 0
+    while head < len(table):
+        x = table[head]
+        head += 1
+        for g in generators:
+            y = backing.mul(x, g)
+            if y not in index:
+                if len(table) >= cap:
+                    raise GroupError(f"closure exceeded cap {cap}")
+                index[y] = len(table)
+                table.append(y)
+    return Group(backing, table, generator_elements=generators, index=index)
+
+
+def _orders_by_mul(group):
+    """The order of each element, counting powers g^(k+1) = g^k * g through `backing.mul`."""
+    mul, ident = group.backing.mul, group.backing.identity()
+    out = []
+    for g in group.table:
+        x, o = g, 1
+        while x != ident:
+            x = mul(x, g)
+            o += 1
+        out.append(o)
+    return out
+
+
+def _check_translate_paths(group, monkeypatch):
+    """The BFS and the orders of a permutation group against the `mul` references;
+    with `PermBacking.mul` disabled, so both fast paths are the ones checked."""
+    gens = [group.table[g] for g in group.generators]
+    slow = _bfs_by_mul(group.backing, gens)
+    expected = _orders_by_mul(slow)
+
+    def refuse(self, a, b):
+        raise AssertionError("PermBacking.mul called")
+
+    with monkeypatch.context() as m:
+        m.setattr(PermBacking, "mul", refuse)
+        fast = enumerate_group(group.backing, gens)
+        last = fast.order_of(len(fast) - 1)  # orders() then starts from known entries
+        orders = fast.orders()
+    assert fast.table == slow.table == group.table
+    assert fast.index == slow.index
+    assert fast.generators == slow.generators == group.generators
+    assert orders == expected
+    assert last == expected[-1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda q=q: psl2(q) for q in (4, 5, 7, 8, 9, 16)),
+     suzuki8, lambda: symmetric(5), lambda: alternating(6), lambda: catalog("SD_300_23").backing.acting],
+    ids=[*(f"PSL2_{q}" for q in (4, 5, 7, 8, 9, 16)), "Sz8", "S5", "A6", "SD_300_23-Dic12"],
+)
+def test_translate_bfs_and_orders_match_the_mul_references(make, monkeypatch):
+    group = make()
+    assert type(group.backing) is PermBacking
+    _check_translate_paths(group, monkeypatch)
+
+
+_random_perm_groups = st.integers(1, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_perm_groups, st.data())
+def test_translate_paths_match_the_references_on_random_generators(case, data):
+    degree, perms = case
+    backing = PermBacking(degree)
+    gens = [backing.pack(p) for p in perms]
+    group = _bfs_by_mul(backing, gens)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_translate_paths(group, monkeypatch)
+    cap = data.draw(st.integers(1, len(group) + 1), label="cap")
+    outcomes = []
+    for bfs in (enumerate_group, _bfs_by_mul):
+        try:
+            outcomes.append(len(bfs(backing, gens, cap=cap)))
+        except GroupError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (len(group) if cap >= len(group) else f"closure exceeded cap {cap}")
 
 
 def _mat_mul_by_entries(spec, a, b):

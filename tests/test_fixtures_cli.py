@@ -388,7 +388,8 @@ def test_catalog_and_classify_import_only_what_they_run():
         "from oseq.cli import main\n"
         "assert main(['catalog']) == 0\n"
         "assert main(['classify', 'C(6)']) == 0\n"
-        "unwanted = ['dataclasses', 'oseq.verify', 'oseq.poset', 'oseq.fixtures', 'oseq.cache']\n"
+        "unwanted = ['dataclasses', 'oseq.finite_field', 'oseq.verify', 'oseq.poset', 'oseq.fixtures',"
+        " 'oseq.cache']\n"
         "print('loaded:', [m for m in unwanted if m in sys.modules], file=sys.stderr)\n"
     )
     proc = _run_python("-c", code)
@@ -463,5 +464,25 @@ def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
 def test_cyclic_power_is_answered_or_refused_before_it_allocates(args, code, stdout, stderr):
     # only the child's address space is capped: a k-long factor list would
     # end in a MemoryError traceback
+    proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+_TRIVIAL_CHAIN = "x".join(["C(1)"] * 20_000)  # under the 128 KiB limit on one argument
+
+
+@pytest.mark.parametrize(
+    "args,code,stdout,stderr",
+    [
+        (("os", _TRIVIAL_CHAIN), 0, "n=1; (1,1)\n", ""),
+        (("os", f"C(2) x {_TRIVIAL_CHAIN} x C(3)"), 0, "n=6; (1,1)(2,1)(3,2)(6,2)\n", ""),
+        (("os", "A(1)^100000"), 0, "n=1; (1,1)\n", ""),
+        (("os", "A(5)^100000"), 2, "", "construction error: product order 12960000 exceeds closure cap 500000\n"),
+    ],
+    ids=["C1-chain", "C2-C1-chain-C3", "A1-power", "A5-power"],
+)
+def test_long_product_chains_answer_without_a_traceback(args, code, stdout, stderr):
+    # printing and building walk the product spine in a loop, and a trivial
+    # factor adds no backing, so no stack grows with the number of factors
     proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
