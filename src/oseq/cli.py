@@ -40,11 +40,11 @@ def cmd_os(args):
 
     features = _features(args)
     node = parse(args.expr)
-    key = print_expr(node)
     cached = None
-    if args.cache:
+    if args.cache:  # only the cache key needs the canonical text of a power spelled out
         from .cache import cache_get, cache_put
 
+        key = print_expr(node)
         cached = cache_get(args.cache, key)
     if cached is not None and not args.check_cache:
         print(cached)

@@ -10,10 +10,15 @@ Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Cat.  ``C(5)^2`` is
 C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.
 
 Every expression is a ``Node(name, args)``.  A product is
-``Node("x", (left, right))`` and a cyclic power ``Node("^", (C(n), k))``;
-other powers are spelled out as products.  Parsing, printing and building
-each walk the one ``_CONSTRUCTORS`` table; printing and building walk a
-product's left spine in a loop, so a long product cannot exhaust the stack.
+``Node("x", (left, right))`` and a power ``Node("^", (atom, k))``; a power
+of a power multiplies the exponents.  The canonical text of a cyclic power
+is ``C(n)^k``, and that of any other power the product it stands for, so
+``D(8)^2`` prints as ``D(8) x D(8)``; only the printer spells it out, and
+`construct.direct_power` refuses an oversized power before it builds one.
+Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
+printing and building walk a product's left spine in a loop, so a long
+product cannot exhaust the stack, and `Wr2` nesting deeper than
+``MAX_NESTING`` is refused while it is parsed.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from functools import reduce
 from . import InputError, construct
 from .construct import ConstructionError
 
-__all__ = ["ParseError", "Node", "parse", "print_expr", "build"]
+__all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING"]
+
+# Deepest sub-expression nesting the parser takes; Wr2 squares the order, so
+# five levels of it already pass the closure cap.
+MAX_NESTING = 100
 
 
 class ParseError(InputError):
@@ -104,6 +113,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -143,14 +153,9 @@ class _Parser:
             raise ParseError("exponent must be >= 1", pos)
         if k == 1:
             return node
-        if node.name == "C":
-            return Node("^", (node, k))
         if node.name == "^":
             return Node("^", (node.args[0], node.args[1] * k))
-        out = node
-        for _ in range(k - 1):
-            out = Node("x", (out, node))
-        return out
+        return Node("^", (node, k))
 
     def atom(self):
         kind, word, at = self.take()
@@ -168,7 +173,11 @@ class _Parser:
         if arg_kind == "int":
             args = (self.take("int")[1],)
         elif arg_kind == "expr":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"expression nested deeper than {MAX_NESTING}", at)
             args = (self.expr(),)
+            self.depth -= 1
         else:
             args = (self.take("name")[1],)
             if self.peek()[0] == ",":
@@ -202,7 +211,8 @@ def print_expr(node):
     if kind == "none":
         return node.name
     if kind == "power":
-        return "^".join(args)
+        base, k = node.args
+        return "^".join(args) if base.name == "C" else " x ".join([args[0]] * k)
     return f"{node.name}({', '.join(args)})"
 
 

@@ -11,6 +11,7 @@ assign identical indices.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd, lcm
 
 from . import BuildError
@@ -68,10 +69,8 @@ class PermBacking:
         return b.translate(a + self._tail)
 
     def inv(self, a):
-        out = [0] * self.degree
-        for i, j in enumerate(a):
-            out[j] = i
-        return bytes(out)
+        # the table sending a(i) to i, cut back to the degree
+        return bytes.maketrans(a, self.identity())[: self.degree]
 
     def fast_order(self, a):
         return None
@@ -269,27 +268,77 @@ class Group:
 
 
 
-def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
-    """BFS closure of the generators; deterministic indexing, identity first.
+def _perm_elements(backing, gens, cap):
+    """The elements of the permutation group <gens>, coset by coset of a point
+    stabiliser, or None when there are more than `cap` of them.
 
-    A PermBacking row builds x's table once, and each x * g is then one
-    `g.translate` through it; every other backing multiplies through `mul`.
+    With b the least point a generator moves and u_p a product of generators
+    that maps b to p, G is the disjoint union of the cosets u_p H over the
+    orbit of b, H the stabiliser of b; H is generated by the Schreier
+    generators u_g(p)^-1 g u_p (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 4).  One already in the part of H
+    built so far is skipped, and H is enumerated the same way, under the cap
+    cap // |orbit| that |G| = |orbit| |H| <= cap allows.  So every product
+    of the table [u_p h for p in the orbit, in BFS order, for h in H] is a
+    new element and none is looked up; each coset is one `bytes.translate`
+    of H through u_p's table.
+    """
+    ident = backing.identity()
+    b = min((i for g in gens for i, j in enumerate(g) if i != j), default=None)
+    if b is None:
+        return [ident]
+    tail = backing._tail
+    tables = [g + tail for g in gens]
+    u = {b: ident}
+    orbit = [b]
+    for p in orbit:  # grows while it is walked
+        for g, gt in zip(gens, tables):
+            if g[p] not in u:
+                u[g[p]] = u[p].translate(gt)
+                orbit.append(g[p])
+    if len(orbit) > cap:
+        return None
+    inverse = {p: bytes.maketrans(up, ident) for p, up in u.items()}
+    kept, stab, members = [], [ident], {ident}
+    for p in orbit:
+        for g, gt in zip(gens, tables):
+            s = u[p].translate(gt).translate(inverse[g[p]])
+            if s not in members:
+                kept.append(s)
+                stab = _perm_elements(backing, kept, cap // len(orbit))
+                if stab is None:
+                    return None
+                members = set(stab)
+    table = []
+    for p in orbit:
+        table += map(bytes.translate, stab, repeat(u[p] + tail))
+    return table
+
+
+def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
+    """The closure of the generators; deterministic indexing, identity first.
+
+    A PermBacking group is listed coset by coset of a point stabiliser by
+    `_perm_elements`, with no `mul` call and no lookup; every other backing
+    is closed breadth-first, each x * g through `mul`.  Either way more than
+    `cap` elements are refused.
     """
     generators = list(generators)
+    if type(backing) is PermBacking:
+        table = _perm_elements(backing, generators, cap)
+        if table is None:
+            raise GroupError(f"closure exceeded cap {cap}")
+        return Group(backing, table, generator_elements=generators, name=name)
     ident = backing.identity()
     table = [ident]
     index = {ident: 0}
     bmul = backing.mul
-    tail = backing._tail if type(backing) is PermBacking else None
-    xt = None
     head = 0
     while head < len(table):
         x = table[head]
         head += 1
-        if tail:
-            xt = x + tail
         for g in generators:
-            y = g.translate(xt) if xt else bmul(x, g)
+            y = bmul(x, g)
             if y not in index:
                 if len(table) >= cap:
                     raise GroupError(f"closure exceeded cap {cap}")

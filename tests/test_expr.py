@@ -1,9 +1,13 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oseq.cli import main
 from oseq.construct import ConstructionError
-from oseq.expr import _CONSTRUCTORS, Node, ParseError, build, parse, print_expr
+from oseq.expr import _CONSTRUCTORS, MAX_NESTING, Node, ParseError, _factors, build, parse, print_expr
 from oseq.order_sequence import os_of_group
 
 
@@ -30,10 +34,14 @@ def test_whitespace_insignificant():
 
 
 def test_power_desugars():
+    # a non-cyclic power stays one node; only its text is the product
     d8 = Node("D", (8,))
-    assert parse("D(8)^2") == _product(d8, d8)
+    assert parse("D(8)^2") == Node("^", (d8, 2))
+    assert print_expr(parse("D(8)^2")) == print_expr(_product(d8, d8)) == "D(8) x D(8)"
+    assert parse("D(8)^2^3") == Node("^", (d8, 6))
     assert parse("C(2)^4") == Node("^", (C(2), 4))
     assert parse("C(3)^1") == C(3)
+    assert parse("A(5)^100000000") == Node("^", (Node("A", (5,)), 100000000))
 
 
 def test_parse_errors_carry_position():
@@ -71,6 +79,22 @@ def test_parse_errors_carry_position():
 )
 def test_canonical_text(text, canonical):
     assert print_expr(parse(text)) == canonical
+
+
+def test_nesting_is_bounded():
+    def nested(depth):
+        return "Wr2(" * depth + "C(2)" + ")" * depth
+
+    node = parse(nested(MAX_NESTING))
+    for _ in range(MAX_NESTING):
+        node = node.args[0]
+    assert node == C(2)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+        parse(nested(MAX_NESTING + 1))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+        parse(nested(3000))
+    # side by side is not nested
+    assert len(_factors(parse(" x ".join([nested(1)] * (MAX_NESTING + 1))))) == MAX_NESTING + 1
 
 
 def test_print_parse_roundtrip_examples():
@@ -162,3 +186,39 @@ def test_long_products_print_and_build_without_recursion():
     assert len(build(chain)) == 1
     assert len(build(parse("A(1)^100000"))) == 1
     assert os_of_group(build(parse("C(2) x A(1)^50000 x C(3) x S(1)"))).entries == ((1, 1), (2, 1), (3, 2), (6, 2))
+
+
+# The grammar's tokens, with small arguments and one far past every cap, and
+# a few that the lexer or the parser must refuse; strings of them are mostly
+# refused, so well-formed token lists are drawn too.  Those leave out
+# SD_300_23, whose wreath square takes seconds to validate.
+_INTS = ["0", "1", "2", "3", "5", "100000000"]
+_TOKENS = st.sampled_from(
+    [name for name in _CONSTRUCTORS if name not in "x^"]
+    + ["x", "^", "(", ")", ",", "SD_300_23", "CpxA4", "Nope", "@"] + _INTS
+)
+_ATOM_TOKENS = st.one_of(
+    st.builds(lambda name, n: [name, "(", n, ")"], st.sampled_from(["C", "D", "Dic", "S", "A", "He", "PSL2"]),
+              st.sampled_from(_INTS)),
+    st.sampled_from([["F7"], ["F8"], ["Sz8"], ["Cat", "(", "CpxA4", ",", "5", ")"]]),
+)
+_EXPR_TOKENS = st.recursive(
+    _ATOM_TOKENS,
+    lambda sub: st.one_of(
+        st.builds(lambda a, b: [*a, "x", *b], sub, sub),
+        st.builds(lambda a, k: [*a, "^", k], sub, st.sampled_from(_INTS)),
+        st.builds(lambda a: ["Wr2", "(", *a, ")"], sub),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_EXPR_TOKENS, st.lists(_TOKENS, max_size=14)), st.sampled_from(["", " "]))
+def test_cli_answers_any_token_string_without_a_traceback(tokens, sep):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["os", sep.join(tokens)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()

@@ -1,16 +1,18 @@
 """The element-layer fast paths checked against their slow, obvious references.
 
 The fast paths: `PermBacking.mul` composes packed permutations with one
-`bytes.translate`; `enumerate_group` and `Group.order_of` build one such
-table per BFS row or power walk and never call `mul`; `Group.order_of` fills
+`bytes.translate`, and `PermBacking.inv` is one `bytes.maketrans`;
+`enumerate_group` lists a permutation group coset by coset of a point
+stabiliser, one translate table per coset, and `Group.order_of` builds one
+table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
 the permutations their matrices induce on one projective orbit; the C7 of F8
 multiplies GF(8) by powers of x; C(n), D(n) and Dic(n) are pairs (k, s)
 standing for a^k b^s; He(p) is C_p^2 : C_p; SD_300_23 is built from two
 pinned GL(2,5) matrices, and C7 : A4 numbers the cosets of V4 in A4 inline.
 
-The references compose a permutation point by point, enumerate and count
-powers until the identity through `backing.mul`, multiply matrices (tuples
+The references compose and invert a permutation point by point, enumerate
+breadth-first and count powers until the identity through `backing.mul`, multiply matrices (tuples
 of rows) entry by entry with `FieldSpec.add` and `FieldSpec.mul`, pick
 invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
@@ -20,10 +22,14 @@ and reflections of a polygon, and form the quotient group of A4 by V4.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import namedtuple
 from functools import reduce
 from operator import xor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -67,13 +73,25 @@ from oseq.order_sequence import os_of_group
 from quotient_oracle import quotient
 
 
+def _inv_by_points(a):
+    """The inverse of a packed permutation, point by point."""
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return bytes(out)
+
+
 class _MapPermBacking(PermBacking):
-    """PermBacking with the point-by-point product the byte table replaced."""
+    """PermBacking with the point-by-point product and inverse that the byte
+    tables replaced; not a PermBacking by type, so it is enumerated breadth-first."""
 
     __slots__ = ()
 
     def mul(self, a, b):
         return bytes(map(a.__getitem__, b))
+
+    def inv(self, a):
+        return _inv_by_points(a)
 
 
 def _degree_and_pair(degree):
@@ -86,6 +104,12 @@ def _degree_and_pair(degree):
 def test_perm_mul_matches_pointwise_composition(case):
     degree, a, b = case
     assert PermBacking(degree).mul(a, b) == bytes(map(a.__getitem__, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(255), st.integers(1, 255)).flatmap(lambda d: st.permutations(range(d)).map(bytes)))
+def test_perm_inv_matches_the_pointwise_inverse(a):
+    assert PermBacking(len(a)).inv(a) == _inv_by_points(a)
 
 
 def _orders_by_powers(group):
@@ -154,16 +178,8 @@ def test_coset_quotient_orders():
     assert sorted(q.orders()) == [1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 6, 6]
 
 
-@pytest.mark.parametrize("group", [psl2(q) for q in (4, 5, 7, 8, 9)] + [symmetric(5)], ids=lambda g: g.name)
-def test_bfs_indices_match_the_pointwise_product(group):
-    backing = _MapPermBacking(group.backing.degree)
-    slow = enumerate_group(backing, [group.table[g] for g in group.generators])
-    assert slow.table == group.table
-    assert slow.generators == group.generators
-
-
 def _bfs_by_mul(backing, generators, cap=DEFAULT_CLOSURE_CAP):
-    """`enumerate_group` with every product x * g through `backing.mul`."""
+    """Breadth-first closure with every product x * g through `backing.mul`."""
     ident = backing.identity()
     table = [ident]
     index = {ident: 0}
@@ -194,12 +210,60 @@ def _orders_by_mul(group):
     return out
 
 
-def _check_translate_paths(group, monkeypatch):
-    """The BFS and the orders of a permutation group against the `mul` references;
-    with `PermBacking.mul` disabled, so both fast paths are the ones checked."""
+def _outcome(enumerate_, group, cap):
+    """The order of <generators of group> under `cap`, or the refusal message."""
+    try:
+        return len(enumerate_(group.backing, [group.table[g] for g in group.generators], cap=cap))
+    except GroupError as e:
+        return str(e)
+
+
+def _check_same_group(fast, slow, caps, image=lambda x: x, orders=None):
+    """`fast` holds the group `slow` holds, numbered its own way.
+
+    `slow` is a breadth-first enumeration through `mul`, and `image` carries
+    its elements to those of `fast`.  The two hold the same elements, their
+    generators are equal as elements, and element by element the orders
+    agree with `_orders_by_mul` (or the given list) and the inverses with
+    `slow`'s.  Each index points back at its element, the identity sits at
+    index 0, and under each cap the two enumerations both refuse or both answer.
+    """
+    table, index = fast.table, fast.index
+    assert table[0] == fast.backing.identity()
+    assert all(index[x] == i for i, x in enumerate(table))
+    images = [image(x) for x in slow.table]
+    assert len(table) == len(slow) and set(images) == set(table)
+    assert [table[g] for g in fast.generators] == [images[g] for g in slow.generators]
+    at = [index[y] for y in images]
+    known = fast.orders()
+    assert [known[j] for j in at] == (_orders_by_mul(slow) if orders is None else orders)
+    assert [table[fast.inv(j)] for j in at] == [images[slow.inv(i)] for i in range(len(slow))]
+    for cap in caps:
+        expected = len(slow) if cap >= len(slow) else f"closure exceeded cap {cap}"
+        assert _outcome(enumerate_group, fast, cap) == _outcome(_bfs_by_mul, slow, cap) == expected
+
+
+def _drawn_cap(n):
+    """A cap drawn from 1..n + 1, the same on every run."""
+    return random.Random(n).randint(1, n + 1)
+
+
+@pytest.mark.parametrize("group", [psl2(q) for q in (4, 5, 7, 8, 9)] + [symmetric(5)], ids=lambda g: g.name)
+def test_bfs_indices_match_the_pointwise_product(group):
+    # the test backing is not a PermBacking by type, so it keeps the BFS numbering
     gens = [group.table[g] for g in group.generators]
-    slow = _bfs_by_mul(group.backing, gens)
-    expected = _orders_by_mul(slow)
+    slow = enumerate_group(_MapPermBacking(group.backing.degree), gens)
+    assert slow.table == _bfs_by_mul(slow.backing, gens).table
+    n = len(group)
+    _check_same_group(group, slow, [n - 1, n, _drawn_cap(n)])
+
+
+def _check_translate_paths(group, monkeypatch, caps):
+    """The coset enumeration and the orders of a permutation group against the
+    `mul` references; with `PermBacking.mul` disabled, so both fast paths are
+    the ones checked, and the same generators give the same table again."""
+    gens = [group.table[g] for g in group.generators]
+    slow = _bfs_by_mul(_MapPermBacking(group.backing.degree), gens)
 
     def refuse(self, a, b):
         raise AssertionError("PermBacking.mul called")
@@ -208,12 +272,10 @@ def _check_translate_paths(group, monkeypatch):
         m.setattr(PermBacking, "mul", refuse)
         fast = enumerate_group(group.backing, gens)
         last = fast.order_of(len(fast) - 1)  # orders() then starts from known entries
-        orders = fast.orders()
-    assert fast.table == slow.table == group.table
-    assert fast.index == slow.index
-    assert fast.generators == slow.generators == group.generators
-    assert orders == expected
-    assert last == expected[-1]
+        _check_same_group(fast, slow, caps)
+    assert fast.table == group.table
+    assert fast.generators == group.generators
+    assert last == fast.orders()[-1]
 
 
 @pytest.mark.parametrize(
@@ -225,7 +287,7 @@ def _check_translate_paths(group, monkeypatch):
 def test_translate_bfs_and_orders_match_the_mul_references(make, monkeypatch):
     group = make()
     assert type(group.backing) is PermBacking
-    _check_translate_paths(group, monkeypatch)
+    _check_translate_paths(group, monkeypatch, [_drawn_cap(len(group))])
 
 
 _random_perm_groups = st.integers(1, 8).flatmap(
@@ -238,19 +300,28 @@ _random_perm_groups = st.integers(1, 8).flatmap(
 def test_translate_paths_match_the_references_on_random_generators(case, data):
     degree, perms = case
     backing = PermBacking(degree)
-    gens = [backing.pack(p) for p in perms]
-    group = _bfs_by_mul(backing, gens)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_translate_paths(group, monkeypatch)
+    group = enumerate_group(backing, [backing.pack(p) for p in perms])
     cap = data.draw(st.integers(1, len(group) + 1), label="cap")
-    outcomes = []
-    for bfs in (enumerate_group, _bfs_by_mul):
-        try:
-            outcomes.append(len(bfs(backing, gens, cap=cap)))
-        except GroupError as e:
-            outcomes.append(str(e))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0] == (len(group) if cap >= len(group) else f"closure exceeded cap {cap}")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_translate_paths(group, monkeypatch, [cap])
+
+
+def test_permutation_enumeration_is_deterministic():
+    # two processes with different string hashing give the same tables; two
+    # enumerations in one process are compared by `_check_translate_paths`
+    code = (
+        "import hashlib\n"
+        "from oseq.construct import psl2, symmetric\n"
+        "print(*(hashlib.md5(b''.join(g.table)).hexdigest() for g in (symmetric(6), psl2(16))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def _mat_mul_by_entries(spec, a, b):
@@ -319,14 +390,15 @@ def _perm_backing(degree):
 
 
 def _perm_cyclic(n):
-    """C_n as the rotation of n points."""
+    """C_n as the rotation of n points, numbered breadth-first."""
     backing = _perm_backing(n)
     gens = [] if n == 1 else [backing.pack((i + 1) % n for i in range(n))]
-    return enumerate_group(backing, gens, name=f"C{n}")
+    return _bfs_by_mul(backing, gens)
 
 
 def _perm_dihedral(n):
-    """D_n as the rotation and reflection of n/2 points (D4 on 4 points)."""
+    """D_n as the rotation and reflection of n/2 points (D4 on 4 points),
+    numbered breadth-first."""
     m = n // 2
     if m == 2:
         backing = PermBacking(4)
@@ -336,7 +408,7 @@ def _perm_dihedral(n):
         rot = backing.pack((i + 1) % m for i in range(m))
         ref = backing.pack((m - i) % m for i in range(m))
         gens = [rot, ref]
-    return enumerate_group(backing, gens, name=f"D{n}")
+    return _bfs_by_mul(backing, gens)
 
 
 class _ModMatrixBacking:
@@ -514,9 +586,13 @@ def test_sd_300_23_is_the_first_action_of_the_matrix_word_search():
     assert [slow.acting.table[g] for g in slow.acting.generators] == list(_SD_300_23_MATRICES)
     fast = catalog("SD_300_23").backing
     assert fast.normal is slow.target
-    # same generators in the same order: the permutation image keeps every BFS index
-    assert fast.acting.generators == slow.acting.generators
-    assert fast.perms == slow.perms
+    # a matrix corresponds to the permutation it induces on the vectors, and
+    # that permutation is its action in both products
+    slow_index = slow.acting.index
+    image = lambda m: bytes(slow.perms[slow_index[m]])
+    _check_same_group(fast.acting, slow.acting, [11, 12, _drawn_cap(12)], image=image)
+    for m, perm in zip(slow.acting.table, slow.perms):
+        assert fast.perms[fast.acting.index[image(m)]] == perm
 
 
 def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():
@@ -548,10 +624,9 @@ def _orbit(spec, mats, start):
 def test_suzuki8_matches_the_matrix_bfs():
     mats = _suzuki8_matrices()
     spec = field_make(2, 3)
-    slow = enumerate_group(MatrixBacking(spec, 4), mats)
+    matrices = _bfs_by_mul(MatrixBacking(spec, 4), mats)
     fast = suzuki8()
-    assert len(slow) == len(fast) == 29120
-    assert slow.generators == fast.generators
+    assert len(matrices) == len(fast) == 29120
     points = _orbit(spec, mats, (0, 0, 0, 1))
     number = {
         tuple(spec.mul(c, x) for x in v): i for i, v in enumerate(points) for c in range(1, 8)
@@ -563,12 +638,18 @@ def test_suzuki8_matches_the_matrix_bfs():
         (k, c): int.from_bytes(bytes(spec.mul(c, v[k]) for v in points), "big")
         for k in range(4) for c in range(8)
     }
-    for i, m in enumerate(slow.table):
+    induced = {}
+    for m in matrices.table:
         image = [
             reduce(xor, (scaled[k, c] for k, c in enumerate(row))).to_bytes(65, "big") for row in m
         ]
-        assert bytes(number[w] for w in zip(*image)) == fast.table[i]
-    assert slow.orders() == fast.orders()
+        induced[m] = bytes(number[w] for w in zip(*image))
+    # The matrix BFS carried to the permutations the matrices induce: the
+    # powers of each matrix, walked once per cyclic subgroup, stand in for
+    # `_orders_by_mul`, and inverting the induced permutations point by point
+    # for inverting 29,120 matrices.
+    slow = Group(_MapPermBacking(65), [induced[m] for m in matrices.table], [induced[m] for m in mats])
+    _check_same_group(fast, slow, [_drawn_cap(29120)], orders=matrices.orders())
 
 
 def test_suzuki8_acts_on_an_ovoid():
@@ -661,9 +742,21 @@ def test_psl2_matches_the_projective_line_numbering(p, k):
     mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]
     backing = PermBacking(q + 1)
     gens = [backing.pack(projective_action(spec, m, pt) for pt in range(q + 1)) for m in mats]
-    slow = enumerate_group(backing, gens)
+    slow = _bfs_by_mul(_MapPermBacking(q + 1), gens)
     fast = psl2(q)
     assert type(fast.backing) is PermBacking and fast.backing.degree == q + 1
-    assert len(slow) == len(fast)
-    assert slow.generators == fast.generators
-    assert slow.orders() == fast.orders()
+    # psl2 numbers the points in the order a BFS from [1:0] meets them
+    orbit = _orbit(spec, mats, (1, 0))
+    line_point = lambda v: 1 + spec.mul(v[0], spec.inv(v[1])) if v[1] else 0
+    renumber = [0] * (q + 1)
+    for i, v in enumerate(orbit):
+        renumber[line_point(v)] = i
+
+    def image(x):
+        y = bytearray(q + 1)
+        for i, j in enumerate(x):
+            y[renumber[i]] = renumber[j]
+        return bytes(y)
+
+    n = len(slow)
+    _check_same_group(fast, slow, [n - 1, n, _drawn_cap(n)], image=image)

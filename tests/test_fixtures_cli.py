@@ -296,6 +296,29 @@ def test_oversized_named_family_fails_before_allocating(args):
     assert proc.stderr.startswith("construction error: ") and proc.stderr.count("\n") == 1
 
 
+def test_oversized_permutation_closure_fails_before_allocating():
+    # S12 has 479001600 elements: the coset enumeration refuses it from the
+    # orbit lengths of its stabiliser chain, before any stabiliser nears the
+    # cap; 500000 degree-12 permutations in a list and an index take over 40 MB
+    code = (
+        "import tracemalloc\n"
+        "from oseq.groups import GroupError, PermBacking, enumerate_group\n"
+        "backing = PermBacking(12)\n"
+        "gens = [backing.pack((1, 0, *range(2, 12))), backing.pack((*range(1, 12), 0))]\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    enumerate_group(backing, gens)\n"
+        "except GroupError as e:\n"
+        "    print(e)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = _run_python("-c", code, preexec_fn=_cap_address_space, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    message, peak = proc.stdout.splitlines()
+    assert message == "closure exceeded cap 500000"
+    assert int(peak) < 4 << 20
+
+
 def _with_elements_of_order(seq, order, count):
     counts = dict(seq.entries)
     counts[order] = counts.get(order, 0) + count
@@ -478,11 +501,16 @@ _TRIVIAL_CHAIN = "x".join(["C(1)"] * 20_000)  # under the 128 KiB limit on one a
         (("os", f"C(2) x {_TRIVIAL_CHAIN} x C(3)"), 0, "n=6; (1,1)(2,1)(3,2)(6,2)\n", ""),
         (("os", "A(1)^100000"), 0, "n=1; (1,1)\n", ""),
         (("os", "A(5)^100000"), 2, "", "construction error: product order 12960000 exceeds closure cap 500000\n"),
+        (("os", "A(1)^100000000"), 0, "n=1; (1,1)\n", ""),
+        (("os", "A(5)^100000000"), 2, "", "construction error: product order 12960000 exceeds closure cap 500000\n"),
+        (("os", "Wr2(" * 3000 + "C(2)" + ")" * 3000), 1, "",
+         "error: expression nested deeper than 100 (at position 400)\n"),
     ],
-    ids=["C1-chain", "C2-C1-chain-C3", "A1-power", "A5-power"],
+    ids=["C1-chain", "C2-C1-chain-C3", "A1-power", "A5-power", "A1-power-1e8", "A5-power-1e8", "Wr2-3000-deep"],
 )
 def test_long_product_chains_answer_without_a_traceback(args, code, stdout, stderr):
-    # printing and building walk the product spine in a loop, and a trivial
-    # factor adds no backing, so no stack grows with the number of factors
+    # printing and building walk the product spine in a loop, a trivial
+    # factor adds no backing, a power is one node until it is built, and the
+    # parser refuses deep nesting, so no stack or list grows with the input
     proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
