@@ -283,34 +283,39 @@ def validate_action(action):
                 raise ConstructionError("action is not a homomorphism")
 
 
-def semidirect_product(n, h, action):
-    """Pairs (x, h) with (x1,h1)(x2,h2) = (x1 * a(h1)(x2), h1 h2)."""
-    if action.acting is not h or action.target is not n:
-        raise ConstructionError("action does not match the given factor groups")
-    validate_action(action)
+def _semidirect(n, h, perms, name):
+    """Pairs (x, h) with (x1,h1)(x2,h2) = (x1 * perms[h1][x2], h1 h2), for
+    perms an action of h on n by automorphisms."""
     order = len(n) * len(h)
     if order > DEFAULT_CLOSURE_CAP:
         raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
-    backing = SemidirectBacking(n, h, action.perms)
+    backing = SemidirectBacking(n, h, perms)
     width = len(h)
     table = [(x, j) for x in range(len(n)) for j in range(width)]
     index = {pair: pair[0] * width + pair[1] for pair in table}
     gens = [(x, 0) for x in n.generators] + [(0, j) for j in h.generators]
-    return Group(backing, table, generator_elements=gens, name=f"{n.name}:{h.name}", index=index)
+    return Group(backing, table, generator_elements=gens, name=name, index=index)
+
+
+def semidirect_product(n, h, action):
+    """The semidirect product N : H through a caller's action, which is
+    checked by `validate_action` first."""
+    if action.acting is not h or action.target is not n:
+        raise ConstructionError("action does not match the given factor groups")
+    validate_action(action)
+    return _semidirect(n, h, action.perms, f"{n.name}:{h.name}")
 
 
 def wreath_square(g):
-    """(G x G) : C2 with the coordinate swap on top."""
+    """(G x G) : C2 with the coordinate swap on top.  The swap (a, b) -> (b, a)
+    is an automorphism of G x G by construction, so it is not re-checked."""
     size = len(g)
     if 2 * size * size > DEFAULT_CLOSURE_CAP:
         raise GroupError("wreath square exceeds the closure cap")
     base = direct_product(g, g)
-    two = cyclic(2)
     ident = tuple(range(len(base)))
     swap = tuple((t % size) * size + (t // size) for t in range(len(base)))
-    grp = semidirect_product(base, two, ActionMap(two, base, (ident, swap)))
-    grp.name = f"Wr2({g.name})"
-    return grp
+    return _semidirect(base, cyclic(2), (ident, swap), f"Wr2({g.name})")
 
 
 # -- matrix-born groups --------------------------------------------------------

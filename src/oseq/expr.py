@@ -13,8 +13,9 @@ Every expression is a ``Node(name, args)``.  A product is
 ``Node("x", (left, right))`` and a power ``Node("^", (atom, k))``; a power
 of a power multiplies the exponents.  The canonical text of a cyclic power
 is ``C(n)^k``, and that of any other power the product it stands for, so
-``D(8)^2`` prints as ``D(8) x D(8)``; only the printer spells it out, and
-`construct.direct_power` refuses an oversized power before it builds one.
+``D(8)^2`` prints as ``D(8) x D(8)``; only the printer spells it out, after
+refusing a text longer than ``MAX_TEXT``, and `construct.direct_power`
+refuses an oversized power before it builds one.
 Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
 printing and building walk a product's left spine in a loop, so a long
 product cannot exhaust the stack, and `Wr2` nesting deeper than
@@ -29,11 +30,16 @@ from functools import reduce
 from . import InputError, construct
 from .construct import ConstructionError
 
-__all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING"]
+__all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING", "MAX_TEXT"]
 
 # Deepest sub-expression nesting the parser takes; Wr2 squares the order, so
 # five levels of it already pass the closure cap.
 MAX_NESTING = 100
+
+# Longest canonical text `print_expr` writes.  The text of a power of a
+# non-cyclic atom is the product spelled out (`A(1)^100000000` would be 700 MB
+# of it), so the length is worked out first and a longer text refused.
+MAX_TEXT = 1_000_000
 
 
 class ParseError(InputError):
@@ -202,12 +208,35 @@ def _factors(node):
     return factors
 
 
-def print_expr(node):
-    """Canonical text; parse(print_expr(e)) == e on canonical forms."""
+def _text_length(node):
+    """len(print_expr(node)), worked out without writing the text."""
     if node.name == "x":
-        return " x ".join(map(print_expr, _factors(node)))
+        factors = _factors(node)
+        return sum(map(_text_length, factors)) + 3 * (len(factors) - 1)
     kind = _CONSTRUCTORS[node.name][0]
-    args = [print_expr(a) if isinstance(a, Node) else str(a) for a in node.args]
+    args = [_text_length(a) if isinstance(a, Node) else len(str(a)) for a in node.args]
+    if kind == "none":
+        return len(node.name)
+    if kind == "power":
+        base, k = node.args
+        return args[0] + 1 + args[1] if base.name == "C" else k * args[0] + 3 * (k - 1)
+    return len(node.name) + 2 + sum(args) + 2 * (len(args) - 1)
+
+
+def print_expr(node):
+    """Canonical text; parse(print_expr(e)) == e on canonical forms.  A text
+    longer than MAX_TEXT is refused before any of it is written."""
+    length = _text_length(node)
+    if length > MAX_TEXT:
+        raise InputError(f"canonical text of the expression would be {length} characters, over {MAX_TEXT}")
+    return _print(node)
+
+
+def _print(node):
+    if node.name == "x":
+        return " x ".join(map(_print, _factors(node)))
+    kind = _CONSTRUCTORS[node.name][0]
+    args = [_print(a) if isinstance(a, Node) else str(a) for a in node.args]
     if kind == "none":
         return node.name
     if kind == "power":

@@ -42,17 +42,6 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
 def _poly_rem(a, b, p):
     a = list(a)
     db = len(b) - 1
@@ -138,30 +127,40 @@ class FieldSpec:
     # -- arithmetic on int-encoded elements -------------------------------
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        dec = [self.coeffs(a) for a in range(q)]
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            ca = dec[a]
-            for b in range(a, q):
-                cb = dec[b]
-                s = self.encode((x + y) % p for x, y in zip(ca, cb))
-                add[a * q + b] = add[b * q + a] = s
-                m = self.encode_poly(_poly_mul(ca, cb, p))
-                mul[a * q + b] = mul[b * q + a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            row = a * q
-            for b in range(1, q):
-                if mul[row + b] == 1:
-                    inv[a] = b
-                    break
-        self._add, self._mul, self._inv = add, mul, inv
+        """The add and mul tables, row b from row b' = b - p^i, and the inverses.
 
-    def encode_poly(self, poly):
-        poly = _poly_rem(poly, self.modulus, self.p) if len(poly) > self.k else poly
-        return self.encode(poly + (0,) * (self.k - len(poly)))
+        For i the lowest non-zero digit of b > 0, b = b' + x^i as elements:
+        a + b is a + b' with digit i stepped up mod p, and a * b = a * b' +
+        a * x^i, where a * x^i is a * x^(i-1) shifted one digit up and reduced
+        once by x^k = -(m_0 + ... + m_(k-1) x^(k-1)), the modulus's low
+        terms.  Each entry is a table lookup or two, O(q^2) in all.
+        """
+        q, p, k = self.q, self.p, self.k
+        top = p ** (k - 1)
+        add = list(range(q))  # row 0; row b fills add[b * q : (b + 1) * q]
+        steps = []  # steps[i][s]: s with digit i stepped up mod p
+        for i in range(k):
+            pi = p**i
+            steps.append([s - (p - 1) * pi if s // pi % p == p - 1 else s + pi for s in range(q)])
+        lowest = [0] * q  # the lowest non-zero digit of each b > 0
+        for b in range(1, q):
+            i = 0
+            while b // p**i % p == 0:
+                i += 1
+            lowest[b] = i
+            row = (b - p**i) * q
+            add += map(steps[i].__getitem__, add[row : row + q])
+        over = [self.encode((-c * m) % p for m in self.modulus[:k]) for c in range(p)]
+        shifted = [list(range(q))]  # shifted[i][a] = a * x^i
+        for _ in range(1, k):
+            shifted.append([add[c % top * p * q + over[c // top]] for c in shifted[-1]])
+        mul = [0] * q
+        for b in range(1, q):
+            i = lowest[b]
+            row = (b - p**i) * q
+            mul += [add[m * q + y] for m, y in zip(mul[row : row + q], shifted[i])]
+        inv = [0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)]
+        self._add, self._mul, self._inv = add, mul, inv
 
     def add(self, a, b):
         return self._add[a * self.q + b]

@@ -1,16 +1,20 @@
 """Enumerated finite groups: indexed element tables over exchangeable backings.
 
-A Group owns a full element list (index -> canonical element), the reverse
-index, and a backing that multiplies raw elements.  No n-by-n
+A Group numbers its elements: an element list (index -> canonical element),
+the reverse index, and a backing that multiplies raw elements.  No n-by-n
 multiplication table is ever materialised; products go through the backing
-and back through the element index.  Enumeration is breadth-first from the
-identity with generators applied in declared order (FIFO), so two runs
-assign identical indices.
+and back through the element index.  A permutation group is kept as a
+stabiliser chain, its order known, and is listed coset by coset of a point
+stabiliser only when its table is first read; `Group.order_counts` counts
+its element orders from the chain, one coset per suborbit, with no table.
+Every other group is enumerated breadth-first from the identity with
+generators applied in declared order (FIFO).  Either way two runs assign
+identical indices.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import repeat
 from math import gcd, lcm
 
@@ -189,9 +193,18 @@ class SemidirectBacking:
 
 
 class Group:
-    """A fully enumerated finite group; index 0 is the identity."""
+    """A finite group with indexed elements; index 0 is the identity.
 
-    __slots__ = ("backing", "table", "index", "generators", "name", "_orders", "_invs")
+    `table` lists the elements (index -> element), `index` maps them back
+    and `generators` holds the generators' indices.  A permutation group from
+    `enumerate_group` keeps its stabiliser chain instead and leaves these
+    three slots unset until one of them is first read; `__getattr__` then
+    builds all three from the chain.
+    """
+
+    __slots__ = (
+        "backing", "table", "index", "generators", "name", "_order", "_chain", "_orders", "_invs",
+    )
 
     def __init__(self, backing, table, generator_elements=(), name="", index=None):
         self.backing = backing
@@ -205,14 +218,42 @@ class Group:
             raise GroupError("identity must sit at index 0")
         self.generators = tuple(dict.fromkeys(self.index[g] for g in generator_elements))
         self.name = name
+        self._order = len(self.table)
+        self._chain = None
         self._orders = None
         self._invs = None
 
+    @classmethod
+    def _from_chain(cls, backing, chain, name=""):
+        group = cls.__new__(cls)
+        group.backing = backing
+        group.name = name
+        group._order = len(chain.orbit) * len(chain.stabiliser)
+        group._chain = chain
+        group._orders = None
+        group._invs = None
+        return group
+
+    def __getattr__(self, attr):
+        # Reached only when a slot is unset: the table, index and generators
+        # of a group kept as a stabiliser chain, before their first read.
+        if attr not in ("table", "index", "generators"):
+            raise AttributeError(attr)
+        chain = self._chain
+        tail = self.backing._tail
+        table = []
+        for p in chain.orbit:
+            table += map(bytes.translate, chain.stabiliser.table, repeat(chain.transversal[p] + tail))
+        self.table = table
+        self.index = {e: i for i, e in enumerate(table)}
+        self.generators = tuple(dict.fromkeys(self.index[g] for g in chain.gens))
+        return getattr(self, attr)
+
     def __len__(self):
-        return len(self.table)
+        return self._order
 
     def __repr__(self):
-        return f"Group({self.name or type(self.backing).__name__}, order={len(self.table)})"
+        return f"Group({self.name or type(self.backing).__name__}, order={self._order})"
 
     def mul(self, i, j):
         return self.index[self.backing.mul(self.table[i], self.table[j])]
@@ -220,7 +261,7 @@ class Group:
     def inv(self, i):
         invs = self._invs
         if invs is None:
-            invs = self._invs = [-1] * len(self.table)
+            invs = self._invs = [-1] * self._order
         v = invs[i]
         if v < 0:
             v = invs[i] = self.index[self.backing.inv(self.table[i])]
@@ -235,7 +276,7 @@ class Group:
         """
         orders = self._orders
         if orders is None:
-            orders = self._orders = [0] * len(self.table)
+            orders = self._orders = [0] * self._order
         o = orders[i]
         if o:
             return o
@@ -262,31 +303,75 @@ class Group:
 
     def orders(self):
         if self._orders is None:
-            self._orders = [0] * len(self.table)
+            self._orders = [0] * self._order
         order_of = self.order_of
         return [o or order_of(i) for i, o in enumerate(self._orders)]
 
+    def order_counts(self):
+        """How many elements have each order, as a Counter.
+
+        A group kept as a stabiliser chain (b, its orbit, u_p, H = G_b) is
+        counted without its table.  Conjugation by h in H carries the coset
+        u_p H onto u_h(p) H and keeps orders, so all cosets over one
+        H-orbit (a suborbit) hold the same orders: the count is that of H
+        plus, for each suborbit other than {b}, its length times the count of
+        one of its cosets.  In that coset, x^l fixes b for l the length of
+        b's cycle under x, and ord(x) = l * ord(x^l), the second found in H.
+        Every other group counts `orders()`.
+        """
+        chain = self._chain
+        if chain is None:
+            return Counter(self.orders())
+        b, stab, kept = chain.base, chain.stabiliser, chain.kept
+        counts = stab.order_counts()
+        index, order_of = stab.index, stab.order_of
+        tail = self.backing._tail
+        seen = {b}
+        for p in chain.orbit:
+            if p in seen:
+                continue
+            seen.add(p)
+            suborbit = [p]
+            for q in suborbit:  # grows while it is walked
+                for s in kept:
+                    if s[q] not in seen:
+                        seen.add(s[q])
+                        suborbit.append(s[q])
+            coset = Counter()
+            for x in map(bytes.translate, stab.table, repeat(chain.transversal[p] + tail)):
+                xt = x + tail
+                y, l = x, 1
+                while y[b] != b:
+                    y = y.translate(xt)
+                    l += 1
+                coset[l * order_of(index[y])] += 1
+            for o, m in coset.items():
+                counts[o] += m * len(suborbit)
+        return counts
 
 
-def _perm_elements(backing, gens, cap):
-    """The elements of the permutation group <gens>, coset by coset of a point
-    stabiliser, or None when there are more than `cap` of them.
+_Chain = namedtuple("_Chain", "gens base orbit transversal stabiliser kept")
+
+
+def _perm_group(backing, gens, cap, name=""):
+    """The permutation group <gens> kept as a stabiliser chain, or None when
+    it has more than `cap` elements.
 
     With b the least point a generator moves and u_p a product of generators
     that maps b to p, G is the disjoint union of the cosets u_p H over the
     orbit of b, H the stabiliser of b; H is generated by the Schreier
     generators u_g(p)^-1 g u_p (Holt, Eick & O'Brien, Handbook of
     Computational Group Theory, 2005, ch. 4).  One already in the part of H
-    built so far is skipped, and H is enumerated the same way, under the cap
-    cap // |orbit| that |G| = |orbit| |H| <= cap allows.  So every product
-    of the table [u_p h for p in the orbit, in BFS order, for h in H] is a
-    new element and none is looked up; each coset is one `bytes.translate`
-    of H through u_p's table.
+    built so far is skipped, the rest are kept, and H is built the same way
+    from them, under the cap cap // |orbit| that |G| = |orbit| |H| <= cap
+    allows.  G's table, [u_p h for p in the orbit, in BFS order, for h in H],
+    is built only when first read: one `bytes.translate` of H through u_p's
+    table per coset, with no product looked up.
     """
     ident = backing.identity()
     b = min((i for g in gens for i, j in enumerate(g) if i != j), default=None)
     if b is None:
-        return [ident]
+        return Group(backing, [ident], generator_elements=gens, name=name)
     tail = backing._tail
     tables = [g + tail for g in gens]
     u = {b: ident}
@@ -299,36 +384,32 @@ def _perm_elements(backing, gens, cap):
     if len(orbit) > cap:
         return None
     inverse = {p: bytes.maketrans(up, ident) for p, up in u.items()}
-    kept, stab, members = [], [ident], {ident}
+    kept, stab = [], Group(backing, [ident])
     for p in orbit:
         for g, gt in zip(gens, tables):
             s = u[p].translate(gt).translate(inverse[g[p]])
-            if s not in members:
+            if s not in stab.index:
                 kept.append(s)
-                stab = _perm_elements(backing, kept, cap // len(orbit))
+                stab = _perm_group(backing, tuple(kept), cap // len(orbit))
                 if stab is None:
                     return None
-                members = set(stab)
-    table = []
-    for p in orbit:
-        table += map(bytes.translate, stab, repeat(u[p] + tail))
-    return table
+    return Group._from_chain(backing, _Chain(tuple(gens), b, orbit, u, stab, tuple(kept)), name)
 
 
 def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
     """The closure of the generators; deterministic indexing, identity first.
 
-    A PermBacking group is listed coset by coset of a point stabiliser by
-    `_perm_elements`, with no `mul` call and no lookup; every other backing
-    is closed breadth-first, each x * g through `mul`.  Either way more than
-    `cap` elements are refused.
+    A PermBacking group is kept as a stabiliser chain by `_perm_group`, with
+    no `mul` call, and numbered coset by coset when its table is first read;
+    every other backing is closed breadth-first, each x * g through `mul`.
+    Either way more than `cap` elements are refused.
     """
     generators = list(generators)
     if type(backing) is PermBacking:
-        table = _perm_elements(backing, generators, cap)
-        if table is None:
+        group = _perm_group(backing, generators, cap, name)
+        if group is None:
             raise GroupError(f"closure exceeded cap {cap}")
-        return Group(backing, table, generator_elements=generators, name=name)
+        return group
     ident = backing.identity()
     table = [ident]
     index = {ident: 0}

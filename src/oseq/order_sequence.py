@@ -72,7 +72,7 @@ def _from_counts(counts):
 
 def os_of_group(group):
     """Element orders of the whole table, run-length encoded."""
-    return _from_counts(Counter(group.orders()))
+    return _from_counts(group.order_counts())
 
 
 def os_cyclic(n):

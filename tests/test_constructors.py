@@ -214,6 +214,25 @@ def test_wreath_square():
     assert os_of_group(small).entries == os_of_group(dihedral(8)).entries
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: cyclic(3), lambda: symmetric(3), lambda: dihedral(8), lambda: dicyclic(8), lambda: alternating(4),
+     frobenius42],
+    ids=["C3", "S3", "D8", "Q8", "A4", "F7"],
+)
+def test_wreath_square_swap_passes_validate_action(make):
+    # wreath_square does not re-check the coordinate swap; the full check
+    # accepts it, and the checked semidirect product is the same group
+    g = make()
+    w = wreath_square(g)
+    base, two = w.backing.normal, w.backing.acting
+    action = ActionMap(two, base, w.backing.perms)
+    validate_action(action)
+    checked = semidirect_product(base, two, action)
+    assert (checked.table, checked.generators) == (w.table, w.generators)
+    assert w.name == f"Wr2({g.name})"
+
+
 def test_wreath_square_of_a5_against_degree_10_permutations():
     # independent model: A5 on points 0-4, A5 on points 5-9, and the block swap
     backing = PermBacking(10)

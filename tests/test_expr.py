@@ -7,7 +7,19 @@ from hypothesis import strategies as st
 
 from oseq.cli import main
 from oseq.construct import ConstructionError
-from oseq.expr import _CONSTRUCTORS, MAX_NESTING, Node, ParseError, _factors, build, parse, print_expr
+from oseq import InputError
+from oseq.expr import (
+    _CONSTRUCTORS,
+    MAX_NESTING,
+    MAX_TEXT,
+    Node,
+    ParseError,
+    _factors,
+    _text_length,
+    build,
+    parse,
+    print_expr,
+)
 from oseq.order_sequence import os_of_group
 
 
@@ -177,7 +189,28 @@ def _trees(depth):
 @settings(max_examples=200)
 @given(_trees(3))
 def test_print_matches_the_recursive_printer(node):
-    assert print_expr(node) == _print_recursively(node)
+    text = print_expr(node)
+    assert text == _print_recursively(node)
+    assert _text_length(node) == len(text)
+
+
+@pytest.mark.parametrize("text", ["A(4)^3", "Wr2(D(8)^2)^2 x C(5)^3", "Cat(CpxA4, 11)^2 x F7", "S(1)^1000"])
+def test_text_length_is_the_printed_length(text):
+    assert _text_length(parse(text)) == len(print_expr(parse(text)))
+
+
+def test_overlong_canonical_text_is_refused_before_it_is_written():
+    # "A(1)" repeated k times with k - 1 separators " x "
+    k = (MAX_TEXT + 3) // 7
+    assert len(print_expr(parse(f"A(1)^{k}"))) == 7 * k - 3 <= MAX_TEXT
+    with pytest.raises(InputError, match=f"would be {7 * (k + 1) - 3} characters, over {MAX_TEXT}"):
+        print_expr(parse(f"A(1)^{k + 1}"))
+    with pytest.raises(InputError, match="would be 699999997 characters"):
+        print_expr(parse("A(1)^100000000"))
+    with pytest.raises(InputError):
+        print_expr(parse(" x ".join([f"A(1)^{k // 2}"] * 3)))
+    with pytest.raises(InputError):
+        print_expr(parse("Wr2(A(1)^1000)^1000"))
 
 
 def test_long_products_print_and_build_without_recursion():
@@ -191,7 +224,7 @@ def test_long_products_print_and_build_without_recursion():
 # The grammar's tokens, with small arguments and one far past every cap, and
 # a few that the lexer or the parser must refuse; strings of them are mostly
 # refused, so well-formed token lists are drawn too.  Those leave out
-# SD_300_23, whose wreath square takes seconds to validate.
+# SD_300_23, whose wreath square takes seconds to count.
 _INTS = ["0", "1", "2", "3", "5", "100000000"]
 _TOKENS = st.sampled_from(
     [name for name in _CONSTRUCTORS if name not in "x^"]

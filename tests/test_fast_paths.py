@@ -2,8 +2,10 @@
 
 The fast paths: `PermBacking.mul` composes packed permutations with one
 `bytes.translate`, and `PermBacking.inv` is one `bytes.maketrans`;
-`enumerate_group` lists a permutation group coset by coset of a point
-stabiliser, one translate table per coset, and `Group.order_of` builds one
+`enumerate_group` keeps a permutation group as a stabiliser chain and lists
+it coset by coset of a point stabiliser when its table is first read, one
+translate table per coset; `Group.order_counts` counts its orders on one
+coset per suborbit, with no table; `Group.order_of` builds one
 table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
 the permutations their matrices induce on one projective orbit; the C7 of F8
@@ -12,7 +14,8 @@ standing for a^k b^s; He(p) is C_p^2 : C_p; SD_300_23 is built from two
 pinned GL(2,5) matrices, and C7 : A4 numbers the cosets of V4 in A4 inline.
 
 The references compose and invert a permutation point by point, enumerate
-breadth-first and count powers until the identity through `backing.mul`, multiply matrices (tuples
+breadth-first and count powers until the identity through `backing.mul` (or
+walk every element, `Group.orders()`), multiply matrices (tuples
 of rows) entry by entry with `FieldSpec.add` and `FieldSpec.mul`, pick
 invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
@@ -26,7 +29,8 @@ import os
 import random
 import subprocess
 import sys
-from collections import namedtuple
+import tracemalloc
+from collections import Counter, namedtuple
 from functools import reduce
 from operator import xor
 from pathlib import Path
@@ -306,22 +310,118 @@ def test_translate_paths_match_the_references_on_random_generators(case, data):
         _check_translate_paths(group, monkeypatch, [cap])
 
 
+# md5 of each table, joined, and its generator indices: the coset numbering,
+# pinned so that a table built on first read keeps every index
+_PINNED_TABLES = {
+    "S6": ("52b0d2c3145e915b587d155db3e3083d", (120, 144)),
+    "PSL(2,16)": ("86dca0d3c286ce8e7c44b40299ae2ca2", (15, 240, 30)),
+    "Sz(8)": ("3a58ce57e446d27a70b261b32ccf6da8", (7, 14, 1, 448)),
+}
+
+
 def test_permutation_enumeration_is_deterministic():
-    # two processes with different string hashing give the same tables; two
-    # enumerations in one process are compared by `_check_translate_paths`
+    # two processes with different string hashing give the same tables, read
+    # after the orders are counted from the chain; two enumerations in one
+    # process are compared by `_check_translate_paths`
     code = (
         "import hashlib\n"
-        "from oseq.construct import psl2, symmetric\n"
-        "print(*(hashlib.md5(b''.join(g.table)).hexdigest() for g in (symmetric(6), psl2(16))))\n"
+        "from oseq.construct import psl2, suzuki8, symmetric\n"
+        "for g in (symmetric(6), psl2(16), suzuki8()):\n"
+        "    g.order_counts()\n"
+        "    assert all(g.index[x] == i for i, x in enumerate(g.table)) and len(g.index) == len(g)\n"
+        "    print(g.name, hashlib.md5(b''.join(g.table)).hexdigest(), g.generators)\n"
     )
+    expected = "".join(f"{name} {md5} {gens}\n" for name, (md5, gens) in _PINNED_TABLES.items())
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = []
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+        assert proc.stdout == expected
+
+
+def _table_built(group):
+    """Whether the group's table slot is set; reading `group.table` would build it."""
+    try:
+        Group.table.__get__(group)
+    except AttributeError:
+        return False
+    return True
+
+
+def _block_perms(degree):
+    """Generators that keep {0..k-1} and {k..degree-1}: an intransitive group."""
+    return st.integers(0, degree).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.permutations(range(k)), st.permutations(range(k, degree))).map(lambda ab: [*ab[0], *ab[1]]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+
+_counted_perm_groups = st.integers(1, 7).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.one_of(st.lists(st.permutations(range(d)), min_size=1, max_size=3), _block_perms(d))
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_counted_perm_groups)
+def test_suborbit_count_matches_the_power_walk_on_random_groups(case):
+    degree, perms = case
+    backing = PermBacking(degree)
+    group = enumerate_group(backing, [backing.pack(p) for p in perms])
+    counts = group.order_counts()
+    assert not _table_built(group) or len(group) == 1  # the trivial group has no chain
+    assert counts == Counter(_orders_by_mul(group))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: symmetric.__wrapped__(n) for n in range(1, 9)),
+     *(lambda n=n: alternating.__wrapped__(n) for n in range(1, 9))],
+    ids=[*(f"S{n}" for n in range(1, 9)), *(f"A{n}" for n in range(1, 9))],
+)
+def test_suborbit_count_matches_the_mul_walk_on_named_groups(make):
+    group = make()
+    assert group.order_counts() == Counter(_orders_by_mul(group))
+
+
+_COUNTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49, 61, 64)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda q=q: psl2.__wrapped__(q) for q in _COUNTED_Q), suzuki8.__wrapped__],
+    ids=[*(f"PSL2_{q}" for q in _COUNTED_Q), "Sz8"],
+)
+def test_suborbit_count_matches_the_full_walk(make):
+    # the full walk, `orders()`, is itself checked against `_orders_by_mul`
+    # by `test_translate_bfs_and_orders_match_the_mul_references`
+    group = make()
+    counts = group.order_counts()
+    assert not _table_built(group)
+    assert counts == Counter(group.orders())
+
+
+def test_psl2_64_is_counted_without_its_table():
+    # 262080 degree-65 permutations in a list and an index take over 30 MB;
+    # the chain keeps a 4032-element stabiliser and its own 63-element one
+    by_label = fixtures_by_label(default_fixtures())
+    field_make(2, 6)  # cached for the process, so not counted in the peak
+    tracemalloc.start()
+    try:
+        group = psl2.__wrapped__(64)
+        seq = os_of_group(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq == by_label["L2_64"].seq
+    assert len(group) == 262080
+    assert not _table_built(group)
+    assert peak < 4 << 20
 
 
 def _mat_mul_by_entries(spec, a, b):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oseq.finite_field import FieldError, field_make
+from oseq.arith import isprime
+from oseq.finite_field import FieldError, _poly_rem, _trim, field_make
 
 
 def test_pinned_moduli():
@@ -109,3 +110,39 @@ def test_large_field_is_refused_before_the_modulus_search(monkeypatch):
     with pytest.raises(FieldError, match="exceeds supported maximum 256"):
         field_make(31, 8)
 
+
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _trim(out)
+
+
+def _tables_by_polynomials(f):
+    """The add, mul and inv tables of f, each entry from the coefficient
+    vectors: a digit-wise sum, and a polynomial product reduced by the modulus."""
+    q, p, k = f.q, f.p, f.k
+
+    def encode(poly):
+        poly = _poly_rem(poly, f.modulus, p) if len(poly) > k else poly
+        return f.encode(poly + (0,) * (k - len(poly)))
+
+    dec = [f.coeffs(a) for a in range(q)]
+    add = [f.encode((x + y) % p for x, y in zip(dec[a], dec[b])) for a in range(q) for b in range(q)]
+    mul = [encode(_poly_mul(_trim(dec[a]), _trim(dec[b]), p)) for a in range(q) for b in range(q)]
+    inv = [0] + [next(b for b in range(1, q) if mul[a * q + b] == 1) for a in range(1, q)]
+    return add, mul, inv
+
+
+ALL_FIELDS = [(p, k) for p in range(2, 257) if isprime(p) for k in range(1, 9) if p**k <= 256]
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[f"{p}^{k}" for p, k in ALL_FIELDS])
+def test_tables_match_the_polynomial_builder(p, k):
+    f = field_make(p, k)
+    assert (f._add, f._mul, f._inv) == _tables_by_polynomials(f)

@@ -319,6 +319,29 @@ def test_oversized_permutation_closure_fails_before_allocating():
     assert int(peak) < 4 << 20
 
 
+@pytest.mark.parametrize(
+    "args,stdout",
+    [
+        (("os", "--cache", "{tmp}/c.txt", "A(1)^100000000"), ""),
+        (("poset", "A(1)^100000000", "C(2)"), ""),
+        (("poset", "C(2)", "Wr2(A(1)^100000)^100"), ""),
+        (("os", "--cache", "{tmp}/c.txt", "A(1)^100000"), "n=1; (1,1)\n"),
+    ],
+    ids=["os-cache-A1-power-1e8", "poset-A1-power-1e8", "poset-Wr2-power", "os-cache-A1-power-1e5"],
+)
+def test_overlong_canonical_text_is_refused_before_it_is_written(args, stdout, tmp_path):
+    # the cache key and the poset labels are the canonical text, which spells
+    # a power of a non-cyclic atom out: 700 MB for A(1)^100000000
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    proc = _run_cli(*args, preexec_fn=_cap_address_space, timeout=30)
+    if stdout:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+    else:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: canonical text of the expression would be ")
+        assert proc.stderr.count("\n") == 1
+
+
 def _with_elements_of_order(seq, order, count):
     counts = dict(seq.entries)
     counts[order] = counts.get(order, 0) + count
