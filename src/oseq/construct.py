@@ -131,19 +131,15 @@ def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
 
     y^j acts on the vectors by (u, w) -> (u, w + j*u); the generators are
-    x = (1, 0) in the normal factor and y, in the order of the unitriangular
-    matrices I + E12 and I + E23 they stand for.
+    x = (1, 0) and z = (0, 1) in the normal factor and y, in the order of the
+    unitriangular matrices I + E12, I - E13 and I + E23 they stand for.
     """
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
     n = elementary_abelian(p, 2)
     perms = [[n.index[u, (w + j * u) % p] for u, w in n.table] for j in range(p)]
-    backing = SemidirectBacking(n, cyclic(p), perms)
-    grp = enumerate_group(backing, [(n.index[1, 0], 0), (0, 1)], name=f"He{p}")
-    if len(grp) != p**3:
-        raise ConstructionError("heisenberg construction produced a wrong order")
-    return grp
+    return _semidirect(n, cyclic(p), perms, f"He{p}")
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +187,19 @@ def frobenius56():
 # -- products ----------------------------------------------------------------
 
 
+def _row_major(backing, g, h, name):
+    """The product of g and h on `backing`, which multiplies its indices:
+    the pair (i, j) of indices into g and h is i * |h| + j.  The generators
+    are g's, embedded as (i, 0), then h's, as (0, j)."""
+    order = len(g) * len(h)
+    if order > DEFAULT_CLOSURE_CAP:
+        raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
+    gens = [i * len(h) for i in g.generators] + list(h.generators)
+    return Group(backing, range(order), generator_elements=gens, name=name)
+
+
 def direct_product(g, h):
-    """Component-wise product; the table is row-major over index pairs.
+    """Component-wise product, numbered row-major over index pairs.
 
     A trivial factor (one element, no generators) gives back the other one:
     the product would repeat its indices, generators and products.  So a
@@ -203,15 +210,7 @@ def direct_product(g, h):
         return g
     if len(g) == 1:
         return h
-    n = len(g) * len(h)
-    if n > DEFAULT_CLOSURE_CAP:
-        raise GroupError(f"product order {n} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
-    backing = DirectProductBacking(g, h)
-    width = len(h)
-    table = [(i, j) for i in range(len(g)) for j in range(width)]
-    index = {pair: pair[0] * width + pair[1] for pair in table}
-    gens = [(i, 0) for i in g.generators] + [(0, j) for j in h.generators]
-    return Group(backing, table, generator_elements=gens, name=f"{g.name}x{h.name}", index=index)
+    return _row_major(DirectProductBacking(g, h), g, h, f"{g.name}x{h.name}")
 
 
 def direct_power(g, k):
@@ -284,17 +283,8 @@ def validate_action(action):
 
 
 def _semidirect(n, h, perms, name):
-    """Pairs (x, h) with (x1,h1)(x2,h2) = (x1 * perms[h1][x2], h1 h2), for
-    perms an action of h on n by automorphisms."""
-    order = len(n) * len(h)
-    if order > DEFAULT_CLOSURE_CAP:
-        raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
-    backing = SemidirectBacking(n, h, perms)
-    width = len(h)
-    table = [(x, j) for x in range(len(n)) for j in range(width)]
-    index = {pair: pair[0] * width + pair[1] for pair in table}
-    gens = [(x, 0) for x in n.generators] + [(0, j) for j in h.generators]
-    return Group(backing, table, generator_elements=gens, name=name, index=index)
+    """N : H through perms, an action of H on N by automorphisms."""
+    return _row_major(SemidirectBacking(n, h, perms), n, h, name)
 
 
 def semidirect_product(n, h, action):

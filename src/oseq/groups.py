@@ -3,12 +3,15 @@
 A Group numbers its elements: an element list (index -> canonical element),
 the reverse index, and a backing that multiplies raw elements.  No n-by-n
 multiplication table is ever materialised; products go through the backing
-and back through the element index.  A permutation group is kept as a
+and back through the element index.  A direct or semidirect product numbers
+the pair (i, j) of factor indices as i * w + j, w the right factor's order,
+and its backing multiplies these indices: its table and index are `range(n)`
+and `Group.mul` is the backing's own.  A permutation group is kept as a
 stabiliser chain, its order known, and is listed coset by coset of a point
 stabiliser only when its table is first read; `Group.order_counts` counts
 its element orders from the chain, one coset per suborbit, with no table.
 Every other group is enumerated breadth-first from the identity with
-generators applied in declared order (FIFO).  Either way two runs assign
+generators applied in declared order (FIFO).  Each way two runs assign
 identical indices.
 """
 
@@ -142,50 +145,55 @@ class VectorBacking:
 
 
 class DirectProductBacking:
-    """Component-wise pairs of indices into two enumerated groups."""
+    """G x H on the indices of its elements: the pair (i, j) is i * w + j, for
+    w = |H| and i, j indices into G and H, multiplied component-wise."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "width")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.width = len(right)
 
     def identity(self):
-        return (0, 0)
+        return 0
 
     def mul(self, a, b):
-        return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
+        w = self.width
+        return self.left.mul(a // w, b // w) * w + self.right.mul(a % w, b % w)
 
     def inv(self, a):
-        return (self.left.inv(a[0]), self.right.inv(a[1]))
+        return self.left.inv(a // self.width) * self.width + self.right.inv(a % self.width)
 
     def fast_order(self, a):
-        return lcm(self.left.order_of(a[0]), self.right.order_of(a[1]))
+        return lcm(self.left.order_of(a // self.width), self.right.order_of(a % self.width))
 
 
 
 class SemidirectBacking:
-    """Pairs (x, h): h twists the first coordinate through fixed permutations."""
+    """N : H on the indices x * w + h of its pairs (x, h), for w = |H|, with
+    (x1, h1)(x2, h2) = (x1 * perms[h1][x2], h1 h2): h permutes N's indices."""
 
-    __slots__ = ("normal", "acting", "perms")
+    __slots__ = ("normal", "acting", "perms", "width")
 
     def __init__(self, normal, acting, perms):
         self.normal = normal
         self.acting = acting
         self.perms = perms
+        self.width = len(acting)
 
     def identity(self):
-        return (0, 0)
+        return 0
 
     def mul(self, a, b):
-        x1, h1 = a
-        x2, h2 = b
-        return (self.normal.mul(x1, self.perms[h1][x2]), self.acting.mul(h1, h2))
+        w = self.width
+        h1 = a % w
+        return self.normal.mul(a // w, self.perms[h1][b // w]) * w + self.acting.mul(h1, b % w)
 
     def inv(self, a):
-        x, h = a
-        hi = self.acting.inv(h)
-        return (self.perms[hi][self.normal.inv(x)], hi)
+        w = self.width
+        hi = self.acting.inv(a % w)
+        return self.perms[hi][self.normal.inv(a // w)] * w + hi
 
     def fast_order(self, a):
         return None
@@ -196,21 +204,29 @@ class Group:
     """A finite group with indexed elements; index 0 is the identity.
 
     `table` lists the elements (index -> element), `index` maps them back
-    and `generators` holds the generators' indices.  A permutation group from
+    and `generators` holds the generators' indices.  Given `range(n)` as its
+    table, a group's elements are their own indices: the index is the same
+    range and `mul` is the backing's.  A permutation group from
     `enumerate_group` keeps its stabiliser chain instead and leaves these
     three slots unset until one of them is first read; `__getattr__` then
     builds all three from the chain.
     """
 
     __slots__ = (
-        "backing", "table", "index", "generators", "name", "_order", "_chain", "_orders", "_invs",
+        "backing", "table", "index", "generators", "name", "mul", "_order", "_chain", "_orders", "_invs",
     )
 
     def __init__(self, backing, table, generator_elements=(), name="", index=None):
         self.backing = backing
-        self.table = list(table)
-        if index is None:
-            index = {e: i for i, e in enumerate(self.table)}
+        if type(table) is range:
+            index = table
+            self.mul = backing.mul
+        else:
+            table = list(table)
+            if index is None:
+                index = {e: i for i, e in enumerate(table)}
+            self.mul = self._mul
+        self.table = table
         if len(index) != len(self.table):
             raise GroupError("duplicate elements in table")
         self.index = index
@@ -230,6 +246,7 @@ class Group:
         group.name = name
         group._order = len(chain.orbit) * len(chain.stabiliser)
         group._chain = chain
+        group.mul = group._mul
         group._orders = None
         group._invs = None
         return group
@@ -255,7 +272,7 @@ class Group:
     def __repr__(self):
         return f"Group({self.name or type(self.backing).__name__}, order={self._order})"
 
-    def mul(self, i, j):
+    def _mul(self, i, j):
         return self.index[self.backing.mul(self.table[i], self.table[j])]
 
     def inv(self, i):

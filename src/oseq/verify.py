@@ -288,26 +288,26 @@ def suite_simple(fixtures=None, features=frozenset()):
 # -- property suites -------------------------------------------------------------
 
 _COPRIME_PAIRS = (
-    ("C2", lambda: cyclic(2), "C3", lambda: cyclic(3)),
-    ("C2", lambda: cyclic(2), "C9", lambda: cyclic(9)),
-    ("C3", lambda: cyclic(3), "C4", lambda: cyclic(4)),
-    ("C4", lambda: cyclic(4), "C9", lambda: cyclic(9)),
-    ("C5", lambda: cyclic(5), "S3", lambda: symmetric(3)),
-    ("C7", lambda: cyclic(7), "A4", lambda: alternating(4)),
-    ("C5", lambda: cyclic(5), "D8", lambda: dihedral(8)),
-    ("C9", lambda: cyclic(9), "D8", lambda: dihedral(8)),
-    ("C5", lambda: cyclic(5), "A4", lambda: alternating(4)),
-    ("C7", lambda: cyclic(7), "Dic12", lambda: dicyclic(12)),
-    ("C25", lambda: cyclic(25), "S4", lambda: symmetric(4)),
+    lambda: (cyclic(2), cyclic(3)),
+    lambda: (cyclic(2), cyclic(9)),
+    lambda: (cyclic(3), cyclic(4)),
+    lambda: (cyclic(4), cyclic(9)),
+    lambda: (cyclic(5), symmetric(3)),
+    lambda: (cyclic(7), alternating(4)),
+    lambda: (cyclic(5), dihedral(8)),
+    lambda: (cyclic(9), dihedral(8)),
+    lambda: (cyclic(5), alternating(4)),
+    lambda: (cyclic(7), dicyclic(12)),
+    lambda: (cyclic(25), symmetric(4)),
 )
 
 _CONGRUENCE_TRIPLES = (
-    ("C5", lambda: cyclic(5), "C12", lambda: cyclic(12), "A4", lambda: alternating(4)),
-    ("C5", lambda: cyclic(5), "C12", lambda: cyclic(12), "D12", lambda: dihedral(12)),
-    ("C7", lambda: cyclic(7), "C12", lambda: cyclic(12), "Dic12", lambda: dicyclic(12)),
-    ("C7", lambda: cyclic(7), "C4", lambda: cyclic(4), "C2^2", lambda: elementary_abelian(2, 2)),
-    ("C11", lambda: cyclic(11), "C6", lambda: cyclic(6), "S3", lambda: symmetric(3)),
-    ("C5", lambda: cyclic(5), "C8", lambda: cyclic(8), "D8", lambda: dihedral(8)),
+    lambda: (cyclic(5), cyclic(12), alternating(4)),
+    lambda: (cyclic(5), cyclic(12), dihedral(12)),
+    lambda: (cyclic(7), cyclic(12), dicyclic(12)),
+    lambda: (cyclic(7), cyclic(4), elementary_abelian(2, 2)),
+    lambda: (cyclic(11), cyclic(6), symmetric(3)),
+    lambda: (cyclic(5), cyclic(8), dihedral(8)),
 )
 
 
@@ -336,22 +336,14 @@ def catalog_sample():
 
 def suite_props():
     checks = []
-    fixed = {}  # share constructed groups across checks
-
-    def get(name, maker):
-        if name not in fixed:
-            fixed[name] = maker()
-        return fixed[name]
-
     pair_count = 0
-    for name_a, make_a, name_b, make_b in _COPRIME_PAIRS:
-        a, b = get(name_a, make_a), get(name_b, make_b)
+    for a, b in (make() for make in _COPRIME_PAIRS):
         if gcd(len(a), len(b)) != 1:
             continue
         pair_count += 1
         left = os_of_group(direct_product(a, b))
         right = os_product(os_of_group(a), os_of_group(b))
-        checks.append(_os_eq(f"product law {name_a} x {name_b}", left, right))
+        checks.append(_os_eq(f"product law {a.name} x {b.name}", left, right))
     checks.append(_eq("coprime pairs checked >= 10", pair_count >= 10, True))
 
     c2 = os_of_group(cyclic(2))
@@ -362,13 +354,12 @@ def suite_props():
     checks.append(Check("os(C2)^2 rejected with the phi(4) reason",
                         (not ok) and "phi(4)" in (reason or ""), reason or ""))
 
-    for name_h, make_h, name_a, make_a, name_b, make_b in _CONGRUENCE_TRIPLES:
-        h, a, b = get(name_h, make_h), get(name_a, make_a), get(name_b, make_b)
+    for h, a, b in (make() for make in _CONGRUENCE_TRIPLES):
         inner = compare(os_of_group(a), os_of_group(b))
         outer = compare(os_product(os_of_group(h), os_of_group(a)),
                         os_product(os_of_group(h), os_of_group(b)))
         ok = inner is Verdict.PROPERLY_DOMINATES and outer is Verdict.PROPERLY_DOMINATES
-        checks.append(Check(f"domination congruence {name_h} * ({name_a} > {name_b})", ok,
+        checks.append(Check(f"domination congruence {h.name} * ({a.name} > {b.name})", ok,
                             f"inner {inner.value}, outer {outer.value}"))
 
     groups12 = dict(order12_corpus_groups())

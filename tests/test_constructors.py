@@ -5,6 +5,7 @@ import pytest
 from oseq.construct import (
     ActionMap,
     ConstructionError,
+    _row_major,
     alternating,
     catalog,
     catalog_names,
@@ -28,7 +29,6 @@ from oseq.finite_field import field_make
 from oseq.groups import (
     DEFAULT_CLOSURE_CAP,
     DirectProductBacking,
-    Group,
     GroupError,
     PermBacking,
     commutator_subgroup,
@@ -114,12 +114,9 @@ def test_direct_product():
     assert os_of_group(g).entries == ((1, 1), (2, 15), (3, 20), (5, 124), (10, 60), (15, 80))
 
 
-def _pair_product(g, h):
-    """g x h on index pairs, as `direct_product` builds it for two non-trivial factors."""
-    width = len(h)
-    table = [(i, j) for i in range(len(g)) for j in range(width)]
-    gens = [(i, 0) for i in g.generators] + [(0, j) for j in h.generators]
-    return Group(DirectProductBacking(g, h), table, generator_elements=gens)
+def _row_major_product(g, h):
+    """g x h numbered row-major, as `direct_product` builds it for two non-trivial factors."""
+    return _row_major(DirectProductBacking(g, h), g, h, "")
 
 
 @pytest.mark.parametrize("trivial", [cyclic(1), symmetric(1), alternating(2)], ids=["C1", "S1", "A2"])
@@ -128,7 +125,7 @@ def test_a_trivial_factor_gives_back_the_other_one(trivial, make):
     g = make()
     assert direct_product(g, trivial) is g
     assert direct_product(trivial, g) is g
-    for pairs in (_pair_product(g, trivial), _pair_product(trivial, g)):
+    for pairs in (_row_major_product(g, trivial), _row_major_product(trivial, g)):
         assert pairs.generators == g.generators  # index for index the same group
         assert [pairs.mul(i, j) for i in range(len(g)) for j in range(len(g))] == [
             g.mul(i, j) for i in range(len(g)) for j in range(len(g))

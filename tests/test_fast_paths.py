@@ -40,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.arith import isprime
+from oseq.cli import main
 from oseq.construct import (
     ActionMap,
     ConstructionError,
@@ -158,7 +159,7 @@ def test_orders_match_powers_on_random_permutation_groups(case, rng):
 def _c4xs3_mod_c2():
     """C4 x S3 over the square of the C4 generator: a coset backing of order 12."""
     g = direct_product(cyclic(4), symmetric(3))
-    return quotient(g, subgroup_closure(g, [g.index[(2, 0)]]))
+    return quotient(g, subgroup_closure(g, [2 * 6]))  # (2, 0), row-major over |S3| = 6
 
 
 @pytest.mark.parametrize(
@@ -552,21 +553,10 @@ def _matrix_dicyclic(n):
     return enumerate_group(_ModMatrixBacking(q), [a, b], name=f"Dic{n}")
 
 
-def _matrix_heisenberg(p):
-    """Non-abelian group of order p^3 and exponent p, as unitriangular matrices."""
-    x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    grp = enumerate_group(MatrixBacking(field_make(p), 3), [x, y], name=f"He{p}")
-    if len(grp) != p**3:
-        raise ConstructionError("heisenberg construction produced a wrong order")
-    return grp
-
-
 INDEX_ORACLES = (
     [(cyclic, _perm_cyclic, n) for n in (1, 2, 7, 12, 256, 300)]
     + [(dihedral, _perm_dihedral, n) for n in (4, 6, 14, 512)]
     + [(dicyclic, _matrix_dicyclic, n) for n in (8, 12, 20, 256)]
-    + [(heisenberg, _matrix_heisenberg, p) for p in (3, 5, 7)]
 )
 
 
@@ -581,6 +571,70 @@ def test_families_keep_the_indices_of_their_old_models(fast, slow, n):
     for i in range(len(old)):
         assert new.inv(i) == old.inv(i)
         assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
+
+
+def _matrix_heisenberg(p):
+    """He(p) as unitriangular matrices over GF(p), numbered breadth-first from
+    x = I + E12, z = I - E13 and y = I + E23."""
+    x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    z = ((1, 0, p - 1), (0, 1, 0), (0, 0, 1))
+    y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    return _bfs_by_mul(MatrixBacking(field_make(p), 3), [x, z, y])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_heisenberg_is_the_unitriangular_group_numbered_row_major(p):
+    # He(p) is numbered row-major over C_p^2 : C_p, on purpose, as every
+    # other semidirect product is.  Index x * p + j is ((u, w), y^j), with
+    # (u, w) the vector at index x of C_p^2, and stands for the matrix
+    # [[1, u, uj - w], [0, 1, j], [0, 0, 1]]: (u, w; j)(u', w'; j') is
+    # (u + u', w + w' + ju'; j + j') on both sides.
+    vectors = elementary_abelian(p, 2)
+
+    def index(m):
+        (_, u, c), (_, _, j), _ = m
+        return vectors.index[u, (u * j - c) % p] * p + j
+
+    fast, slow = heisenberg(p), _matrix_heisenberg(p)
+    gens = [slow.table[g] for g in slow.generators]
+    for m in slow.table:
+        assert [fast.mul(index(m), index(g)) for g in gens] == [index(slow.backing.mul(m, g)) for g in gens]
+    _check_same_group(fast, slow, [], image=index)
+
+
+# The stdout of each query under the breadth-first numbering of He(p); the
+# printed chain depends on the numbering, and the row-major one keeps it.
+_HE_STDOUT = {
+    "He(3)": (
+        "order: 27\nnilpotent: True\nsupersolvable: True\nsolvable: True\n"
+        "chain of prime-order normal subgroups: 3 > 3 > 3\nderived series orders: 27 > 3 > 1\n",
+        "n=27; (1,1)(3,26)\n",
+    ),
+    "He(7) x C(12)": (
+        "order: 4116\nnilpotent: True\nsupersolvable: True\nsolvable: True\n"
+        "chain of prime-order normal subgroups: 3 > 2 > 2 > 7 > 7 > 7\nderived series orders: 4116 > 7 > 1\n",
+        "n=4116; (1,1)(2,1)(3,2)(4,2)(6,2)(7,342)(12,4)(14,342)(21,684)(28,684)(42,684)(84,1368)\n",
+    ),
+    "D(16) x C(9) x He(3)": (
+        "order: 3888\nnilpotent: True\nsupersolvable: True\nsolvable: True\n"
+        "chain of prime-order normal subgroups: 3 > 3 > 3 > 3 > 3 > 2 > 2 > 2 > 2\n"
+        "derived series orders: 3888 > 12 > 1\n",
+        "n=3888; (1,1)(2,9)(3,80)(4,2)(6,720)(8,4)(9,162)(12,160)(18,1458)(24,320)(36,324)(72,648)\n",
+    ),
+    "Wr2(He(3))": (
+        "order: 1458\nnilpotent: False\nsupersolvable: True\nsolvable: True\n"
+        "chain of prime-order normal subgroups: 3 > 3 > 3 > 3 > 3 > 3 > 2\n"
+        "derived series orders: 1458 > 81 > 3 > 1\n",
+        "n=1458; (1,1)(2,27)(3,728)(6,702)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(_HE_STDOUT))
+def test_heisenberg_queries_print_as_before(text, capsys):
+    for verb, expected in zip(("classify", "os"), _HE_STDOUT[text]):
+        assert main([verb, text]) == 0
+        assert capsys.readouterr().out == expected
 
 
 def _matvec(spec, rows, v):
