@@ -15,7 +15,6 @@ from operator import xor
 
 from oseq.classify import classify_group
 from oseq.construct import (
-    ActionMap,
     catalog,
     cyclic,
     dihedral,
@@ -23,26 +22,22 @@ from oseq.construct import (
     elementary_abelian,
     semidirect_product,
 )
-from oseq.groups import subgroup_closure
 from oseq.order_sequence import compare, format_sequence, os_of_group
 
 
 def c7_rtimes_d8_candidates():
-    """D8 acting on C7 through each of its three index-2 quotients."""
-    n = cyclic(7)
-    h = dihedral(8)
-    rot, ref = h.generators
-    invert = tuple((-i) % 7 for i in range(7))
-    ident = tuple(range(7))
-    kernels = {
-        "kernel <r>": subgroup_closure(h, [rot]),
-        "kernel <r2, s>": subgroup_closure(h, [h.mul(rot, rot), ref]),
-        "kernel <r2, rs>": subgroup_closure(h, [h.mul(rot, rot), h.mul(rot, ref)]),
+    """D8 acting on C7 through each of its three index-2 quotients: the
+    rotation r and the reflection s each fix C7 or invert it, and the
+    kernel is the index-2 subgroup of the elements that fix it."""
+    invert = [(-i) % 7 for i in range(7)]
+    ident = list(range(7))
+    images = {
+        "kernel <r>": [ident, invert],
+        "kernel <r2, s>": [invert, ident],
+        "kernel <r2, rs>": [invert, invert],
     }
-    for name, kernel in kernels.items():
-        members = set(kernel.members)
-        perms = tuple(ident if j in members else invert for j in range(len(h)))
-        yield name, semidirect_product(n, h, ActionMap(h, n, perms))
+    for name, (r, s) in images.items():
+        yield name, semidirect_product(cyclic(7), dihedral(8), [r, s])
 
 
 def c24_rtimes_d14_candidates():
@@ -74,13 +69,9 @@ def c24_rtimes_d14_candidates():
     print(f"GL(4,2): {len(involutions)} involutions in {len(by_rank)} classes "
           f"(rank of T+I: {sorted(by_rank)})")
 
-    h = dihedral(14)
-    rot, ref = h.generators
-    c7 = set(subgroup_closure(h, [rot]).members)
-    ident = tuple(range(len(n)))
+    ident = range(len(n))  # the rotation acts trivially, the reflection as T
     for rank, t in sorted(by_rank.items()):
-        perms = tuple(ident if j in c7 else tuple(t) for j in range(len(h)))
-        yield f"reflection acts with rank(T+I)={rank}", semidirect_product(n, h, ActionMap(h, n, perms))
+        yield f"reflection acts with rank(T+I)={rank}", semidirect_product(n, dihedral(14), [ident, t])
 
 
 def report(label, group, references):

@@ -27,9 +27,9 @@ class BuildError(ValueError):
 _EXPORTS = {
     "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
     "is_supersolvable lower_central_series supersolvable_chain",
-    "construct": "ActionMap ConstructionError alternating catalog catalog_names cyclic dicyclic "
+    "construct": "ConstructionError alternating catalog catalog_names cyclic dicyclic "
     "dihedral direct_product elementary_abelian frobenius42 frobenius56 heisenberg psl2 "
-    "semidirect_product suzuki8 symmetric trivial_action wreath_square",
+    "semidirect_product suzuki8 symmetric wreath_square",
     "expr": "ParseError build parse print_expr",
     "finite_field": "FieldError FieldSpec field_make",
     "fixtures": "Fixture FixtureError default_fixtures load_fixtures",

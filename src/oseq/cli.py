@@ -192,8 +192,16 @@ def cmd_fixtures(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so that it exits 1 with one
+    `error:` line like every other user error; `--help` still exits 0."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(prog="oseq", description="Order-sequence calculus for finite groups")
+    parser = _Parser(prog="oseq", description="Order-sequence calculus for finite groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):

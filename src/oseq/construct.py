@@ -4,8 +4,8 @@ Frobenius and Heisenberg groups, and the named catalog behind the CLI.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache, reduce
+from itertools import repeat
 from math import gcd
 
 from . import BuildError
@@ -20,13 +20,11 @@ from .groups import (
     SemidirectBacking,
     VectorBacking,
     enumerate_group,
-    subgroup_closure,
 )
 from .order_sequence import os_of_group, parse_pairs
 
 __all__ = [
     "ConstructionError",
-    "ActionMap",
     "cyclic",
     "dihedral",
     "dicyclic",
@@ -39,7 +37,6 @@ __all__ = [
     "direct_product",
     "direct_power",
     "semidirect_product",
-    "trivial_action",
     "validate_action",
     "wreath_square",
     "psl2",
@@ -130,7 +127,7 @@ def alternating(k):
 def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
 
-    y^j acts on the vectors by (u, w) -> (u, w + j*u); the generators are
+    y acts on the vectors by (u, w) -> (u, w + u); the generators are
     x = (1, 0) and z = (0, 1) in the normal factor and y, in the order of the
     unitriangular matrices I + E12, I - E13 and I + E23 they stand for.
     """
@@ -138,8 +135,8 @@ def heisenberg(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
     n = elementary_abelian(p, 2)
-    perms = [[n.index[u, (w + j * u) % p] for u, w in n.table] for j in range(p)]
-    return _semidirect(n, cyclic(p), perms, f"He{p}")
+    y = [n.index[u, (w + u) % p] for u, w in n.table]
+    return semidirect_product(n, cyclic(p), [y], f"He{p}")
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +151,9 @@ def elementary_abelian(p, k):
 
 @lru_cache(maxsize=None)
 def frobenius42():
-    """Order-42 Frobenius group: C7 with its full automorphism group C6 on top."""
-    n = cyclic(7)
-    h = cyclic(6)
-    perms = tuple(tuple((i * pow(3, j, 7)) % 7 for i in range(7)) for j in range(6))
-    grp = semidirect_product(n, h, ActionMap(h, n, perms))
-    grp.name = "F7"
-    return grp
+    """Order-42 Frobenius group: C7 with its full automorphism group C6 on
+    top, the generator of C6 multiplying by 3."""
+    return semidirect_product(cyclic(7), cyclic(6), [[3 * i % 7 for i in range(7)]], "F7")
 
 
 @lru_cache(maxsize=None)
@@ -168,20 +161,14 @@ def frobenius56():
     """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top.
 
     The vectors are the coefficient tuples of GF(8) = GF(2)[x]/(x^3 + x + 1),
-    and the j-th power of the C7 generator multiplies them by x^j.
+    and the C7 generator multiplies them by x.
     """
     from .finite_field import field_make
 
     n = elementary_abelian(2, 3)
-    h = cyclic(7)
     spec = field_make(2, 3)
-    perms = tuple(
-        tuple(n.index[spec.coeffs(spec.mul(spec.pow(2, j), spec.encode(v)))] for v in n.table)
-        for j in range(7)
-    )
-    grp = semidirect_product(n, h, ActionMap(h, n, perms))
-    grp.name = "F8"
-    return grp
+    x = [n.index[spec.coeffs(spec.mul(2, spec.encode(v)))] for v in n.table]
+    return semidirect_product(n, cyclic(7), [x], "F8")
 
 
 # -- products ----------------------------------------------------------------
@@ -215,25 +202,12 @@ def direct_product(g, h):
 
 def direct_power(g, k):
     """g x g x ... x g with k factors.  Every power of the trivial group is
-    trivial; otherwise the first partial product past the closure cap (at
-    most 19 factors in, as 2^19 passes it) is refused before any is built."""
+    trivial; otherwise the partial products are built one factor at a time,
+    each in O(1), and the first past the closure cap (at most 19 factors in,
+    as 2^19 passes it) is refused."""
     if len(g) == 1:
         return g
-    order = len(g)
-    for _ in range(k - 1):
-        order *= len(g)
-        if order > DEFAULT_CLOSURE_CAP:
-            raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
-    return reduce(direct_product, [g] * k)
-
-
-ActionMap = namedtuple("ActionMap", "acting target perms")
-ActionMap.__doc__ = "Automorphic action: one permutation of the target's indices per acting element."
-
-
-def trivial_action(n, h):
-    ident = tuple(range(len(n)))
-    return ActionMap(h, n, (ident,) * len(h))
+    return reduce(direct_product, repeat(g, k))
 
 
 def _matvec(spec, rows, v):
@@ -248,64 +222,71 @@ def _matvec(spec, rows, v):
     return tuple(out)
 
 
-def validate_action(action):
-    """Check the ActionMap invariants; raises ConstructionError on failure.
+def validate_action(n, images):
+    """Check that each image, a permutation of N's indices, is an
+    automorphism of N; raises ConstructionError on failure.
 
-    A generator image is an automorphism of N when it is a bijection fixing
-    0 with perm(i * s) = perm(i) * perm(s) for every i in N and every
-    generator s of N: every element of a finite group is a positive word in
-    its generators, so the law extends to all pairs by induction on word
-    length.  The homomorphism law of the action is checked the same way, for
-    every element of H against every generator of H.
+    An image is an automorphism when it is a bijection fixing 0 with
+    perm(i * s) = perm(i) * perm(s) for every i in N and every generator s
+    of N: every element of a finite group is a positive word in its
+    generators, so the law extends to all pairs by induction on word length.
     """
-    h, n, perms = action.acting, action.target, action.perms
     size = len(n)
-    if len(perms) != len(h):
-        raise ConstructionError("action must map every acting element")
-    ident = tuple(range(size))
-    if tuple(perms[0]) != ident:
-        raise ConstructionError("identity must act trivially")
-    for g in h.generators:
-        perm = perms[g]
+    for perm in images:
         if sorted(perm) != list(range(size)) or perm[0] != 0:
             raise ConstructionError("generator image is not an identity-fixing permutation")
         for i in range(size):
             for s in n.generators:
                 if perm[n.mul(i, s)] != n.mul(perm[i], perm[s]):
                     raise ConstructionError("generator image is not an automorphism")
-    for g in h.generators:
-        pg = perms[g]
-        for i in range(len(h)):
-            pi = perms[i]
-            expected = tuple(pi[pg[x]] for x in range(size))
-            if tuple(perms[h.mul(i, g)]) != expected:
+
+
+def _semidirect(n, h, images, name):
+    """N : H, the k-th generator of H acting on N by the permutation
+    images[k] of N's indices, each an automorphism of N.
+
+    The action of every element of H is built by one breadth-first walk of H
+    from the identity: x * g acts as x after g.  The walk reaches each
+    element along one path and checks every other path against it, so an
+    element reached twice with two actions is refused: the generator images
+    extend to a homomorphism H -> Aut(N) exactly when no such element exists.
+    """
+    mul, gens = h.mul, h.generators
+    if len(images) != len(gens):
+        raise ConstructionError(f"{len(images)} generator images for {len(gens)} generators")
+    perms = [None] * len(h)
+    perms[0] = tuple(range(len(n)))
+    walk = [0]
+    for x in walk:  # grows while it is walked
+        px = perms[x]
+        for g, image in zip(gens, images):
+            y, py = mul(x, g), tuple(map(px.__getitem__, image))
+            if perms[y] is None:
+                perms[y] = py
+                walk.append(y)
+            elif perms[y] != py:
                 raise ConstructionError("action is not a homomorphism")
+    return _row_major(SemidirectBacking(n, h, tuple(perms)), n, h, name)
 
 
-def _semidirect(n, h, perms, name):
-    """N : H through perms, an action of H on N by automorphisms."""
-    return _row_major(SemidirectBacking(n, h, perms), n, h, name)
-
-
-def semidirect_product(n, h, action):
-    """The semidirect product N : H through a caller's action, which is
-    checked by `validate_action` first."""
-    if action.acting is not h or action.target is not n:
-        raise ConstructionError("action does not match the given factor groups")
-    validate_action(action)
-    return _semidirect(n, h, action.perms, f"{n.name}:{h.name}")
+def semidirect_product(n, h, images, name=None):
+    """N : H through the images of H's generators, in `h.generators` order:
+    each is checked by `validate_action`, and the action they extend to by
+    `_semidirect`.  The name defaults to 'N:H'."""
+    validate_action(n, images)
+    return _semidirect(n, h, images, name or f"{n.name}:{h.name}")
 
 
 def wreath_square(g):
     """(G x G) : C2 with the coordinate swap on top.  The swap (a, b) -> (b, a)
-    is an automorphism of G x G by construction, so it is not re-checked."""
+    is an automorphism of G x G by construction, so `validate_action` is not
+    run on it; `_semidirect` still checks that it squares to the identity."""
     size = len(g)
     if 2 * size * size > DEFAULT_CLOSURE_CAP:
         raise GroupError("wreath square exceeds the closure cap")
     base = direct_product(g, g)
-    ident = tuple(range(len(base)))
     swap = tuple((t % size) * size + (t // size) for t in range(len(base)))
-    return _semidirect(base, cyclic(2), (ident, swap), f"Wr2({g.name})")
+    return _semidirect(base, cyclic(2), [swap], f"Wr2({g.name})")
 
 
 # -- matrix-born groups --------------------------------------------------------
@@ -412,7 +393,8 @@ def _sd_300_23():
     """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row.
 
     The acting Dic12 is the group of permutations of GF(5)^2 that the two
-    matrices of `_SD_300_23_MATRICES` generate; its table is the action.
+    matrices of `_SD_300_23_MATRICES` generate, and its generators act as
+    themselves.
     """
     from .finite_field import field_make
 
@@ -427,9 +409,7 @@ def _sd_300_23():
     h = enumerate_group(backing, [a, b])
     if len(h) != 12:
         raise ConstructionError(f"SD_300_23: the matrices generate {len(h)} elements, not 12")
-    grp = semidirect_product(n, h, ActionMap(h, n, tuple(map(tuple, h.table))))
-    grp.name = "SD_300_23"
-    return grp
+    return semidirect_product(n, h, [a, b], "SD_300_23")
 
 
 _SD_72_35_SEQUENCE = parse_pairs("(1,1)(2,21)(3,8)(4,18)(6,24)")
@@ -440,22 +420,17 @@ def _sd_72_35():
     """The supersolvable order-72 companion of the wreath square of S3.
 
     Both groups are C3^2 : D8 semidirect products with identical order
-    sequences, so a sequence oracle cannot separate them; this one acts
-    through the quotient of D8 by the Klein subgroup generated by the
-    half-turn and a reflection, with the rotation inverting every vector.
-    That action fixes every line, which forces supersolvability.
+    sequences, so a sequence oracle cannot separate them; in this one the
+    rotation inverts every vector and the reflection fixes them, so D8 acts
+    through its quotient by the Klein subgroup generated by the half-turn
+    and the reflection.  That action fixes every line, which forces
+    supersolvability.
     """
     from .classify import is_supersolvable
 
     n = elementary_abelian(3, 2)
-    h = dihedral(8)
-    rot, ref = h.generators
-    kernel = set(subgroup_closure(h, (h.mul(rot, rot), ref)).members)
-    ident = tuple(range(len(n)))
-    negate = tuple(n.index[tuple((3 - x) % 3 for x in v)] for v in n.table)
-    perms = tuple(ident if j in kernel else negate for j in range(len(h)))
-    grp = semidirect_product(n, h, ActionMap(h, n, perms))
-    grp.name = "SD_72_35"
+    negate = [n.index[tuple((3 - x) % 3 for x in v)] for v in n.table]
+    grp = semidirect_product(n, dihedral(8), [negate, range(len(n))], "SD_72_35")
     if os_of_group(grp).entries != _SD_72_35_SEQUENCE.entries:
         raise ConstructionError("SD_72_35 produced a wrong order sequence")
     if not is_supersolvable(grp):
@@ -465,23 +440,10 @@ def _sd_72_35():
 
 @lru_cache(maxsize=None)
 def _c7_rtimes_a4():
-    """C7 : A4 acting through the unique order-3 quotient of A4."""
-    n = cyclic(7)
-    h = alternating(4)
-    klein = [j for j in range(len(h)) if h.order_of(j) <= 2]
-    coset_of = [-1] * len(h)  # the cosets of V4, numbered by their least index
-    cosets = 0
-    for j in range(len(h)):
-        if coset_of[j] < 0:
-            for k in klein:
-                coset_of[h.mul(j, k)] = cosets
-            cosets += 1
-    perms = tuple(
-        tuple((i * pow(2, coset_of[j], 7)) % 7 for i in range(7)) for j in range(len(h))
-    )
-    grp = semidirect_product(n, h, ActionMap(h, n, perms))
-    grp.name = "C7:A4"
-    return grp
+    """C7 : A4 acting through the unique order-3 quotient of A4: its
+    generators, the 3-cycles (0 1 2) and (1 2 3), multiply by 4 and 2."""
+    times = [[k * i % 7 for i in range(7)] for k in (4, 2)]
+    return semidirect_product(cyclic(7), alternating(4), times, "C7:A4")
 
 
 _CATALOG_FIXED = {

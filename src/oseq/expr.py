@@ -15,7 +15,7 @@ of a power multiplies the exponents.  The canonical text of a cyclic power
 is ``C(n)^k``, and that of any other power the product it stands for, so
 ``D(8)^2`` prints as ``D(8) x D(8)``; only the printer spells it out, after
 refusing a text longer than ``MAX_TEXT``, and `construct.direct_power`
-refuses an oversized power before it builds one.
+refuses an oversized power at its first partial product past the cap.
 Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
 printing and building walk a product's left spine in a loop, so a long
 product cannot exhaust the stack, and `Wr2` nesting deeper than

@@ -289,7 +289,9 @@ class Group:
 
         Without a closed form, g, g^2, ..., g^o = 1 are walked once through
         the backing and the index, and every power g^k whose order is not
-        yet known gets ord(g^k) = o / gcd(k, o).
+        yet known gets ord(g^k) = o / gcd(k, o).  A walk that has not met
+        the identity after |G| steps is refused: the backing's product is
+        then not a group law on the table.
         """
         orders = self._orders
         if orders is None:
@@ -308,10 +310,14 @@ class Group:
         bmul, index = backing.mul, self.index
         powers = [i]  # powers[k - 1] is the index of g^k; the last is 0
         x, j = g, i
-        while j:
+        for _ in repeat(None, self._order):
+            if not j:
+                break
             x = x.translate(gt) if gt else bmul(x, g)
             j = index[x]
             powers.append(j)
+        else:
+            raise GroupError(f"element {i} has no power equal to the identity within {self._order} steps")
         o = len(powers)
         for k, j in enumerate(powers, 1):
             if not orders[j]:

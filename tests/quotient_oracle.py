@@ -1,8 +1,8 @@
 """Normality test and coset groups: the slow references of the tests.
 
 The runtime forms no quotient group.  `supersolvable_chain` finds its chain
-inside G, and C7 : A4 numbers the cosets of V4 inline; these are the oracles
-they are checked against.
+inside G, and C7 : A4 gives only the images of A4's two generators; these
+are the oracles they are checked against.
 """
 
 from oseq.groups import Group, GroupError

@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from oseq.construct import (
-    ActionMap,
     ConstructionError,
     _row_major,
+    _semidirect,
     alternating,
     catalog,
     catalog_names,
@@ -21,7 +21,6 @@ from oseq.construct import (
     semidirect_product,
     suzuki8,
     symmetric,
-    trivial_action,
     validate_action,
     wreath_square,
 )
@@ -135,50 +134,66 @@ def test_a_trivial_factor_gives_back_the_other_one(trivial, make):
 
 def test_trivial_semidirect_equals_direct():
     for n, h in ((cyclic(5), symmetric(3)), (cyclic(3), dihedral(8))):
-        twisted = semidirect_product(n, h, trivial_action(n, h))
+        ident = tuple(range(len(n)))
+        twisted = semidirect_product(n, h, [ident] * len(h.generators))
+        assert twisted.backing.perms == (ident,) * len(h)
         straight = direct_product(n, h)
         assert os_of_group(twisted).entries == os_of_group(straight).entries
 
 
 def test_semidirect_rejects_bogus_action():
     n, h = cyclic(5), cyclic(2)
-    swap_two = tuple(range(len(n)))
-    bogus = (swap_two, (0, 2, 1, 3, 4))  # not an automorphism of C5
-    with pytest.raises(ConstructionError):
-        semidirect_product(n, h, ActionMap(h, n, bogus))
+    with pytest.raises(ConstructionError, match="not an automorphism"):
+        semidirect_product(n, h, [(0, 2, 1, 3, 4)])  # swaps two elements of C5
+    with pytest.raises(ConstructionError, match="generator images"):
+        semidirect_product(n, h, [])
 
 
 def _is_automorphism_all_pairs(n, perm):
     return all(perm[n.mul(i, j)] == n.mul(perm[i], perm[j]) for i in range(len(n)) for j in range(len(n)))
 
 
-def _power_action(n, perm):
-    """The cyclic group <perm> acting on n, one permutation per power."""
-    powers = [tuple(range(len(n)))]
+def _powers(perm):
+    """The powers of perm, one permutation each, from the identity on."""
+    powers = [tuple(range(len(perm)))]
     while True:
         nxt = tuple(perm[x] for x in powers[-1])
         if nxt == powers[0]:
-            break
+            return tuple(powers)
         powers.append(nxt)
-    return ActionMap(cyclic(len(powers)), n, tuple(powers))
 
 
 @pytest.mark.parametrize(
     "n,automorphisms", [(symmetric(3), 6), (dihedral(8), 8), (dicyclic(8), 24)], ids=["S3", "D8", "Q8"]
 )
 def test_validate_action_accepts_exactly_the_automorphisms(n, automorphisms):
-    # every bijection fixing 0, checked against the law on all |N|^2 pairs
+    # every bijection fixing 0, checked against the law on all |N|^2 pairs;
+    # an automorphism of order k then makes C_k act by its powers
     accepted = 0
     for images in itertools.permutations(range(1, len(n))):
         perm = (0, *images)
-        action = _power_action(n, perm)
         if _is_automorphism_all_pairs(n, perm):
-            validate_action(action)
+            validate_action(n, [perm])
+            powers = _powers(perm)
+            h = cyclic(len(powers))  # C1 has no generator to act
+            assert semidirect_product(n, h, [perm] * len(h.generators)).backing.perms == powers
             accepted += 1
         else:
             with pytest.raises(ConstructionError, match="not an automorphism"):
-                validate_action(action)
+                validate_action(n, [perm])
     assert accepted == automorphisms
+
+
+def test_an_action_that_is_not_a_homomorphism_is_refused():
+    # x2 has order 3 on C7, which does not divide the order 4 of D8's
+    # rotation; each image is an automorphism, so only the walk refuses it
+    n, h = cyclic(7), dihedral(8)
+    images = [[2 * i % 7 for i in range(7)], range(7)]
+    validate_action(n, images)
+    with pytest.raises(ConstructionError, match="action is not a homomorphism"):
+        semidirect_product(n, h, images)
+    with pytest.raises(ConstructionError, match="action is not a homomorphism"):
+        _semidirect(n, h, images, "unchecked")
 
 
 def test_frobenius42_against_affine_permutations():
@@ -218,15 +233,19 @@ def test_wreath_square():
     ids=["C3", "S3", "D8", "Q8", "A4", "F7"],
 )
 def test_wreath_square_swap_passes_validate_action(make):
-    # wreath_square does not re-check the coordinate swap; the full check
-    # accepts it, and the checked semidirect product is the same group
+    # wreath_square does not run validate_action on the coordinate swap; it
+    # accepts it, and the checked semidirect product is the same group, with
+    # the identity and the swap (a, b) -> (b, a) of the pairs as its action
     g = make()
     w = wreath_square(g)
     base, two = w.backing.normal, w.backing.acting
-    action = ActionMap(two, base, w.backing.perms)
-    validate_action(action)
-    checked = semidirect_product(base, two, action)
+    pairs = [divmod(t, len(g)) for t in range(len(base))]
+    swap = tuple(b * len(g) + a for a, b in pairs)
+    assert w.backing.perms == (tuple(range(len(base))), swap)
+    validate_action(base, [swap])
+    checked = semidirect_product(base, two, [swap])
     assert (checked.table, checked.generators) == (w.table, w.generators)
+    assert checked.backing.perms == w.backing.perms
     assert w.name == f"Wr2({g.name})"
 
 

@@ -8,10 +8,13 @@ translate table per coset; `Group.order_counts` counts its orders on one
 coset per suborbit, with no table; `Group.order_of` builds one
 table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
-the permutations their matrices induce on one projective orbit; the C7 of F8
-multiplies GF(8) by powers of x; C(n), D(n) and Dic(n) are pairs (k, s)
-standing for a^k b^s; He(p) is C_p^2 : C_p; SD_300_23 is built from two
-pinned GL(2,5) matrices, and C7 : A4 numbers the cosets of V4 in A4 inline.
+the permutations their matrices induce on one projective orbit; C(n), D(n)
+and Dic(n) are pairs (k, s) standing for a^k b^s; a semidirect product is
+given the action of each generator of its acting group only, and builds the
+action of every element by one walk: F7's C6 multiplies C7 by 3, F8's C7
+multiplies GF(8) by x, He(p)'s y shears C_p^2, SD_300_23's Dic12 acts by two
+pinned GL(2,5) matrices, SD_72_35's D8 by the negation and the identity, and
+C7 : A4's two 3-cycles multiply C7 by 4 and 2.
 
 The references compose and invert a permutation point by point, enumerate
 breadth-first and count powers until the identity through `backing.mul` (or
@@ -21,7 +24,8 @@ invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
 He(p) as matrices, apply the powers of a companion matrix, number the
 projective line by field element, enumerate C(n) and D(n) as the rotations
-and reflections of a polygon, and form the quotient group of A4 by V4.
+and reflections of a polygon, form the quotient group of A4 by V4, and
+write the action of every element by a closed formula or a kernel.
 """
 
 import itertools
@@ -42,7 +46,6 @@ from hypothesis import strategies as st
 from oseq.arith import isprime
 from oseq.cli import main
 from oseq.construct import (
-    ActionMap,
     ConstructionError,
     _SD_300_23_MATRICES,
     _c7_rtimes_a4,
@@ -679,6 +682,9 @@ def test_frobenius56_acts_by_the_companion_matrix_powers():
 # A two-generator presentation: relators are words of signed 1-based
 # generator indices, and `order` is the size a faithful image must have.
 Presentation = namedtuple("Presentation", "relators order")
+# An action found by the search: one permutation of the target's indices
+# per element of the acting matrix group.
+_Action = namedtuple("_Action", "acting target perms")
 _DIC12 = Presentation(((1,) * 6, (2, 2, -1, -1, -1), (-2, 1, 2, 1)), 12)
 
 
@@ -722,8 +728,9 @@ def _matrix_word_search(pres, dim, p, oracle):
             continue
         seen_subgroups.add(frozenset(image.table))
         perms = tuple(tuple(_induced_permutation(spec, vectors, m)) for m in image.table)
-        action = ActionMap(image, vectors, perms)
-        seq = os_of_group(semidirect_product(vectors, image, action)).entries
+        action = _Action(image, vectors, perms)
+        generator_images = [perms[g] for g in image.generators]
+        seq = os_of_group(semidirect_product(vectors, image, generator_images)).entries
         if seq in seen_sequences:
             continue
         seen_sequences.add(seq)
@@ -756,6 +763,30 @@ def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():
     coset_of = q.backing.coset_of
     perms = tuple(tuple(i * pow(2, coset_of[j], 7) % 7 for i in range(7)) for j in range(len(a4)))
     assert _c7_rtimes_a4().backing.perms == perms
+
+
+def test_frobenius42_acts_by_the_powers_of_3():
+    perms = tuple(tuple(i * pow(3, j, 7) % 7 for i in range(7)) for j in range(6))
+    assert frobenius42().backing.perms == perms
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_heisenberg_acts_by_the_powers_of_the_shear(p):
+    # y^j sends (u, w) to (u, w + ju)
+    n = elementary_abelian(p, 2)
+    perms = tuple(tuple(n.index[u, (w + j * u) % p] for u, w in n.table) for j in range(p))
+    assert heisenberg(p).backing.perms == perms
+
+
+def test_sd_72_35_acts_through_the_quotient_by_a_klein_subgroup():
+    # the kernel <r^2, s> fixes every vector, and the other coset negates it
+    n, h = elementary_abelian(3, 2), dihedral(8)
+    rot, ref = h.generators
+    kernel = set(subgroup_closure(h, (h.mul(rot, rot), ref)).members)
+    ident = tuple(range(len(n)))
+    negate = tuple(n.index[tuple(-x % 3 for x in v)] for v in n.table)
+    perms = tuple(ident if j in kernel else negate for j in range(len(h)))
+    assert catalog("SD_72_35").backing.perms == perms
 
 
 def _point(spec, v):

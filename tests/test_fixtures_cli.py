@@ -217,6 +217,31 @@ def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("os",), "the following arguments are required: expr"),
+        (("verify", "nosuch"), "argument suite: invalid choice: 'nosuch'"),
+        (("catalog", "--prime", "x"), "argument --prime: invalid int value: 'x'"),
+        (("classify", "C(5)", "--bogus"), "unrecognized arguments: --bogus"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb"],
+)
+def test_cli_usage_error_is_a_one_line_user_error(args, message):
+    proc = _run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+
+
+def test_cli_help_exits_0():
+    for args in (("--help",), ("os", "--help")):
+        proc = _run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: oseq") and proc.stderr == ""
+
+
 def test_cli_refuses_a_huge_fixture_order_before_factoring_it(tmp_path):
     # the plausibility filter factors the order: with two prime factors near
     # 10^15 that takes seconds, and larger factors take minutes
@@ -406,10 +431,9 @@ EXPORTS = {
         "is_supersolvable", "lower_central_series", "supersolvable_chain",
     ],
     "construct": [
-        "ActionMap", "ConstructionError", "alternating", "catalog", "catalog_names", "cyclic",
+        "ConstructionError", "alternating", "catalog", "catalog_names", "cyclic",
         "dicyclic", "dihedral", "direct_product", "elementary_abelian", "frobenius42", "frobenius56",
-        "heisenberg", "psl2", "semidirect_product", "suzuki8", "symmetric", "trivial_action",
-        "wreath_square",
+        "heisenberg", "psl2", "semidirect_product", "suzuki8", "symmetric", "wreath_square",
     ],
     "expr": ["ParseError", "build", "parse", "print_expr"],
     "finite_field": ["FieldError", "FieldSpec", "field_make"],

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from oseq.construct import alternating, cyclic, dicyclic, dihedral, direct_product, symmetric
 from oseq.groups import (
+    Group,
     GroupError,
     MetacyclicBacking,
     PermBacking,
@@ -67,6 +69,40 @@ def test_element_orders():
     # order of a (2,3) cycle type is the lcm of the cycle lengths
     mixed = direct_product(cyclic(2), cyclic(3))
     assert mixed.order_of(mixed.mul(mixed.generators[0], mixed.generators[1])) == 6
+
+
+class _MaxBacking:
+    """max(a, b) on 0..n-1: 0 is its identity, but a power of a non-zero
+    element never returns to 0, so the product is not a group law.  Past
+    `budget` products it raises, so that an unbounded walk fails instead of
+    hanging."""
+
+    def __init__(self, budget):
+        self.budget = budget
+
+    def identity(self):
+        return 0
+
+    def mul(self, a, b):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("the power walk went on past twice the group order")
+        return max(a, b)
+
+    def inv(self, a):
+        return a
+
+    def fast_order(self, a):
+        return None
+
+
+def test_order_walk_refuses_a_product_that_is_not_a_group_law():
+    g = Group(_MaxBacking(budget=200_000), range(100_000), name="max")
+    assert g.order_of(0) == 1
+    start = time.perf_counter()
+    with pytest.raises(GroupError, match="no power equal to the identity within 100000 steps"):
+        g.order_of(1)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("group", [symmetric(3), alternating(4), dihedral(12), dicyclic(12)])
