@@ -3,7 +3,7 @@
 
 The props suite contains one deliberately failing check (the order-12
 nilpotent-domination sweep hits an incomparable pair); everything else is
-expected to pass.  Pass --sz8 to also rebuild the Suzuki-group display.
+expected to pass.
 """
 
 import argparse
@@ -15,15 +15,13 @@ from oseq.verify import SUITE_NAMES, run_suite
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sz8", action="store_true", help="enable the optional Sz(8) build")
     parser.add_argument("--suites", nargs="*", default=list(SUITE_NAMES))
     args = parser.parse_args()
 
-    features = frozenset({"sz8"}) if args.sz8 else frozenset()
     grand_total = grand_failed = 0
     for name in args.suites:
         start = time.perf_counter()
-        checks = run_suite(name, features=features)
+        checks = run_suite(name)
         elapsed = time.perf_counter() - start
         failed = [c for c in checks if not c.ok]
         grand_total += len(checks)

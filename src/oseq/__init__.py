@@ -36,7 +36,7 @@ _EXPORTS = {
     "groups": "Group GroupError SubgroupSet commutator_subgroup enumerate_group subgroup_closure",
     "order_sequence": "OrderSequence SequenceError Verdict compare format_sequence is_plausible "
     "nilpotent_from_os os_cyclic os_of_group os_product parse_pairs parse_sequence psi",
-    "poset": "Corpus CorpusEntry PosetResult build_poset domination_pairs to_csv to_dot",
+    "poset": "Corpus CorpusEntry PosetResult build_poset to_csv to_dot",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "arith", "cache", "cli", "verify"}

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from . import InputError
+
 __all__ = ["cache_get", "cache_put"]
 
 
@@ -16,13 +18,16 @@ def cache_get(path, key):
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            k, _, v = line.partition(" | ")
-            if k == key:
-                return v
+        try:
+            for line in handle:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                k, _, v = line.partition(" | ")
+                if k == key:
+                    return v
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: not UTF-8 text") from None
     return None
 
 

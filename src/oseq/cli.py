@@ -16,14 +16,10 @@ from . import SUITE_NAMES, BuildError, InputError
 USER_ERROR, CONSTRUCTION_ERROR, VERIFICATION_ERROR = 1, 2, 3
 
 
-def _features(args):
-    return frozenset(getattr(args, "features", None) or ())
-
-
-def _build_expr(text, features):
+def _build_expr(text):
     from .expr import build, parse
 
-    return build(parse(text), features)
+    return build(parse(text))
 
 
 def _fixtures(args):
@@ -38,7 +34,6 @@ def cmd_os(args):
     from .expr import build, parse, print_expr
     from .order_sequence import format_sequence, os_of_group
 
-    features = _features(args)
     node = parse(args.expr)
     cached = None
     if args.cache:  # only the cache key needs the canonical text of a power spelled out
@@ -49,7 +44,7 @@ def cmd_os(args):
     if cached is not None and not args.check_cache:
         print(cached)
         return 0
-    text = format_sequence(os_of_group(build(node, features)))
+    text = format_sequence(os_of_group(build(node)))
     if cached is not None and cached != text:
         print(f"cache mismatch for {key!r}: cached {cached!r}, computed {text!r}", file=sys.stderr)
         return VERIFICATION_ERROR
@@ -62,9 +57,8 @@ def cmd_os(args):
 def cmd_compare(args):
     from .order_sequence import compare, os_of_group
 
-    features = _features(args)
-    g1 = _build_expr(args.expr1, features)
-    g2 = _build_expr(args.expr2, features)
+    g1 = _build_expr(args.expr1)
+    g2 = _build_expr(args.expr2)
     print(compare(os_of_group(g1), os_of_group(g2)).value)
     return 0
 
@@ -72,7 +66,7 @@ def cmd_compare(args):
 def cmd_classify(args):
     from .classify import classify_group
 
-    g = _build_expr(args.expr, _features(args))
+    g = _build_expr(args.expr)
     report = classify_group(g)
     print(f"order: {report.order}")
     print(f"nilpotent: {report.nilpotent}")
@@ -87,7 +81,7 @@ def cmd_classify(args):
 def cmd_psi(args):
     from .order_sequence import os_of_group, psi
 
-    g = _build_expr(args.expr, _features(args))
+    g = _build_expr(args.expr)
     print(psi(os_of_group(g)))
     return 0
 
@@ -95,9 +89,8 @@ def cmd_psi(args):
 def cmd_product(args):
     from .order_sequence import format_sequence, os_of_group, os_product
 
-    features = _features(args)
-    g1 = _build_expr(args.expr1, features)
-    g2 = _build_expr(args.expr2, features)
+    g1 = _build_expr(args.expr1)
+    g2 = _build_expr(args.expr2)
     print(format_sequence(os_product(os_of_group(g1), os_of_group(g2))))
     return 0
 
@@ -109,11 +102,10 @@ def cmd_poset(args):
         from .expr import build, parse, print_expr
         from .order_sequence import os_of_group
 
-        features = _features(args)
         entries = []
         for text in args.exprs:
             node = parse(text)
-            entries.append(CorpusEntry(print_expr(node), os_of_group(build(node, features))))
+            entries.append(CorpusEntry(print_expr(node), os_of_group(build(node))))
         corpus = Corpus(entries)
     else:
         from .fixtures import corpus_for_order
@@ -152,7 +144,7 @@ def cmd_verify(args):
             primes = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
             raise SuiteUsageError(f"--primes takes comma-separated integers; got {args.primes!r}") from None
-    checks = run_suite(args.suite, fixtures=_fixtures(args), primes=primes, features=_features(args))
+    checks = run_suite(args.suite, fixtures=_fixtures(args), primes=primes)
     failed = 0
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
@@ -207,7 +199,8 @@ def _parser():
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--features", action="append", choices=["sz8"], help="enable optional features")
+        # accepted so that older command lines still parse; nothing reads it
+        p.add_argument("--features", action="append", choices=["sz8"], help="ignored: Sz8 needs no flag")
         return p
 
     p = add("os", cmd_os, help="order sequence of an expression")

@@ -28,7 +28,6 @@ from collections import namedtuple
 from functools import reduce
 
 from . import InputError, construct
-from .construct import ConstructionError
 
 __all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING", "MAX_TEXT"]
 
@@ -107,7 +106,10 @@ def _lex(text):
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past Python's limit on the digits of an int read from text
+                raise ParseError(f"an integer of {j - i} digits is too long", i) from None
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
@@ -214,13 +216,20 @@ def _text_length(node):
         factors = _factors(node)
         return sum(map(_text_length, factors)) + 3 * (len(factors) - 1)
     kind = _CONSTRUCTORS[node.name][0]
-    args = [_text_length(a) if isinstance(a, Node) else len(str(a)) for a in node.args]
+    args = [_text_length(a) if isinstance(a, Node) else _digit_count(a) for a in node.args]
     if kind == "none":
         return len(node.name)
     if kind == "power":
         base, k = node.args
         return args[0] + 1 + args[1] if base.name == "C" else k * args[0] + 3 * (k - 1)
     return len(node.name) + 2 + sum(args) + 2 * (len(args) - 1)
+
+
+def _digit_count(k):
+    try:
+        return len(str(k))
+    except ValueError:  # past Python's limit on the digits of an int written as text
+        raise InputError("an exponent of the expression has too many digits to print") from None
 
 
 def print_expr(node):
@@ -245,12 +254,10 @@ def _print(node):
     return f"{node.name}({', '.join(args)})"
 
 
-def build(node, features=frozenset()):
+def build(node):
     """Evaluate an expression to an enumerated group; a product's factors are
     built and multiplied left to right, as the recursion over the tree would."""
     if node.name == "x":
-        return reduce(construct.direct_product, (build(f, features) for f in _factors(node)))
-    if node.name == "Sz8" and "sz8" not in features:
-        raise ConstructionError("Sz8 is gated behind the sz8 feature flag")
-    args = [build(a, features) if isinstance(a, Node) else a for a in node.args]
+        return reduce(construct.direct_product, (build(f) for f in _factors(node)))
+    args = [build(a) if isinstance(a, Node) else a for a in node.args]
     return getattr(construct, _CONSTRUCTORS[node.name][1])(*args)

@@ -72,7 +72,10 @@ def parse_fixture_lines(lines, source="<fixtures>"):
 
 def load_fixtures(path):
     with open(path, encoding="utf-8") as handle:
-        return parse_fixture_lines(handle, source=str(path))
+        try:
+            return parse_fixture_lines(handle, source=str(path))
+        except UnicodeDecodeError:
+            raise FixtureError(f"{path}: not UTF-8 text") from None
 
 
 @lru_cache(maxsize=None)
@@ -86,4 +89,4 @@ def fixtures_by_label(fixtures):
 
 
 def corpus_for_order(fixtures, n):
-    return Corpus(CorpusEntry(f.label, f.seq, f.tags) for f in fixtures if f.n == n)
+    return Corpus(CorpusEntry(f.label, f.seq) for f in fixtures if f.n == n)

@@ -200,11 +200,20 @@ def format_sequence(seq):
     return f"n={seq.total}; {format_pairs(seq)}"
 
 
+def _int(digits):
+    """int(digits), refused as a SequenceError past Python's limit on the
+    digits of an int read from text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SequenceError(f"a number of {len(digits)} digits is too long") from None
+
+
 def parse_pairs(text):
     compact = re.sub(r"\s+", "", text)
     if not re.fullmatch(r"(?:\(\d+,\d+\))+", compact):
         raise SequenceError(f"malformed sequence text: {text!r}")
-    return OrderSequence(tuple((int(o), int(m)) for o, m in _PAIR_RE.findall(compact)))
+    return OrderSequence(tuple((_int(o), _int(m)) for o, m in _PAIR_RE.findall(compact)))
 
 
 def parse_sequence(text):
@@ -212,6 +221,6 @@ def parse_sequence(text):
     if not m:
         raise SequenceError(f"malformed canonical sequence: {text!r}")
     seq = parse_pairs(m.group(2))
-    if seq.total != int(m.group(1)):
+    if seq.total != _int(m.group(1)):
         raise SequenceError(f"declared total {m.group(1)} does not match entries")
     return seq

@@ -13,13 +13,12 @@ __all__ = [
     "Corpus",
     "PosetResult",
     "build_poset",
-    "domination_pairs",
     "to_dot",
     "to_csv",
 ]
 
 
-CorpusEntry = namedtuple("CorpusEntry", "label seq tags", defaults=(frozenset(),))
+CorpusEntry = namedtuple("CorpusEntry", "label seq")
 
 
 class Corpus:
@@ -76,31 +75,6 @@ def build_poset(corpus):
     minimal = frozenset(labels[i] for i in range(k) if not any((i, j) in above for j in range(k)))
     maximal = frozenset(labels[j] for j in range(k) if not any((i, j) in above for i in range(k)))
     return PosetResult(labels, tuple(tuple(row) for row in verdicts), hasse, minimal, maximal)
-
-
-def _as_predicate(spec):
-    if spec is None:
-        return lambda tags: True
-    if callable(spec):
-        return spec
-    return lambda tags, _want=spec: _want in tags
-
-
-def domination_pairs(corpus, dominator=None, dominated=None):
-    """Ordered (dominator, dominated) label pairs, filtered by tag predicates."""
-    dom_pred = _as_predicate(dominator)
-    sub_pred = _as_predicate(dominated)
-    out = []
-    entries = list(corpus)
-    for a in entries:
-        if not dom_pred(a.tags):
-            continue
-        for b in entries:
-            if a.label == b.label or not sub_pred(b.tags):
-                continue
-            if compare(a.seq, b.seq) is Verdict.PROPERLY_DOMINATES:
-                out.append((a.label, b.label))
-    return out
 
 
 def to_dot(result):

@@ -265,24 +265,22 @@ def suite_thm29(primes=None):
 # -- simple-group block ---------------------------------------------------------
 
 
-def suite_simple(fixtures=None, features=frozenset()):
+def suite_simple(fixtures=None):
     by_label = fixtures_by_label(fixtures or default_fixtures())
     l2_fix = by_label["L2_64"].seq
     sz_fix = by_label["C32xSz8"].seq
     computed = os_of_group(psl2(64))
-    checks = [
+    # gcd(9, |Sz(8)| = 29120) = 1, so the order of each pair (a, b) in
+    # C3^2 x Sz(8) is ord(a) * ord(b): os_product of the factors' sequences.
+    product = os_product(os_of_group(elementary_abelian(3, 2)), os_of_group(suzuki8()))
+    return [
         _os_eq("os(PSL2(64)) == L2_64", computed, l2_fix),
         _verdict("L2_64 vs C32xSz8", l2_fix, sz_fix, Verdict.INCOMPARABLE),
         _eq("psi(L2_64)", psi(l2_fix), 12106687),
         _eq("psi(C32xSz8)", psi(sz_fix), 5482775),
         _eq("psi(C32xSz8) < psi(L2_64)", psi(sz_fix) < psi(l2_fix), True),
+        _os_eq("os(C3^2 x Sz8) == C32xSz8", product, sz_fix),
     ]
-    if "sz8" in features:
-        # gcd(9, |Sz(8)| = 29120) = 1, so the order of each pair (a, b) in
-        # C3^2 x Sz(8) is ord(a) * ord(b): os_product of the factors' sequences.
-        product = os_product(os_of_group(elementary_abelian(3, 2)), os_of_group(suzuki8()))
-        checks.append(_os_eq("os(C3^2 x Sz8) == C32xSz8", product, sz_fix))
-    return checks
 
 
 # -- property suites -------------------------------------------------------------
@@ -376,18 +374,18 @@ def suite_props():
 
 
 _SUITES = {
-    "table1": lambda fixtures, primes, features: suite_table1(fixtures),
-    "table2": lambda fixtures, primes, features: suite_table2(fixtures),
-    "table3": lambda fixtures, primes, features: suite_table3(fixtures),
-    "thm23": lambda fixtures, primes, features: suite_thm23(primes),
-    "thm25": lambda fixtures, primes, features: suite_thm25(primes),
-    "thm29": lambda fixtures, primes, features: suite_thm29(primes),
-    "simple": lambda fixtures, primes, features: suite_simple(fixtures, features),
-    "props": lambda fixtures, primes, features: suite_props(),
+    "table1": lambda fixtures, primes: suite_table1(fixtures),
+    "table2": lambda fixtures, primes: suite_table2(fixtures),
+    "table3": lambda fixtures, primes: suite_table3(fixtures),
+    "thm23": lambda fixtures, primes: suite_thm23(primes),
+    "thm25": lambda fixtures, primes: suite_thm25(primes),
+    "thm29": lambda fixtures, primes: suite_thm29(primes),
+    "simple": lambda fixtures, primes: suite_simple(fixtures),
+    "props": lambda fixtures, primes: suite_props(),
 }
 
 
-def run_suite(name, fixtures=None, primes=None, features=frozenset()):
+def run_suite(name, fixtures=None, primes=None):
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](fixtures, primes, features)
+    return _SUITES[name](fixtures, primes)

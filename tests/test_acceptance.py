@@ -149,7 +149,7 @@ def test_criterion_10_optional_suzuki(by_label):
     # the product; that is exact because the factor orders are coprime.
     assert gcd(len(c3sq), len(sz8)) == 1
     assert os_product(os_of_group(c3sq), os_of_group(sz8)) == product
-    print("ACCEPTANCE 10 (optional sz8): PASS (computed C3^2 x Sz(8) display)")
+    print("ACCEPTANCE 10 (Sz8): PASS (computed C3^2 x Sz(8) display)")
 
 
 def _random_rle(rng, total):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.cli import main
-from oseq.construct import ConstructionError
-from oseq import InputError
+from oseq import BuildError, InputError
 from oseq.expr import (
     _CONSTRUCTORS,
     MAX_NESTING,
@@ -157,11 +156,9 @@ def test_build():
     assert len(build(parse("Cat(S3xD2p, 11)"))) == 132
 
 
-def test_sz8_feature_gate():
-    node = parse("Sz8")
-    with pytest.raises(ConstructionError):
-        build(node)
-    with pytest.raises(ConstructionError):
+def test_sz8_builds_like_any_atom():
+    assert len(build(parse("Sz8"))) == 29120
+    with pytest.raises(BuildError, match="^wreath square exceeds the closure cap$"):
         build(parse("C(2) x Wr2(Sz8)"))
 
 

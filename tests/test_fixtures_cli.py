@@ -119,7 +119,7 @@ def test_cli_user_error_exit_code(capsys):
 
 
 def test_cli_construction_error_exit_code(capsys):
-    assert main(["os", "Sz8"]) == 2  # feature flag not enabled
+    assert main(["os", "C(2) x Wr2(Sz8)"]) == 2
     assert main(["os", "He(4)"]) == 2
 
 
@@ -215,6 +215,34 @@ def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("os", "C(4)", "--cache", "{path}"),
+        ("fixtures", "--fixtures", "{path}"),
+        ("poset", "--fixtures", "{path}", "--order", "4"),
+    ],
+    ids=["cache", "fixtures", "poset-fixtures"],
+)
+def test_a_file_that_is_not_utf8_is_a_one_line_user_error(tmp_path, args):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("C(4) | n=4; (1,1)(2,1)(4,2) \xe9\n".encode("latin-1"))
+    proc = _run_cli(*(a.format(path=path) for a in args))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {path}: not UTF-8 text\n")
+
+
+def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
+    sz8 = _run_cli("os", "Sz8")
+    assert (sz8.returncode, sz8.stdout, sz8.stderr) == (
+        0, "n=29120; (1,1)(2,455)(4,3640)(5,5824)(7,12480)(13,6720)\n", "")
+    plain = _run_cli("verify", "simple")
+    flagged = _run_cli("verify", "simple", "--features", "sz8")
+    assert (plain.returncode, plain.stderr) == (flagged.returncode, flagged.stderr) == (0, "")
+    assert plain.stdout == flagged.stdout
+    assert "PASS os(C3^2 x Sz8) == C32xSz8" in plain.stdout
+    assert plain.stdout.endswith("6/6 checks passed\n")
 
 
 @pytest.mark.parametrize(
@@ -447,7 +475,7 @@ EXPORTS = {
         "nilpotent_from_os", "os_cyclic", "os_of_group", "os_product", "parse_pairs",
         "parse_sequence", "psi",
     ],
-    "poset": ["Corpus", "CorpusEntry", "PosetResult", "build_poset", "domination_pairs", "to_csv", "to_dot"],
+    "poset": ["Corpus", "CorpusEntry", "PosetResult", "build_poset", "to_csv", "to_dot"],
 }
 SUBMODULES = [*EXPORTS, "arith", "cache", "cli", "verify"]
 
@@ -495,6 +523,11 @@ def test_suite_names_have_one_source():
     assert tuple(suite.choices) == SUITE_NAMES
 
 
+# C(2)^k with k = 99999999^600: a 4,800-digit exponent, over Python's limit on
+# writing an int as text, in a canonical text far under MAX_TEXT
+_HUGE_EXPONENT = "C(2)" + "^99999999" * 600
+
+
 @pytest.mark.parametrize(
     "args,code,stderr",
     [
@@ -506,14 +539,22 @@ def test_suite_names_have_one_source():
         (("fixtures", "--fixtures", "{tmp}/bad.txt"), 1, "error: {tmp}/bad.txt:1: expected 4 '|'-separated fields\n"),
         (("classify", "C(0)"), 2, "construction error: cyclic group order must be >= 1\n"),
         (("os", "C(2)^19"), 2, "construction error: product order 524288 exceeds closure cap 500000\n"),
+        # integers past Python's 4,300-digit limit on int <-> text conversion
+        (("os", f"C({'7' * 5000})"), 1, "error: an integer of 5000 digits is too long (at position 2)\n"),
+        (("os", "--cache", "{tmp}/c.txt", _HUGE_EXPONENT), 1,
+         "error: an exponent of the expression has too many digits to print\n"),
+        (("poset", _HUGE_EXPONENT, "C(2)"), 1, "error: an exponent of the expression has too many digits to print\n"),
+        (("fixtures", "--fixtures", "{tmp}/long.txt"), 1, "error: {tmp}/long.txt:1: a number of 5000 digits is too long\n"),
     ],
     ids=["ParseError", "SequenceError", "SuiteUsageError", "OSError", "FixtureError", "ConstructionError",
-         "GroupError"],
+         "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key", "InputError-exponent-poset-label",
+         "FixtureError-5000-digits"],
 )
 def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
     # FieldError has no case: the CLI builds fields of fixed sizes, and the
     # field of PSL2(q) only after psl2 has checked q
     (tmp_path / "bad.txt").write_text("only | three | fields\n", encoding="utf-8")
+    (tmp_path / "long.txt").write_text(f"X | 2 | (1,1)(2,{'9' * 5000}) | t\n", encoding="utf-8")
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=60)
     assert (proc.returncode, proc.stderr) == (code, stderr.format(tmp=tmp_path))
 
@@ -550,10 +591,15 @@ _TRIVIAL_CHAIN = "x".join(["C(1)"] * 20_000)  # under the 128 KiB limit on one a
         (("os", "A(5)^100000"), 2, "", "construction error: product order 12960000 exceeds closure cap 500000\n"),
         (("os", "A(1)^100000000"), 0, "n=1; (1,1)\n", ""),
         (("os", "A(5)^100000000"), 2, "", "construction error: product order 12960000 exceeds closure cap 500000\n"),
+        (("os", "C(2)^100000000^100000000^100000000"), 2, "",
+         "construction error: product order 524288 exceeds closure cap 500000\n"),
+        (("os", "A(5)^100000000^100000000^100000000"), 2, "",
+         "construction error: product order 12960000 exceeds closure cap 500000\n"),
         (("os", "Wr2(" * 3000 + "C(2)" + ")" * 3000), 1, "",
          "error: expression nested deeper than 100 (at position 400)\n"),
     ],
-    ids=["C1-chain", "C2-C1-chain-C3", "A1-power", "A5-power", "A1-power-1e8", "A5-power-1e8", "Wr2-3000-deep"],
+    ids=["C1-chain", "C2-C1-chain-C3", "A1-power", "A5-power", "A1-power-1e8", "A5-power-1e8", "C2-power-1e24",
+         "A5-power-1e24", "Wr2-3000-deep"],
 )
 def test_long_product_chains_answer_without_a_traceback(args, code, stdout, stderr):
     # printing and building walk the product spine in a loop, a trivial

@@ -2,16 +2,28 @@ import pytest
 
 from oseq.fixtures import default_fixtures, corpus_for_order
 from oseq.order_sequence import SequenceError, Verdict, os_of_group
-from oseq.poset import Corpus, CorpusEntry, build_poset, domination_pairs, to_csv, to_dot
+from oseq.poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
 from oseq.verify import order12_corpus_groups
 
 
 def _order12_corpus():
-    entries = []
-    for label, group in order12_corpus_groups():
-        tags = frozenset({"nilpotent"} if label in ("C12", "C2xC6") else {"nonnilpotent"})
-        entries.append(CorpusEntry(label, os_of_group(group), tags))
-    return Corpus(entries)
+    return Corpus(CorpusEntry(label, os_of_group(group)) for label, group in order12_corpus_groups())
+
+
+def _order12_tags(label):
+    return {"nilpotent"} if label in ("C12", "C2xC6") else {"nonnilpotent"}
+
+
+def _dominations(corpus, keep=lambda top, low: True):
+    """The (dominator, dominated) label pairs of the corpus's poset that `keep` accepts."""
+    result = build_poset(corpus)
+    labels = result.labels
+    return [
+        (labels[i], labels[j])
+        for i, row in enumerate(result.verdicts)
+        for j, verdict in enumerate(row)
+        if verdict is Verdict.PROPERLY_DOMINATES and keep(labels[i], labels[j])
+    ]
 
 
 def test_order12_poset():
@@ -50,7 +62,7 @@ def test_singleton_corpus():
 
 def test_empty_corpus():
     corpus = Corpus([])
-    assert domination_pairs(corpus) == []
+    assert _dominations(corpus) == []
 
 
 def test_corpus_validation():
@@ -72,21 +84,22 @@ def test_order300_fixture_pair():
 
 def test_order900_domination_pairs():
     corpus = corpus_for_order(default_fixtures(), 900)
-    pairs = domination_pairs(corpus, dominator="nonsolvable", dominated="solvable")
+    tags = {f.label: f.tags for f in default_fixtures()}
+    pairs = _dominations(corpus, lambda top, low: "nonsolvable" in tags[top] and "solvable" in tags[low])
     assert len(pairs) == 14
     assert all(top == "SG900_88" for top, _ in pairs)
 
 
 def test_order72_fixture_pairs_are_equal_only():
     corpus = corpus_for_order(default_fixtures(), 72)
-    assert domination_pairs(corpus) == []
+    assert _dominations(corpus) == []
     result = build_poset(corpus)
     assert result.verdicts[0][1] is Verdict.EQUAL
 
 
 def test_domination_pairs_with_callable_filter():
     corpus = _order12_corpus()
-    pairs = domination_pairs(corpus, dominator=lambda tags: "nilpotent" in tags)
+    pairs = _dominations(corpus, lambda top, low: "nilpotent" in _order12_tags(top))
     assert ("C12", "A4") in pairs and ("C2xC6", "A4") in pairs
     assert all(top in ("C12", "C2xC6") for top, _ in pairs)
 
