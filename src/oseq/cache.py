@@ -2,7 +2,8 @@
 
 One record per line, ``<key> | <value>``.  Keys are canonical expression
 strings (never containing '|'); writes are append-only under a
-single-writer contract.
+single-writer contract.  A record is appended on a line of its own, and a
+value that is not a canonical sequence is refused, not replayed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import os
 
 from . import InputError
+from .order_sequence import SequenceError, parse_sequence
 
 __all__ = ["cache_get", "cache_put"]
 
@@ -19,12 +21,16 @@ def cache_get(path, key):
         return None
     with open(path, encoding="utf-8") as handle:
         try:
-            for line in handle:
+            for lineno, line in enumerate(handle, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
                 k, _, v = line.partition(" | ")
                 if k == key:
+                    try:
+                        parse_sequence(v)
+                    except SequenceError as exc:
+                        raise InputError(f"{path}:{lineno}: {exc}") from None
                     return v
         except UnicodeDecodeError:
             raise InputError(f"{path}: not UTF-8 text") from None
@@ -32,5 +38,10 @@ def cache_get(path, key):
 
 
 def cache_put(path, key, value):
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(f"{key} | {value}\n")
+    record = f"{key} | {value}\n".encode()
+    with open(path, "a+b") as handle:
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                record = b"\n" + record
+        handle.write(record)

@@ -8,7 +8,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd
 
-from . import BuildError
+from . import BuildError, InputError
 from .arith import factorint, isprime
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -470,14 +470,19 @@ def catalog_names():
 
 @lru_cache(maxsize=None)
 def catalog(name, prime=None):
-    """Catalog entry by stable name; parametrized names take a prime."""
+    """Catalog entry by stable name; parametrized names take a prime.
+
+    A prime missing from a parametrized name, or given to a fixed one, is a
+    usage error (InputError); an unknown name or a prime that is not prime
+    cannot be built (ConstructionError).
+    """
     if name in _CATALOG_FIXED:
         if prime is not None:
-            raise ConstructionError(f"catalog entry {name!r} takes no prime argument")
+            raise InputError(f"catalog entry {name!r} takes no prime argument")
         return _CATALOG_FIXED[name]()
     if name in _CATALOG_PRIME:
         if prime is None:
-            raise ConstructionError(f"catalog entry {name!r} requires a prime argument")
+            raise InputError(f"catalog entry {name!r} requires a prime argument")
         if not isprime(prime):
             raise ConstructionError(f"{prime} is not prime")
         return _CATALOG_PRIME[name](prime)

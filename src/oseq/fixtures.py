@@ -17,7 +17,6 @@ from importlib import resources
 
 from . import InputError
 from .order_sequence import SequenceError, is_plausible, parse_pairs
-from .poset import Corpus, CorpusEntry
 
 __all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
            "default_fixtures", "fixtures_by_label", "corpus_for_order"]
@@ -89,4 +88,6 @@ def fixtures_by_label(fixtures):
 
 
 def corpus_for_order(fixtures, n):
+    from .poset import Corpus, CorpusEntry
+
     return Corpus(CorpusEntry(f.label, f.seq) for f in fixtures if f.n == n)

@@ -9,7 +9,9 @@ and its backing multiplies these indices: its table and index are `range(n)`
 and `Group.mul` is the backing's own.  A permutation group is kept as a
 stabiliser chain, its order known, and is listed coset by coset of a point
 stabiliser only when its table is first read; `Group.order_counts` counts
-its element orders from the chain, one coset per suborbit, with no table.
+its element orders from the chain, one coset per suborbit, with no table,
+and on a coset that the two-point stabiliser maps onto itself by
+conjugation, one element per orbit of that stabiliser.
 Every other group is enumerated breadth-first from the identity with
 generators applied in declared order (FIFO).  Each way two runs assign
 identical indices.
@@ -338,17 +340,25 @@ class Group:
         u_p H onto u_h(p) H and keeps orders, so all cosets over one
         H-orbit (a suborbit) hold the same orders: the count is that of H
         plus, for each suborbit other than {b}, its length times the count of
-        one of its cosets.  In that coset, x^l fixes b for l the length of
-        b's cycle under x, and ord(x) = l * ord(x^l), the second found in H.
-        Every other group counts `orders()`.
+        one of its cosets.  The suborbit holding c, the base of H's own
+        chain, is counted on u_c H, which K = H_c maps onto itself by
+        conjugation: k^-1 (u_c h) k = u_c (k'^-1 h k), k' = u_c^-1 k u_c in
+        H.  A breadth-first walk over K's generators splits the coset into
+        K-orbits, and one element per orbit is counted, times the orbit's
+        length; every other coset is walked the same way with K trivial.  For
+        x in the coset, x^l fixes b for l the length of b's cycle under x,
+        and ord(x) = l * ord(x^l), the second found in H.  Every other group
+        counts `orders()`.
         """
         chain = self._chain
         if chain is None:
             return Counter(self.orders())
         b, stab, kept = chain.base, chain.stabiliser, chain.kept
         counts = stab.order_counts()
-        index, order_of = stab.index, stab.order_of
+        table, index, order_of = stab.table, stab.index, stab.order_of
         tail = self.backing._tail
+        full = self.backing.identity() + tail
+        c = stab._chain.base if stab._chain else None
         seen = {b}
         for p in chain.orbit:
             if p in seen:
@@ -360,14 +370,35 @@ class Group:
                     if s[q] not in seen:
                         seen.add(s[q])
                         suborbit.append(s[q])
+            if c in suborbit:
+                p = c
+            ut = chain.transversal[p] + tail
+            conj = ()  # (k, the table of k'^-1) for each generator k of K, on u_c H only
+            if p == c:
+                uinv = bytes.maketrans(ut, full)
+                conj = [(k, ut.translate(bytes.maketrans(k + tail, full)).translate(uinv)) for k in stab._chain.kept]
             coset = Counter()
-            for x in map(bytes.translate, stab.table, repeat(chain.transversal[p] + tail)):
+            visited = bytearray(len(stab))
+            for i, h in enumerate(table):
+                if visited[i]:
+                    continue
+                visited[i] = 1
+                orbit = [h]
+                for y in orbit:  # grows while it is walked
+                    yt = y + tail
+                    for k, kt in conj:
+                        z = k.translate(yt).translate(kt)
+                        j = index[z]
+                        if not visited[j]:
+                            visited[j] = 1
+                            orbit.append(z)
+                x = h.translate(ut)
                 xt = x + tail
                 y, l = x, 1
                 while y[b] != b:
                     y = y.translate(xt)
                     l += 1
-                coset[l * order_of(index[y])] += 1
+                coset[l * order_of(index[y])] += len(orbit)
             for o, m in coset.items():
                 counts[o] += m * len(suborbit)
         return counts

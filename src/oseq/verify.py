@@ -11,7 +11,6 @@ from math import gcd
 
 from . import SUITE_NAMES, InputError
 from .arith import isprime
-from .classify import is_nilpotent, is_solvable, is_supersolvable
 from .construct import (
     alternating,
     catalog,
@@ -152,6 +151,8 @@ def suite_table1(fixtures=None):
 
 
 def suite_table2(fixtures=None):
+    from .classify import is_solvable, is_supersolvable
+
     by_label = fixtures_by_label(fixtures or default_fixtures())
     groups = {name: catalog(name) for name in
               ("C4xF8", "C22xF8", "C24xD14", "C7xA5", "C35xA4", "C5xC7A4", "D10xF7")}
@@ -183,6 +184,8 @@ def suite_table2(fixtures=None):
 
 
 def suite_table3(fixtures=None):
+    from .classify import is_supersolvable
+
     by_label = fixtures_by_label(fixtures or default_fixtures())
     checks = []
     for n, h_labels, g_labels in _TABLE3_ROWS:
@@ -243,6 +246,8 @@ def suite_thm25(primes=None):
 
 
 def suite_thm29(primes=None):
+    from .classify import is_supersolvable
+
     primes = _check_primes("thm29", primes or DEFAULT_PRIMES["thm29"])
     printed = OrderSequence(((1, 1), (2, 21), (3, 8), (4, 18), (6, 24)))
     wreath_seq = os_of_group(catalog("S3wrC2"))
@@ -333,6 +338,8 @@ def catalog_sample():
 
 
 def suite_props():
+    from .classify import is_nilpotent
+
     checks = []
     pair_count = 0
     for a, b in (make() for make in _COPRIME_PAIRS):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from oseq import InputError
 from oseq.construct import (
     ConstructionError,
     _row_major,
@@ -319,11 +320,11 @@ def test_catalog_entries():
 def test_catalog_name_errors():
     with pytest.raises(ConstructionError):
         catalog("NoSuchGroup")
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):  # a usage error, not a failed construction
         catalog("CpxA4")
     with pytest.raises(ConstructionError):
         catalog("CpxA4", 12)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError):
         catalog("C5xA5", 7)
 
 

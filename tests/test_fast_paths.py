@@ -5,7 +5,9 @@ The fast paths: `PermBacking.mul` composes packed permutations with one
 `enumerate_group` keeps a permutation group as a stabiliser chain and lists
 it coset by coset of a point stabiliser when its table is first read, one
 translate table per coset; `Group.order_counts` counts its orders on one
-coset per suborbit, with no table; `Group.order_of` builds one
+coset per suborbit, with no table, and walks one element per orbit of the
+two-point stabiliser K on the coset it maps onto itself by conjugation;
+`Group.order_of` builds one
 table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
 the permutations their matrices induce on one projective orbit; C(n), D(n)
@@ -18,7 +20,8 @@ C7 : A4's two 3-cycles multiply C7 by 4 and 2.
 
 The references compose and invert a permutation point by point, enumerate
 breadth-first and count powers until the identity through `backing.mul` (or
-walk every element, `Group.orders()`), multiply matrices (tuples
+walk every element, `Group.orders()`, or every element of one coset per
+suborbit, `_count_by_coset_walk`), multiply matrices (tuples
 of rows) entry by entry with `FieldSpec.add` and `FieldSpec.mul`, pick
 invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
@@ -40,7 +43,7 @@ from operator import xor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq.arith import isprime
@@ -408,6 +411,80 @@ def test_suborbit_count_matches_the_full_walk(make):
     counts = group.order_counts()
     assert not _table_built(group)
     assert counts == Counter(group.orders())
+
+
+def _count_by_coset_walk(group):
+    """The element orders of a permutation group, counted from its chain as
+    `order_counts` did before K-orbits: the stabiliser H's count, plus for each
+    suborbit other than {b} its length times the orders of every element of
+    one coset u_p H, x walked until x^l fixes b and ord(x) = l * ord(x^l)."""
+    chain = group._chain
+    if chain is None:
+        return Counter(group.orders())
+    b, stab = chain.base, chain.stabiliser
+    counts = _count_by_coset_walk(stab)
+    tail = group.backing._tail
+    seen = {b}
+    for p in chain.orbit:
+        if p in seen:
+            continue
+        seen.add(p)
+        suborbit = [p]
+        for q in suborbit:  # grows while it is walked
+            for s in chain.kept:
+                if s[q] not in seen:
+                    seen.add(s[q])
+                    suborbit.append(s[q])
+        for h in stab.table:
+            x = h.translate(chain.transversal[p] + tail)
+            y, l = x, 1
+            while y[b] != b:
+                y = y.translate(x + tail)
+                l += 1
+            counts[l * stab.order_of(stab.index[y])] += len(suborbit)
+    return counts
+
+
+def _two_point_stabiliser_is_trivial(group):
+    """Whether K = H_c, H = G_b and c the base of H's chain, is trivial, so
+    that no coset is split into K-orbits at the top of the chain."""
+    stab = group._chain.stabiliser if group._chain else None
+    return stab is None or stab._chain is None or not stab._chain.kept
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda q=q: psl2.__wrapped__(q) for q in _COUNTED_Q), suzuki8.__wrapped__,
+     *(lambda n=n: symmetric.__wrapped__(n) for n in range(1, 9)),
+     *(lambda n=n: alternating.__wrapped__(n) for n in range(1, 10))],
+    ids=[*(f"PSL2_{q}" for q in _COUNTED_Q), "Sz8",
+         *(f"S{n}" for n in range(1, 9)), *(f"A{n}" for n in range(1, 10))],
+)
+def test_k_orbit_count_matches_the_coset_walk(make):
+    group = make()
+    counts = group.order_counts()
+    assert not _table_built(group) or len(group) == 1
+    assert counts == _count_by_coset_walk(make())
+    assert sum(counts.values()) == len(group)
+
+
+def _transitive_perms(degree):
+    """A degree-cycle and one or two other permutations: a transitive group."""
+    cycle = [*range(1, degree), 0]
+    return st.lists(st.permutations(range(degree)), min_size=1, max_size=2).map(lambda ps: [cycle, *ps])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4, 7).flatmap(lambda d: st.tuples(st.just(d), _transitive_perms(d))))
+def test_k_orbit_count_matches_the_oracles_on_random_transitive_groups(case):
+    degree, perms = case
+    backing = PermBacking(degree)
+    group = enumerate_group(backing, [backing.pack(p) for p in perms])
+    assume(not _two_point_stabiliser_is_trivial(group))
+    counts = group.order_counts()
+    assert not _table_built(group)
+    assert counts == _count_by_coset_walk(enumerate_group(backing, [backing.pack(p) for p in perms]))
+    assert counts == Counter(_orders_by_mul(group))
 
 
 def test_psl2_64_is_counted_without_its_table():

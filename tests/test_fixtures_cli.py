@@ -183,6 +183,42 @@ def test_cli_cache_roundtrip(tmp_path, capsys):
     assert main(["os", "A(4)", "--cache", str(cache), "--check-cache"]) == 3
 
 
+def test_cache_record_starts_on_a_line_of_its_own(tmp_path, capsys):
+    # the last record of a hand-edited file may lack its newline
+    cache = tmp_path / "cache.txt"
+    cache.write_text("A(4) | n=12; (1,1)(2,3)(3,8)", encoding="utf-8")
+    assert main(["os", "C(2)", "--cache", str(cache)]) == 0
+    assert cache.read_text(encoding="utf-8") == "A(4) | n=12; (1,1)(2,3)(3,8)\nC(2) | n=2; (1,1)(2,1)\n"
+    capsys.readouterr()
+    for text, value in (("A(4)", "n=12; (1,1)(2,3)(3,8)"), ("C(2)", "n=2; (1,1)(2,1)")):
+        assert main(["os", text, "--cache", str(cache)]) == 0
+        assert capsys.readouterr().out == value + "\n"
+    assert cache.read_text(encoding="utf-8").count("\n") == 2  # both were hits
+
+
+@pytest.mark.parametrize("check", [[], ["--check-cache"]], ids=["replay", "check-cache"])
+def test_cache_value_that_is_not_a_sequence_is_a_one_line_user_error(tmp_path, capsys, check):
+    cache = tmp_path / "cache.txt"
+    cache.write_text("A(4) | n=12; (1,1)(2,3)(3,8)\nC(2) | garbage\n", encoding="utf-8")
+    assert main(["os", "C(2)", "--cache", str(cache), *check]) == 1
+    assert capsys.readouterr() == ("", f"error: {cache}:2: malformed canonical sequence: 'garbage'\n")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("catalog", "CpxA4"), "catalog entry 'CpxA4' requires a prime argument"),
+        (("os", "Cat(CpxA4)"), "catalog entry 'CpxA4' requires a prime argument"),
+        (("os", "Cat(C5xA5, 7)"), "catalog entry 'C5xA5' takes no prime argument"),
+        (("catalog", "C5xA5", "--prime", "7"), "catalog entry 'C5xA5' takes no prime argument"),
+    ],
+    ids=["catalog-without-prime", "os-without-prime", "os-fixed-with-prime", "catalog-fixed-with-prime"],
+)
+def test_a_catalog_prime_missing_or_not_taken_is_a_user_error(capsys, args, message):
+    assert main(list(args)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_verify_props_reports_known_failure(capsys):
     # one pair of the order-12 nilpotent-domination sweep is incomparable,
     # so this suite deliberately reports a failure
@@ -481,18 +517,21 @@ SUBMODULES = [*EXPORTS, "arith", "cache", "cli", "verify"]
 
 
 def test_catalog_and_classify_import_only_what_they_run():
-    code = (
-        "import sys\n"
-        "from oseq.cli import main\n"
-        "assert main(['catalog']) == 0\n"
-        "assert main(['classify', 'C(6)']) == 0\n"
-        "unwanted = ['dataclasses', 'oseq.finite_field', 'oseq.verify', 'oseq.poset', 'oseq.fixtures',"
-        " 'oseq.cache']\n"
-        "print('loaded:', [m for m in unwanted if m in sys.modules], file=sys.stderr)\n"
-    )
-    proc = _run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "loaded: []\n"
+    # `verify simple` and `fixtures` run no classification and build no poset
+    for verbs, unwanted in (
+        ((["catalog"], ["classify", "C(6)"]),
+         ["dataclasses", "oseq.finite_field", "oseq.verify", "oseq.poset", "oseq.fixtures", "oseq.cache"]),
+        ((["verify", "simple"], ["fixtures"]), ["oseq.classify", "oseq.poset", "csv"]),
+    ):
+        code = (
+            "import sys\n"
+            "from oseq.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {verbs!r})\n"
+            f"print('loaded:', [m for m in {unwanted!r} if m in sys.modules], file=sys.stderr)\n"
+        )
+        proc = _run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "loaded: []\n", verbs
 
 
 def test_parser_and_error_mapping_load_no_other_module():
