@@ -384,10 +384,10 @@ class Group:
                     continue
                 visited[i] = 1
                 orbit = [h]
-                for y in orbit:  # grows while it is walked
-                    yt = y + tail
+                for v in orbit:  # grows while it is walked
+                    vt = v + tail
                     for k, kt in conj:
-                        z = k.translate(yt).translate(kt)
+                        z = k.translate(vt).translate(kt)
                         j = index[z]
                         if not visited[j]:
                             visited[j] = 1
