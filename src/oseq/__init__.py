@@ -15,6 +15,14 @@ __version__ = "0.1.0"
 
 SUITE_NAMES = ("table1", "table2", "table3", "thm23", "thm25", "thm29", "simple", "props")
 
+# The catalog's names in listing order: `oseq catalog` prints them from here
+# without loading the builders in `construct`, which are keyed by them.
+CATALOG_FIXED_NAMES = (
+    "C13xA5", "C15xA5", "C22xF8", "C24xD14", "C35xA4", "C4xF8", "C5xA5",
+    "C5xC7A4", "C7xA5", "D10xF7", "S3wrC2", "SD_300_23", "SD_72_35",
+)
+CATALOG_PRIME_NAMES = ("C5pxA5", "CpxA4", "CpxS3wrC2", "CpxSD300", "CpxSD72", "S3xD2p")
+
 
 class InputError(ValueError):
     """Malformed or inconsistent input; the CLI exits 1."""
@@ -41,7 +49,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "arith", "cache", "cli", "verify"}
 
-__all__ = ["SUITE_NAMES", "InputError", "BuildError", *_HOME]
+__all__ = ["SUITE_NAMES", "CATALOG_FIXED_NAMES", "CATALOG_PRIME_NAMES", "InputError", "BuildError", *_HOME]
 
 
 def __getattr__(name):

@@ -3,7 +3,8 @@
 Verbs: os, compare, classify, psi, product, poset, verify, catalog, fixtures.
 Exit codes: 0 ok, 1 user error, 2 construction failure, 3 verification failure.
 Each verb imports the modules it runs when it runs, so building the parser
-and mapping errors to exit codes load no other `oseq` module.
+and mapping errors to exit codes load no other `oseq` module.  The bare
+`catalog` listing prints the names `oseq` keeps and loads nothing more.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import SUITE_NAMES, BuildError, InputError
+from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, BuildError, InputError
 
 USER_ERROR, CONSTRUCTION_ERROR, VERIFICATION_ERROR = 1, 2, 3
 
@@ -144,7 +145,9 @@ def cmd_verify(args):
             primes = tuple(int(p) for p in args.primes.split(","))
         except ValueError:
             raise SuiteUsageError(f"--primes takes comma-separated integers; got {args.primes!r}") from None
-    checks = run_suite(args.suite, fixtures=_fixtures(args), primes=primes)
+    # a suite that reads no fixtures loads none unless --fixtures names a file
+    fixtures = _fixtures(args) if args.fixtures else None
+    checks = run_suite(args.suite, fixtures=fixtures, primes=primes)
     failed = 0
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
@@ -156,17 +159,17 @@ def cmd_verify(args):
 
 
 def cmd_catalog(args):
-    from .construct import CATALOG_PARAMETRIZED, catalog, catalog_names
+    if not args.name:
+        if args.prime is not None:
+            raise InputError("--prime needs a catalog name")
+        for name in CATALOG_FIXED_NAMES:
+            print(name)
+        for name in CATALOG_PRIME_NAMES:
+            print(f"{name} (takes a prime)")
+        return 0
+    from .construct import catalog
     from .order_sequence import format_sequence, os_of_group
 
-    if not args.name:
-        for name in catalog_names():
-            suffix = " (takes a prime)" if name in CATALOG_PARAMETRIZED else ""
-            print(f"{name}{suffix}")
-        return 0
-    if args.name not in catalog_names():
-        print(f"error: unknown catalog name {args.name!r}", file=sys.stderr)
-        return USER_ERROR
     grp = catalog(args.name, args.prime)
     print(f"order: {len(grp)}")
     print(format_sequence(os_of_group(grp)))

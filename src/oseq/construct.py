@@ -8,7 +8,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd
 
-from . import BuildError, InputError
+from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, BuildError, InputError
 from .arith import factorint, isprime
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -436,6 +436,7 @@ def _c7_rtimes_a4():
     return semidirect_product(cyclic(7), alternating(4), times, "C7:A4")
 
 
+# Keyed by `oseq.CATALOG_FIXED_NAMES` and `oseq.CATALOG_PRIME_NAMES`.
 _CATALOG_FIXED = {
     "C5xA5": lambda: direct_product(cyclic(5), alternating(5)),
     "C7xA5": lambda: direct_product(cyclic(7), alternating(5)),
@@ -461,20 +462,19 @@ _CATALOG_PRIME = {
     "CpxSD72": lambda p: direct_product(cyclic(p), catalog("SD_72_35")),
 }
 
-CATALOG_PARAMETRIZED = frozenset(_CATALOG_PRIME)
+CATALOG_PARAMETRIZED = frozenset(CATALOG_PRIME_NAMES)
 
 
 def catalog_names():
-    return tuple(sorted(_CATALOG_FIXED)) + tuple(sorted(CATALOG_PARAMETRIZED))
+    return CATALOG_FIXED_NAMES + CATALOG_PRIME_NAMES
 
 
 @lru_cache(maxsize=None)
 def catalog(name, prime=None):
     """Catalog entry by stable name; parametrized names take a prime.
 
-    A prime missing from a parametrized name, or given to a fixed one, is a
-    usage error (InputError); an unknown name or a prime that is not prime
-    cannot be built (ConstructionError).
+    An unknown name, a prime missing from a parametrized name or given to a
+    fixed one, and a prime that is not prime are usage errors (InputError).
     """
     if name in _CATALOG_FIXED:
         if prime is not None:
@@ -484,6 +484,6 @@ def catalog(name, prime=None):
         if prime is None:
             raise InputError(f"catalog entry {name!r} requires a prime argument")
         if not isprime(prime):
-            raise ConstructionError(f"{prime} is not prime")
+            raise InputError(f"{prime} is not prime")
         return _CATALOG_PRIME[name](prime)
-    raise ConstructionError(f"unknown catalog name {name!r}")
+    raise InputError(f"unknown catalog name {name!r}")

@@ -23,7 +23,6 @@ from .construct import (
     suzuki8,
     symmetric,
 )
-from .fixtures import default_fixtures, fixtures_by_label
 from .order_sequence import (
     OrderSequence,
     Verdict,
@@ -68,6 +67,14 @@ def _os_eq(name, computed, expected):
 def _verdict(name, a, b, expected):
     v = compare(a, b)
     return _eq(name, v.value, expected.value)
+
+
+def _fixtures_by_label(fixtures):
+    """The given fixtures, or the shipped ones, by label; only the suites
+    that read fixtures load `oseq.fixtures`."""
+    from .fixtures import default_fixtures, fixtures_by_label
+
+    return fixtures_by_label(fixtures or default_fixtures())
 
 
 DEFAULT_PRIMES = {
@@ -138,7 +145,7 @@ _TABLE3_ROWS = (
 
 
 def suite_table1(fixtures=None):
-    by_label = fixtures_by_label(fixtures or default_fixtures())
+    by_label = _fixtures_by_label(fixtures)
     checks = []
     for cat_name, label in _TABLE1_CONSTRUCTIBLE:
         seq = os_of_group(catalog(cat_name))
@@ -153,7 +160,7 @@ def suite_table1(fixtures=None):
 def suite_table2(fixtures=None):
     from .classify import is_solvable, is_supersolvable
 
-    by_label = fixtures_by_label(fixtures or default_fixtures())
+    by_label = _fixtures_by_label(fixtures)
     groups = {name: catalog(name) for name in
               ("C4xF8", "C22xF8", "C24xD14", "C7xA5", "C35xA4", "C5xC7A4", "D10xF7")}
     seqs = {name: os_of_group(g) for name, g in groups.items()}
@@ -186,7 +193,7 @@ def suite_table2(fixtures=None):
 def suite_table3(fixtures=None):
     from .classify import is_supersolvable
 
-    by_label = fixtures_by_label(fixtures or default_fixtures())
+    by_label = _fixtures_by_label(fixtures)
     checks = []
     for n, h_labels, g_labels in _TABLE3_ROWS:
         labels = (*h_labels, *g_labels)
@@ -271,7 +278,7 @@ def suite_thm29(primes=None):
 
 
 def suite_simple(fixtures=None):
-    by_label = fixtures_by_label(fixtures or default_fixtures())
+    by_label = _fixtures_by_label(fixtures)
     l2_fix = by_label["L2_64"].seq
     sz_fix = by_label["C32xSz8"].seq
     computed = os_of_group(psl2(64))

@@ -318,11 +318,12 @@ def test_catalog_entries():
 
 
 def test_catalog_name_errors():
-    with pytest.raises(ConstructionError):
+    # each is a usage error, not a failed construction
+    with pytest.raises(InputError, match="unknown catalog name 'NoSuchGroup'"):
         catalog("NoSuchGroup")
-    with pytest.raises(InputError):  # a usage error, not a failed construction
+    with pytest.raises(InputError):
         catalog("CpxA4")
-    with pytest.raises(ConstructionError):
+    with pytest.raises(InputError, match="12 is not prime"):
         catalog("CpxA4", 12)
     with pytest.raises(InputError):
         catalog("C5xA5", 7)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import oseq
-from oseq import SUITE_NAMES, verify
+from oseq import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, verify
 from oseq.cli import _parser, main
 from oseq.fixtures import (
     MAX_FIXTURE_ORDER,
@@ -241,10 +241,12 @@ def _run_cli(*args, **kwargs):
     "args",
     [
         ("verify", "table1", "--fixtures", "{tmp}/missing.txt"),
+        # a suite that reads no fixtures still refuses the file it is given
+        ("verify", "thm25", "--fixtures", "{tmp}/missing.txt"),
         ("os", "C(5)", "--cache", "{tmp}/missing-dir/c.json"),
         ("verify", "thm23", "--primes", "3,x"),
     ],
-    ids=["missing-fixtures", "cache-in-missing-dir", "non-integer-prime"],
+    ids=["missing-fixtures", "missing-fixtures-unread", "cache-in-missing-dir", "non-integer-prime"],
 )
 def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in args))
@@ -289,8 +291,10 @@ def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
         (("catalog", "--prime", "x"), "argument --prime: invalid int value: 'x'"),
         (("classify", "C(5)", "--bogus"), "unrecognized arguments: --bogus"),
         ((), "the following arguments are required: command"),
+        (("catalog", "--prime", "7"), "--prime needs a catalog name"),
     ],
-    ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb"],
+    ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
+         "prime-without-catalog-name"],
 )
 def test_cli_usage_error_is_a_one_line_user_error(args, message):
     proc = _run_cli(*args)
@@ -517,11 +521,23 @@ SUBMODULES = [*EXPORTS, "arith", "cache", "cli", "verify"]
 
 
 def test_catalog_and_classify_import_only_what_they_run():
-    # `verify simple` and `fixtures` run no classification and build no poset
+    # the bare listing prints the names `oseq` itself keeps
+    code = (
+        "import sys\n"
+        "from oseq.cli import main\n"
+        "assert main(['catalog']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('oseq')), file=sys.stderr)\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "['oseq', 'oseq.cli']\n"
+    # `verify simple` and `fixtures` run no classification and build no poset;
+    # `verify thm25` reads no fixtures
     for verbs, unwanted in (
         ((["catalog"], ["classify", "C(6)"]),
          ["dataclasses", "oseq.finite_field", "oseq.verify", "oseq.poset", "oseq.fixtures", "oseq.cache"]),
         ((["verify", "simple"], ["fixtures"]), ["oseq.classify", "oseq.poset", "csv"]),
+        ((["verify", "thm25"],), ["oseq.fixtures"]),
     ):
         code = (
             "import sys\n"
@@ -562,6 +578,16 @@ def test_suite_names_have_one_source():
     assert tuple(suite.choices) == SUITE_NAMES
 
 
+def test_catalog_names_have_one_source():
+    from oseq import construct
+
+    assert set(construct._CATALOG_FIXED) == set(CATALOG_FIXED_NAMES)
+    assert set(construct._CATALOG_PRIME) == set(CATALOG_PRIME_NAMES)
+    assert construct.catalog_names() == CATALOG_FIXED_NAMES + CATALOG_PRIME_NAMES
+    assert len(set(construct.catalog_names())) == len(construct.catalog_names())
+    assert construct.CATALOG_PARAMETRIZED == frozenset(CATALOG_PRIME_NAMES)
+
+
 # C(2)^k with k = 99999999^600: a 4,800-digit exponent, over Python's limit on
 # writing an int as text, in a canonical text far under MAX_TEXT
 _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
@@ -584,10 +610,15 @@ _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
          "error: an exponent of the expression has too many digits to print\n"),
         (("poset", _HUGE_EXPONENT, "C(2)"), 1, "error: an exponent of the expression has too many digits to print\n"),
         (("fixtures", "--fixtures", "{tmp}/long.txt"), 1, "error: {tmp}/long.txt:1: a number of 5000 digits is too long\n"),
+        (("catalog", "NoSuch"), 1, "error: unknown catalog name 'NoSuch'\n"),
+        (("os", "Cat(NoSuch)"), 1, "error: unknown catalog name 'NoSuch'\n"),
+        (("catalog", "CpxA4", "--prime", "12"), 1, "error: 12 is not prime\n"),
+        (("os", "Cat(CpxA4, 12)"), 1, "error: 12 is not prime\n"),
     ],
     ids=["ParseError", "SequenceError", "SuiteUsageError", "OSError", "FixtureError", "ConstructionError",
          "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key", "InputError-exponent-poset-label",
-         "FixtureError-5000-digits"],
+         "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
+         "InputError-catalog-non-prime", "InputError-os-catalog-non-prime"],
 )
 def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
     # FieldError has no case: the CLI builds fields of fixed sizes, and the
