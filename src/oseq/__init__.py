@@ -35,7 +35,7 @@ class BuildError(ValueError):
 _EXPORTS = {
     "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
     "is_supersolvable lower_central_series supersolvable_chain",
-    "construct": "ConstructionError alternating catalog catalog_names cyclic dicyclic "
+    "construct": "ConstructionError alternating catalog cyclic dicyclic "
     "dihedral direct_product elementary_abelian frobenius42 frobenius56 heisenberg psl2 "
     "semidirect_product suzuki8 symmetric wreath_square",
     "expr": "ParseError build parse print_expr",

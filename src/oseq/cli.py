@@ -37,7 +37,7 @@ def cmd_os(args):
 
     node = parse(args.expr)
     cached = None
-    if args.cache:  # only the cache key needs the canonical text of a power spelled out
+    if args.cache:  # only the cache key needs the canonical text
         from .cache import cache_get, cache_put
 
         key = print_expr(node)

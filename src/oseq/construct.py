@@ -8,7 +8,7 @@ from functools import lru_cache, reduce
 from itertools import repeat
 from math import gcd
 
-from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, BuildError, InputError
+from . import BuildError, InputError
 from .arith import factorint, isprime
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -41,8 +41,6 @@ __all__ = [
     "psl2",
     "suzuki8",
     "catalog",
-    "catalog_names",
-    "CATALOG_PARAMETRIZED",
 ]
 
 
@@ -461,13 +459,6 @@ _CATALOG_PRIME = {
     "CpxS3wrC2": lambda p: direct_product(cyclic(p), catalog("S3wrC2")),
     "CpxSD72": lambda p: direct_product(cyclic(p), catalog("SD_72_35")),
 }
-
-CATALOG_PARAMETRIZED = frozenset(CATALOG_PRIME_NAMES)
-
-
-def catalog_names():
-    return CATALOG_FIXED_NAMES + CATALOG_PRIME_NAMES
-
 
 @lru_cache(maxsize=None)
 def catalog(name, prime=None):

@@ -11,11 +11,10 @@ C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.
 
 Every expression is a ``Node(name, args)``.  A product is
 ``Node("x", (left, right))`` and a power ``Node("^", (atom, k))``; a power
-of a power multiplies the exponents.  The canonical text of a cyclic power
-is ``C(n)^k``, and that of any other power the product it stands for, so
-``D(8)^2`` prints as ``D(8) x D(8)``; only the printer spells it out, after
-refusing a text longer than ``MAX_TEXT``, and `construct.direct_power`
-refuses an oversized power at its first partial product past the cap.
+of a power multiplies the exponents.  Every power prints as it is stored,
+``BASE^k`` (``D(8)^2`` prints as ``D(8)^2``), so the canonical text is at
+most about twice as long as the input; `construct.direct_power` refuses an
+oversized power at its first partial product past the cap.
 Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
 printing and building walk a product's left spine in a loop, so a long
 product cannot exhaust the stack, and `Wr2` nesting deeper than
@@ -29,16 +28,11 @@ from functools import reduce
 
 from . import InputError, construct
 
-__all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING", "MAX_TEXT"]
+__all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING"]
 
 # Deepest sub-expression nesting the parser takes; Wr2 squares the order, so
 # five levels of it already pass the closure cap.
 MAX_NESTING = 100
-
-# Longest canonical text `print_expr` writes.  The text of a power of a
-# non-cyclic atom is the product spelled out (`A(1)^100000000` would be 700 MB
-# of it), so the length is worked out first and a longer text refused.
-MAX_TEXT = 1_000_000
 
 
 class ParseError(InputError):
@@ -210,48 +204,25 @@ def _factors(node):
     return factors
 
 
-def _text_length(node):
-    """len(print_expr(node)), worked out without writing the text."""
-    if node.name == "x":
-        factors = _factors(node)
-        return sum(map(_text_length, factors)) + 3 * (len(factors) - 1)
-    kind = _CONSTRUCTORS[node.name][0]
-    args = [_text_length(a) if isinstance(a, Node) else _digit_count(a) for a in node.args]
-    if kind == "none":
-        return len(node.name)
-    if kind == "power":
-        base, k = node.args
-        return args[0] + 1 + args[1] if base.name == "C" else k * args[0] + 3 * (k - 1)
-    return len(node.name) + 2 + sum(args) + 2 * (len(args) - 1)
-
-
-def _digit_count(k):
-    try:
-        return len(str(k))
-    except ValueError:  # past Python's limit on the digits of an int written as text
-        raise InputError("an exponent of the expression has too many digits to print") from None
-
-
 def print_expr(node):
-    """Canonical text; parse(print_expr(e)) == e on canonical forms.  A text
-    longer than MAX_TEXT is refused before any of it is written."""
-    length = _text_length(node)
-    if length > MAX_TEXT:
-        raise InputError(f"canonical text of the expression would be {length} characters, over {MAX_TEXT}")
-    return _print(node)
-
-
-def _print(node):
+    """Canonical text, each power written ``BASE^k`` as it is stored;
+    parse(print_expr(e)) == e on canonical forms."""
     if node.name == "x":
-        return " x ".join(map(_print, _factors(node)))
+        return " x ".join(map(print_expr, _factors(node)))
     kind = _CONSTRUCTORS[node.name][0]
-    args = [_print(a) if isinstance(a, Node) else str(a) for a in node.args]
+    args = [print_expr(a) if isinstance(a, Node) else _int_text(a) for a in node.args]
     if kind == "none":
         return node.name
     if kind == "power":
-        base, k = node.args
-        return "^".join(args) if base.name == "C" else " x ".join([args[0]] * k)
+        return "^".join(args)
     return f"{node.name}({', '.join(args)})"
+
+
+def _int_text(k):
+    try:
+        return str(k)
+    except ValueError:  # past Python's limit on the digits of an int written as text
+        raise InputError("an exponent of the expression has too many digits to print") from None
 
 
 def build(node):

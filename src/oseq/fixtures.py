@@ -83,8 +83,14 @@ def default_fixtures():
     return tuple(parse_fixture_lines(text.splitlines(), source="data/fixtures.txt"))
 
 
+class _ByLabel(dict):
+    def __missing__(self, label):
+        raise FixtureError(f"no fixture labelled {label!r}")
+
+
 def fixtures_by_label(fixtures):
-    return {f.label: f for f in fixtures}
+    """The fixtures by label; reading a label that none has is a FixtureError."""
+    return _ByLabel((f.label, f) for f in fixtures)
 
 
 def corpus_for_order(fixtures, n):

@@ -70,11 +70,11 @@ def _verdict(name, a, b, expected):
 
 
 def _fixtures_by_label(fixtures):
-    """The given fixtures, or the shipped ones, by label; only the suites
-    that read fixtures load `oseq.fixtures`."""
+    """The given fixtures, or the shipped ones if none are given, by label;
+    only the suites that read fixtures load `oseq.fixtures`."""
     from .fixtures import default_fixtures, fixtures_by_label
 
-    return fixtures_by_label(fixtures or default_fixtures())
+    return fixtures_by_label(default_fixtures() if fixtures is None else fixtures)
 
 
 DEFAULT_PRIMES = {
