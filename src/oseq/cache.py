@@ -3,7 +3,8 @@
 One record per line, ``<key> | <value>``.  Keys are canonical expression
 strings (never containing '|'); writes are append-only under a
 single-writer contract.  A record is appended on a line of its own, and a
-value that is not a canonical sequence is refused, not replayed.
+value that is not canonical text, byte for byte as `format_sequence` writes
+it, is refused, not replayed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import os
 
 from . import InputError
-from .order_sequence import SequenceError, parse_sequence
+from .order_sequence import SequenceError, format_sequence, parse_sequence
 
 __all__ = ["cache_get", "cache_put"]
 
@@ -28,7 +29,8 @@ def cache_get(path, key):
                 k, _, v = line.partition(" | ")
                 if k == key:
                     try:
-                        parse_sequence(v)
+                        if format_sequence(parse_sequence(v)) != v:
+                            raise SequenceError(f"not canonical sequence text: {v!r}")
                     except SequenceError as exc:
                         raise InputError(f"{path}:{lineno}: {exc}") from None
                     return v

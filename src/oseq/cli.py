@@ -35,6 +35,8 @@ def cmd_os(args):
     from .expr import build, parse, print_expr
     from .order_sequence import format_sequence, os_of_group
 
+    if args.check_cache and not args.cache:
+        raise InputError("--check-cache needs --cache")
     node = parse(args.expr)
     cached = None
     if args.cache:  # only the cache key needs the canonical text
@@ -100,6 +102,8 @@ def cmd_poset(args):
     from .poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
 
     if args.exprs:
+        if args.order is not None or args.fixtures is not None:
+            raise InputError("poset over expressions takes no --order or --fixtures")
         from .expr import build, parse, print_expr
         from .order_sequence import os_of_group
 
@@ -140,7 +144,7 @@ def cmd_verify(args):
     from .verify import SuiteUsageError, run_suite
 
     primes = None
-    if args.primes:
+    if args.primes is not None:
         try:
             primes = tuple(int(p) for p in args.primes.split(","))
         except ValueError:

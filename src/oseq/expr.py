@@ -1,13 +1,15 @@
 """Expression DSL naming groups: recursive-descent parser, AST, evaluation.
 
-Grammar (ASCII, whitespace insignificant):
+Grammar (ASCII only, whitespace insignificant):
 
     expr := term ('x' term)*          left-associative direct product
     term := atom ('^' INT)*
     atom := NAME '(' args ')' | NAME
 
 Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Cat.  ``C(5)^2`` is
-C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.
+C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.  An ``x``
+that starts a word is the product sign, and F7, F8 and Sz8 may be followed
+directly by it: ``C(2)xF7`` and ``F7xF8`` are products, ``Cat(C4xF8)`` one name.
 
 Every expression is a ``Node(name, args)``.  A product is
 ``Node("x", (left, right))`` and a power ``Node("^", (atom, k))``; a power
@@ -23,6 +25,7 @@ product cannot exhaust the stack, and `Wr2` nesting deeper than
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import reduce
 
@@ -68,46 +71,29 @@ _CONSTRUCTORS = {
 }
 
 
+# One match per token: an ASCII integer, the product sign or a mark, a name,
+# or any other non-space character, which is refused; `finditer` skips only
+# whitespace.  A word that starts with x starts with the sign (C(2)xF7), and
+# a no-argument name ends before an x that follows it (F7xF8).
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<mark>[x(),^])|(?P<name>(?:%s)(?=x)|[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)"
+    % "|".join(name for name, (kind, _) in _CONSTRUCTORS.items() if kind == "none")
+)
+
+
 def _lex(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word == "x":
-                tokens.append(("x", "x", i))
-                i = j
-            elif word[0] == "x" and len(word) > 1:
-                tokens.append(("x", "x", i))
-                i += 1  # re-lex the rest of the word
-            else:
-                tokens.append(("name", word, i))
-                i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
+    for m in _TOKEN.finditer(text):
+        kind, word, at = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {word!r}", at)
+        if kind == "int":
             try:
-                tokens.append(("int", int(text[i:j]), i))
+                word = int(word)
             except ValueError:  # past Python's limit on the digits of an int read from text
-                raise ParseError(f"an integer of {j - i} digits is too long", i) from None
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
+                raise ParseError(f"an integer of {len(word)} digits is too long", at) from None
+        tokens.append((word if kind == "mark" else kind, word, at))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 

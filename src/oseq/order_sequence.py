@@ -189,7 +189,7 @@ def nilpotent_from_os(seq):
 
 # -- canonical text form ---------------------------------------------------
 
-_PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
+_PAIR_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
 
 
 def format_pairs(seq):
@@ -211,13 +211,13 @@ def _int(digits):
 
 def parse_pairs(text):
     compact = re.sub(r"\s+", "", text)
-    if not re.fullmatch(r"(?:\(\d+,\d+\))+", compact):
+    if not re.fullmatch(r"(?:\([0-9]+,[0-9]+\))+", compact):
         raise SequenceError(f"malformed sequence text: {text!r}")
     return OrderSequence(tuple((_int(o), _int(m)) for o, m in _PAIR_RE.findall(compact)))
 
 
 def parse_sequence(text):
-    m = re.fullmatch(r"n=(\d+);\s*(.*)", text.strip())
+    m = re.fullmatch(r"n=([0-9]+);\s*(.*)", text.strip())
     if not m:
         raise SequenceError(f"malformed canonical sequence: {text!r}")
     seq = parse_pairs(m.group(2))

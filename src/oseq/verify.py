@@ -402,4 +402,6 @@ _SUITES = {
 def run_suite(name, fixtures=None, primes=None):
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if primes is not None and name not in DEFAULT_PRIMES:
+        raise SuiteUsageError(f"suite {name!r} takes no primes; {', '.join(DEFAULT_PRIMES)} do")
     return _SUITES[name](fixtures, primes)

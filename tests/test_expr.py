@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.cli import main
-from oseq import BuildError
+from oseq import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, BuildError
 from oseq.expr import (
     _CONSTRUCTORS,
     MAX_NESTING,
@@ -69,6 +69,31 @@ def test_parse_errors_carry_position():
         parse("")
 
 
+def test_each_catalog_name_is_one_word():
+    for name in CATALOG_FIXED_NAMES:
+        assert parse(f"Cat({name})") == Node("Cat", (name,))
+    for name in CATALOG_PRIME_NAMES:
+        assert parse(f"Cat({name},5)") == Node("Cat", (name, 5))
+
+
+# Only ASCII is read: a Unicode digit or letter is refused where it stands.
+# The CLI error test pins the messages of `C(` and of a 5,000-digit integer.
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("C(\u0663)", "unexpected character '\u0663' (at position 2)"),
+        ("C(\u00b2)", "unexpected character '\u00b2' (at position 2)"),
+        ("\uff23(2)", "unexpected character '\uff23' (at position 0)"),
+        ("xC(2)", "expected a constructor name, found 'x' (at position 0)"),
+    ],
+    ids=["arabic-indic-digit", "superscript-two", "fullwidth-C", "leading-sign"],
+)
+def test_lexer_refusals(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 # Canonical text is the `os --cache` key and the `poset` label, so it is
 # pinned literally rather than only through the round trip.
 @pytest.mark.parametrize(
@@ -86,6 +111,12 @@ def test_parse_errors_carry_position():
         ("PSL2(64)", "PSL2(64)"),
         ("Cat( SD_300_23 )", "Cat(SD_300_23)"),
         ("Wr2(C(2)^2xS(3))^2", "Wr2(C(2)^2 x S(3))^2"),
+        # a no-argument name runs into the product sign; an x that starts a word is the sign
+        ("F7xF8", "F7 x F8"),
+        ("F7xC(2)", "F7 x C(2)"),
+        ("Sz8xF7", "Sz8 x F7"),
+        ("Sz8xC(3)", "Sz8 x C(3)"),
+        ("C(2)xF7", "C(2) x F7"),
     ],
 )
 def test_canonical_text(text, canonical):
@@ -257,3 +288,16 @@ def test_canonical_text_round_trips_and_at_most_doubles_the_input(tokens, sep):
     printed = print_expr(node)
     assert parse(printed) == node
     assert len(printed) <= 2 * len(text)
+
+
+@settings(max_examples=300)
+@given(_EXPR_TOKENS)
+def test_spaces_between_tokens_change_nothing(tokens):
+    # `C(2)xF7` and `F7xF8` read as `C(2) x F7` and `F7 x F8`
+    def parsed(sep):
+        try:
+            return parse(sep.join(tokens))
+        except ParseError as exc:
+            return type(exc)
+
+    assert parsed("") == parsed(" ")

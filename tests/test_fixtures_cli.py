@@ -196,12 +196,35 @@ def test_cache_record_starts_on_a_line_of_its_own(tmp_path, capsys):
     assert cache.read_text(encoding="utf-8").count("\n") == 2  # both were hits
 
 
-@pytest.mark.parametrize("check", [[], ["--check-cache"]], ids=["replay", "check-cache"])
-def test_cache_value_that_is_not_a_sequence_is_a_one_line_user_error(tmp_path, capsys, check):
+# A value is replayed only if it is the text `format_sequence` writes, so a
+# sequence spelled with extra spaces or Unicode digits is refused too.
+_CACHE_RECORDS = [
+    ("C(2)", "garbage", "malformed canonical sequence: 'garbage'"),
+    ("C(3)", "n=3;   (1, 1) (3,2)", "not canonical sequence text: 'n=3;   (1, 1) (3,2)'"),
+    ("C(5)", "n=\u0665; (\u0661,\u0661)(\u0665,\u0664)",
+     "malformed canonical sequence: 'n=\u0665; (\u0661,\u0661)(\u0665,\u0664)'"),
+]
+
+
+@pytest.mark.parametrize(
+    "check,record",
+    [(check, record) for record in _CACHE_RECORDS for check in ([], ["--check-cache"])],
+    ids=["replay", "check-cache", "spaced-replay", "spaced-check-cache", "unicode-digits-replay",
+         "unicode-digits-check-cache"],
+)
+def test_cache_value_that_is_not_a_sequence_is_a_one_line_user_error(tmp_path, capsys, check, record):
+    expr, value, message = record
     cache = tmp_path / "cache.txt"
-    cache.write_text("A(4) | n=12; (1,1)(2,3)(3,8)\nC(2) | garbage\n", encoding="utf-8")
-    assert main(["os", "C(2)", "--cache", str(cache), *check]) == 1
-    assert capsys.readouterr() == ("", f"error: {cache}:2: malformed canonical sequence: 'garbage'\n")
+    cache.write_text(f"A(4) | n=12; (1,1)(2,3)(3,8)\n{expr} | {value}\n", encoding="utf-8")
+    assert main(["os", expr, "--cache", str(cache), *check]) == 1
+    assert capsys.readouterr() == ("", f"error: {cache}:2: {message}\n")
+
+
+def test_sequence_text_takes_ascii_digits_only(tmp_path, capsys):
+    path = tmp_path / "fixtures.txt"
+    path.write_text("X | 2 | (1,1)(\u0662,1) | t\n", encoding="utf-8")
+    assert main(["fixtures", "--fixtures", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:1: malformed sequence text: '(1,1)(\u0662,1)'\n")
 
 
 @pytest.mark.parametrize(
@@ -302,9 +325,18 @@ def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
         (("classify", "C(5)", "--bogus"), "unrecognized arguments: --bogus"),
         ((), "the following arguments are required: command"),
         (("catalog", "--prime", "7"), "--prime needs a catalog name"),
+        # an option that the verb would ignore is refused
+        (("os", "C(2)", "--check-cache"), "--check-cache needs --cache"),
+        *((("verify", suite, "--primes", "5"), f"suite {suite!r} takes no primes; thm23, thm25, thm29 do")
+          for suite in ("table1", "table2", "table3", "simple", "props")),
+        (("verify", "thm23", "--primes", ""), "--primes takes comma-separated integers; got ''"),
+        (("poset", "C(2)", "--order", "12"), "poset over expressions takes no --order or --fixtures"),
+        (("poset", "C(2)", "--fixtures", "missing.txt"), "poset over expressions takes no --order or --fixtures"),
     ],
     ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
-         "prime-without-catalog-name"],
+         "prime-without-catalog-name", "check-cache-without-cache", "table1-primes", "table2-primes",
+         "table3-primes", "simple-primes", "props-primes", "empty-primes", "poset-exprs-order",
+         "poset-exprs-fixtures"],
 )
 def test_cli_usage_error_is_a_one_line_user_error(args, message):
     proc = _run_cli(*args)
