@@ -32,6 +32,17 @@ class BuildError(ValueError):
     """A group that cannot be built, or not within the caps; the CLI exits 2."""
 
 
+def ascii_int(text):
+    """int(text), refused with a ValueError unless the text is ASCII with no
+    underscore: int also reads other Unicode digits and `1_1`."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int(): {text!r}")
+    return int(text)
+
+
+ascii_int.__name__ = "int"  # argparse names a type in its error: "invalid int value: 'x'"
+
+
 _EXPORTS = {
     "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
     "is_supersolvable lower_central_series supersolvable_chain",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, BuildError, InputError
+from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, BuildError, InputError, ascii_int
 
 USER_ERROR, CONSTRUCTION_ERROR, VERIFICATION_ERROR = 1, 2, 3
 
@@ -26,7 +26,7 @@ def _build_expr(text):
 def _fixtures(args):
     from .fixtures import default_fixtures, load_fixtures
 
-    if getattr(args, "fixtures", None):
+    if args.fixtures:
         return load_fixtures(args.fixtures)
     return default_fixtures()
 
@@ -146,12 +146,10 @@ def cmd_verify(args):
     primes = None
     if args.primes is not None:
         try:
-            primes = tuple(int(p) for p in args.primes.split(","))
+            primes = tuple(ascii_int(p) for p in args.primes.split(","))
         except ValueError:
             raise SuiteUsageError(f"--primes takes comma-separated integers; got {args.primes!r}") from None
-    # a suite that reads no fixtures loads none unless --fixtures names a file
-    fixtures = _fixtures(args) if args.fixtures else None
-    checks = run_suite(args.suite, fixtures=fixtures, primes=primes)
+    checks = run_suite(args.suite, fixtures=args.fixtures, primes=primes)
     failed = 0
     for check in checks:
         status = "PASS" if check.ok else "FAIL"
@@ -232,7 +230,7 @@ def _parser():
     p = add("poset", cmd_poset, help="domination poset over expressions or fixtures")
     p.add_argument("exprs", nargs="*")
     p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")
-    p.add_argument("--order", type=int, help="select fixtures of this order")
+    p.add_argument("--order", type=ascii_int, help="select fixtures of this order")
     p.add_argument("--emit", choices=["text", "dot", "csv"], default="text")
     p.add_argument("--out", help="write output to a file instead of stdout")
 
@@ -243,7 +241,7 @@ def _parser():
 
     p = add("catalog", cmd_catalog, help="list catalog names or build one entry")
     p.add_argument("name", nargs="?")
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=ascii_int)
 
     p = add("fixtures", cmd_fixtures, help="load and summarise a fixture file")
     p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")

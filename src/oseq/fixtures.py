@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 
-from . import InputError
+from . import InputError, ascii_int
 from .order_sequence import SequenceError, is_plausible, parse_pairs
 
 __all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
@@ -52,7 +52,7 @@ def parse_fixture_lines(lines, source="<fixtures>"):
             raise FixtureError(f"{source}:{lineno}: duplicate label {label!r}")
         seen.add(label)
         try:
-            n = int(n_text)
+            n = ascii_int(n_text)
         except ValueError:
             raise FixtureError(f"{source}:{lineno}: bad order {n_text!r}") from None
         if n > MAX_FIXTURE_ORDER:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from collections import Counter, namedtuple
 from enum import Enum
+from itertools import accumulate
 
 from . import InputError
 from .arith import divisors, factorint, totient
@@ -111,27 +112,12 @@ def compare(a, b):
         raise SequenceError("sequences of different totals are not comparable")
     if a.entries == b.entries:
         return Verdict.EQUAL
-    breaks = sorted({o for o, _ in a.entries} | {o for o, _ in b.entries})
-    ea, eb = a.entries, b.entries
-    fa = fb = 0
-    ia = ib = 0
-    a_low = b_low = True
-    for t in breaks:
-        while ia < len(ea) and ea[ia][0] <= t:
-            fa += ea[ia][1]
-            ia += 1
-        while ib < len(eb) and eb[ib][0] <= t:
-            fb += eb[ib][1]
-            ib += 1
-        if fa > fb:
-            a_low = False
-        if fb > fa:
-            b_low = False
-    if a_low and b_low:
-        return Verdict.EQUAL
-    if a_low:
+    step = Counter(dict(a.entries))
+    step.subtract(dict(b.entries))
+    diff = list(accumulate(step[t] for t in sorted(step)))  # F_a(t) - F_b(t) at each breakpoint
+    if max(diff) <= 0:
         return Verdict.PROPERLY_DOMINATES
-    if b_low:
+    if min(diff) >= 0:
         return Verdict.PROPERLY_DOMINATED_BY
     return Verdict.INCOMPARABLE
 

@@ -1,7 +1,10 @@
 """Verification suites: rebuild the table groups and check the printed claims.
 
 Each suite returns a list of Check records; a runner prints one line per
-check.  Suites: table1, table2, table3, thm23, thm25, thm29, simple, props.
+check.  table1, table2, table3 and simple read their fixtures by label
+(`--fixtures PATH`, else the shipped file); thm23, thm25 and thm29 read a
+theorem's primes (`--primes`, ASCII digits, else the defaults); props reads
+neither.  `run_suite` refuses an option that the suite does not read.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "Check",
     "SuiteUsageError",
     "SUITE_NAMES",
-    "DEFAULT_PRIMES",
     "run_suite",
     "catalog_sample",
     "order12_corpus_groups",
@@ -67,39 +69,6 @@ def _os_eq(name, computed, expected):
 def _verdict(name, a, b, expected):
     v = compare(a, b)
     return _eq(name, v.value, expected.value)
-
-
-def _fixtures_by_label(fixtures):
-    """The given fixtures, or the shipped ones if none are given, by label;
-    only the suites that read fixtures load `oseq.fixtures`."""
-    from .fixtures import default_fixtures, fixtures_by_label
-
-    return fixtures_by_label(default_fixtures() if fixtures is None else fixtures)
-
-
-DEFAULT_PRIMES = {
-    "thm23": (3, 7, 13, 17),
-    "thm25": (11, 17, 23),
-    "thm29": (5, 7, 11),
-}
-
-# Theorem suite -> (hypothesis on each prime, its statement for error text).
-_PRIME_GUARDS = {
-    "thm23": (
-        lambda p: isprime(p) and p % 2 == 1 and p != 5 and p % 5 != 1,
-        "odd primes p != 5 with p % 5 != 1",
-    ),
-    "thm25": (lambda p: isprime(p) and p >= 11 and p % 3 != 1, "primes p >= 11 with p % 3 != 1"),
-    "thm29": (lambda p: isprime(p) and p >= 5, "primes p >= 5"),
-}
-
-
-def _check_primes(suite, primes):
-    guard, text = _PRIME_GUARDS[suite]
-    for p in primes:
-        if not guard(p):
-            raise SuiteUsageError(f"{suite} requires {text}; got {p}")
-    return tuple(primes)
 
 
 # -- table suites -------------------------------------------------------------
@@ -144,8 +113,7 @@ _TABLE3_ROWS = (
 )
 
 
-def suite_table1(fixtures=None):
-    by_label = _fixtures_by_label(fixtures)
+def suite_table1(by_label):
     checks = []
     for cat_name, label in _TABLE1_CONSTRUCTIBLE:
         seq = os_of_group(catalog(cat_name))
@@ -157,10 +125,9 @@ def suite_table1(fixtures=None):
     return checks
 
 
-def suite_table2(fixtures=None):
+def suite_table2(by_label):
     from .classify import is_solvable, is_supersolvable
 
-    by_label = _fixtures_by_label(fixtures)
     groups = {name: catalog(name) for name in
               ("C4xF8", "C22xF8", "C24xD14", "C7xA5", "C35xA4", "C5xC7A4", "D10xF7")}
     seqs = {name: os_of_group(g) for name, g in groups.items()}
@@ -190,10 +157,9 @@ def suite_table2(fixtures=None):
     return checks
 
 
-def suite_table3(fixtures=None):
+def suite_table3(by_label):
     from .classify import is_supersolvable
 
-    by_label = _fixtures_by_label(fixtures)
     checks = []
     for n, h_labels, g_labels in _TABLE3_ROWS:
         labels = (*h_labels, *g_labels)
@@ -214,8 +180,7 @@ def suite_table3(fixtures=None):
 # -- theorem families ----------------------------------------------------------
 
 
-def suite_thm23(primes=None):
-    primes = _check_primes("thm23", primes or DEFAULT_PRIMES["thm23"])
+def suite_thm23(primes):
     base_h = os_of_group(catalog("C5xA5"))
     base_g = os_of_group(catalog("SD_300_23"))
     checks = []
@@ -240,8 +205,7 @@ def _thm25_expected_g(p):
     )
 
 
-def suite_thm25(primes=None):
-    primes = _check_primes("thm25", primes or DEFAULT_PRIMES["thm25"])
+def suite_thm25(primes):
     checks = []
     for p in primes:
         h = os_of_group(catalog("CpxA4", p))
@@ -252,10 +216,9 @@ def suite_thm25(primes=None):
     return checks
 
 
-def suite_thm29(primes=None):
+def suite_thm29(primes):
     from .classify import is_supersolvable
 
-    primes = _check_primes("thm29", primes or DEFAULT_PRIMES["thm29"])
     printed = OrderSequence(((1, 1), (2, 21), (3, 8), (4, 18), (6, 24)))
     wreath_seq = os_of_group(catalog("S3wrC2"))
     twisted_seq = os_of_group(catalog("SD_72_35"))
@@ -277,8 +240,7 @@ def suite_thm29(primes=None):
 # -- simple-group block ---------------------------------------------------------
 
 
-def suite_simple(fixtures=None):
-    by_label = _fixtures_by_label(fixtures)
+def suite_simple(by_label):
     l2_fix = by_label["L2_64"].seq
     sz_fix = by_label["C32xSz8"].seq
     computed = os_of_group(psl2(64))
@@ -387,21 +349,44 @@ def suite_props():
     return checks
 
 
+# Suite -> what it runs, and whether it reads its fixtures by label or a
+# theorem's primes: the defaults, and the hypothesis on each prime p (p is
+# prime, p >= least and p % modulus is not in excluded) with its text.  For
+# thm23, the odd primes are those >= 3, and 5 is the only prime p % 5 == 0.
+_Suite = namedtuple("_Suite", "check fixtures primes", defaults=(False, None))
+_Primes = namedtuple("_Primes", "default least modulus excluded text")
 _SUITES = {
-    "table1": lambda fixtures, primes: suite_table1(fixtures),
-    "table2": lambda fixtures, primes: suite_table2(fixtures),
-    "table3": lambda fixtures, primes: suite_table3(fixtures),
-    "thm23": lambda fixtures, primes: suite_thm23(primes),
-    "thm25": lambda fixtures, primes: suite_thm25(primes),
-    "thm29": lambda fixtures, primes: suite_thm29(primes),
-    "simple": lambda fixtures, primes: suite_simple(fixtures),
-    "props": lambda fixtures, primes: suite_props(),
+    "table1": _Suite(suite_table1, fixtures=True),
+    "table2": _Suite(suite_table2, fixtures=True),
+    "table3": _Suite(suite_table3, fixtures=True),
+    "thm23": _Suite(suite_thm23, primes=_Primes((3, 7, 13, 17), 3, 5, (0, 1), "odd primes p != 5 with p % 5 != 1")),
+    "thm25": _Suite(suite_thm25, primes=_Primes((11, 17, 23), 11, 3, (1,), "primes p >= 11 with p % 3 != 1")),
+    "thm29": _Suite(suite_thm29, primes=_Primes((5, 7, 11), 5, 1, (), "primes p >= 5")),
+    "simple": _Suite(suite_simple, fixtures=True),
+    "props": _Suite(suite_props),
 }
 
 
 def run_suite(name, fixtures=None, primes=None):
+    """Run a suite on what it reads: its fixtures by label, from the file at
+    the path `fixtures` or else the shipped file, or its theorem's `primes`,
+    or else the default ones.  An option given to a suite that does not read
+    it is a SuiteUsageError, and so is a prime outside the hypothesis."""
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if primes is not None and name not in DEFAULT_PRIMES:
-        raise SuiteUsageError(f"suite {name!r} takes no primes; {', '.join(DEFAULT_PRIMES)} do")
-    return _SUITES[name](fixtures, primes)
+    suite = _SUITES[name]
+    for option, value in (("primes", primes), ("fixtures", fixtures)):
+        if value is not None and not getattr(suite, option):
+            readers = ", ".join(n for n, s in _SUITES.items() if getattr(s, option))
+            raise SuiteUsageError(f"suite {name!r} takes no {option}; {readers} do")
+    if suite.fixtures:
+        from .fixtures import default_fixtures, fixtures_by_label, load_fixtures
+        return suite.check(fixtures_by_label(default_fixtures() if fixtures is None else load_fixtures(fixtures)))
+    if suite.primes is None:
+        return suite.check()
+    spec = suite.primes
+    primes = tuple(primes or spec.default)
+    for p in primes:
+        if not (isprime(p) and p >= spec.least and p % spec.modulus not in spec.excluded):
+            raise SuiteUsageError(f"{name} requires {spec.text}; got {p}")
+    return suite.check(primes)

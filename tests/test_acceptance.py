@@ -66,8 +66,8 @@ def test_criterion_01_base_sequences():
     print("ACCEPTANCE 1: PASS (A4 and D12 displays)")
 
 
-def test_criterion_02_table1(fixtures):
-    checks = suite_table1(fixtures)
+def test_criterion_02_table1(by_label):
+    checks = suite_table1(by_label)
     assert len([c for c in checks if ">" in c.name]) == 19
     _assert_all(checks, "2 (table 1: five sequences, 19 domination pairs)")
 

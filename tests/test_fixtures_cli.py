@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from sympy import isprime
 
 import oseq
 from oseq import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, verify
@@ -135,6 +136,26 @@ def test_cli_verify_rejects_bad_primes(capsys):
     assert main(["verify", "thm29", "--primes", "3"]) == 1
 
 
+# Each theorem's hypothesis on a prime p as stated; the suite table keeps it
+# as a least prime and excluded residues.
+_HYPOTHESES = {
+    "thm23": lambda p: isprime(p) and p % 2 == 1 and p != 5 and p % 5 != 1,
+    "thm25": lambda p: isprime(p) and p >= 11 and p % 3 != 1,
+    "thm29": lambda p: isprime(p) and p >= 5,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_HYPOTHESES))
+def test_a_theorem_suite_takes_exactly_the_primes_of_its_hypothesis(monkeypatch, suite):
+    monkeypatch.setitem(verify._SUITES, suite, verify._SUITES[suite]._replace(check=list))
+    for p in range(-10, 500):
+        if _HYPOTHESES[suite](p):
+            assert verify.run_suite(suite, primes=(p,)) == [p]
+        else:
+            with pytest.raises(verify.SuiteUsageError, match=rf"^{suite} requires .*; got {p}$"):
+                verify.run_suite(suite, primes=(p,))
+
+
 def test_cli_catalog(capsys):
     assert main(["catalog"]) == 0
     assert "SD_300_23" in capsys.readouterr().out
@@ -222,9 +243,15 @@ def test_cache_value_that_is_not_a_sequence_is_a_one_line_user_error(tmp_path, c
 
 def test_sequence_text_takes_ascii_digits_only(tmp_path, capsys):
     path = tmp_path / "fixtures.txt"
-    path.write_text("X | 2 | (1,1)(\u0662,1) | t\n", encoding="utf-8")
-    assert main(["fixtures", "--fixtures", str(path)]) == 1
-    assert capsys.readouterr() == ("", f"error: {path}:1: malformed sequence text: '(1,1)(\u0662,1)'\n")
+    for line, message in (
+        ("X | 2 | (1,1)(\u0662,1) | t", "malformed sequence text: '(1,1)(\u0662,1)'"),
+        # and so does a fixture's order
+        ("X | \u0662 | (1,1)(2,1) | t", "bad order '\u0662'"),
+        ("X | 0_2 | (1,1)(2,1) | t", "bad order '0_2'"),
+    ):
+        path.write_text(line + "\n", encoding="utf-8")
+        assert main(["fixtures", "--fixtures", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}:1: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -261,21 +288,22 @@ def _run_cli(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,message",
     [
-        ("verify", "table1", "--fixtures", "{tmp}/missing.txt"),
-        # a suite that reads no fixtures still refuses the file it is given
-        ("verify", "thm25", "--fixtures", "{tmp}/missing.txt"),
-        ("os", "C(5)", "--cache", "{tmp}/missing-dir/c.json"),
-        ("verify", "thm23", "--primes", "3,x"),
+        (("verify", "table1", "--fixtures", "{tmp}/missing.txt"),
+         "[Errno 2] No such file or directory: '{tmp}/missing.txt'"),
+        # a suite that reads no fixtures refuses --fixtures before it opens the file
+        (("verify", "thm25", "--fixtures", "{tmp}/missing.txt"),
+         "suite 'thm25' takes no fixtures; table1, table2, table3, simple do"),
+        (("os", "C(5)", "--cache", "{tmp}/missing-dir/c.json"),
+         "[Errno 2] No such file or directory: '{tmp}/missing-dir/c.json'"),
+        (("verify", "thm23", "--primes", "3,x"), "--primes takes comma-separated integers; got '3,x'"),
     ],
     ids=["missing-fixtures", "missing-fixtures-unread", "cache-in-missing-dir", "non-integer-prime"],
 )
-def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args):
+def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args, message):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in args))
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("suite,label", [("table1", "SG300_22"), ("simple", "L2_64")])
@@ -332,14 +360,27 @@ def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
         (("verify", "thm23", "--primes", ""), "--primes takes comma-separated integers; got ''"),
         (("poset", "C(2)", "--order", "12"), "poset over expressions takes no --order or --fixtures"),
         (("poset", "C(2)", "--fixtures", "missing.txt"), "poset over expressions takes no --order or --fixtures"),
+        *((("verify", suite, "--fixtures", "{fixtures}"),
+           f"suite {suite!r} takes no fixtures; table1, table2, table3, simple do")
+          for suite in ("thm23", "thm25", "thm29", "props")),
+        # integers are read in ASCII digits only, without underscores
+        (("catalog", "CpxA4", "--prime", "\u0667"), "argument --prime: invalid int value: '\u0667'"),
+        (("catalog", "CpxA4", "--prime", "1_1"), "argument --prime: invalid int value: '1_1'"),
+        (("poset", "--order", "\u0667\u0662"), "argument --order: invalid int value: '\u0667\u0662'"),
+        (("verify", "thm29", "--primes", " 5,1_1"), "--primes takes comma-separated integers; got ' 5,1_1'"),
+        (("verify", "thm29", "--primes", "\u0665"), "--primes takes comma-separated integers; got '\u0665'"),
     ],
     ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
          "prime-without-catalog-name", "check-cache-without-cache", "table1-primes", "table2-primes",
          "table3-primes", "simple-primes", "props-primes", "empty-primes", "poset-exprs-order",
-         "poset-exprs-fixtures"],
+         "poset-exprs-fixtures", "thm23-fixtures", "thm25-fixtures", "thm29-fixtures", "props-fixtures",
+         "unicode-digit-prime", "underscore-prime", "unicode-digit-order", "underscore-primes",
+         "unicode-digit-primes"],
 )
-def test_cli_usage_error_is_a_one_line_user_error(args, message):
-    proc = _run_cli(*args)
+def test_cli_usage_error_is_a_one_line_user_error(tmp_path, args, message):
+    fixtures = tmp_path / "one-line.txt"
+    fixtures.write_text("X | 2 | (1,1)(2,1) | t\n", encoding="utf-8")
+    proc = _run_cli(*(a.format(fixtures=fixtures) for a in args))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
@@ -613,6 +654,7 @@ def test_submodules_resolve_as_attributes_and_unknown_names_do_not():
 def test_suite_names_have_one_source():
     assert verify.SUITE_NAMES is SUITE_NAMES
     assert tuple(verify._SUITES) == SUITE_NAMES
+    assert all(suite.check is getattr(verify, f"suite_{name}") for name, suite in verify._SUITES.items())
     (verbs,) = [a for a in _parser()._actions if a.dest == "command"]
     (suite,) = [a for a in verbs.choices["verify"]._actions if a.dest == "suite"]
     assert tuple(suite.choices) == SUITE_NAMES
