@@ -23,14 +23,6 @@ def _build_expr(text):
     return build(parse(text))
 
 
-def _fixtures(args):
-    from .fixtures import default_fixtures, load_fixtures
-
-    if args.fixtures:
-        return load_fixtures(args.fixtures)
-    return default_fixtures()
-
-
 def cmd_os(args):
     from .expr import build, parse, print_expr
     from .order_sequence import format_sequence, os_of_group
@@ -113,11 +105,11 @@ def cmd_poset(args):
             entries.append(CorpusEntry(print_expr(node), os_of_group(build(node))))
         corpus = Corpus(entries)
     else:
-        from .fixtures import corpus_for_order
+        from .fixtures import corpus_for_order, load_fixtures
 
         if args.order is None:
             raise InputError("poset over a fixture file needs --order")
-        corpus = corpus_for_order(_fixtures(args), args.order)
+        corpus = corpus_for_order(load_fixtures(args.fixtures), args.order)
         if not len(corpus):
             raise InputError(f"no fixtures of order {args.order}")
     result = build_poset(corpus)
@@ -179,7 +171,9 @@ def cmd_catalog(args):
 
 
 def cmd_fixtures(args):
-    fixtures = _fixtures(args)
+    from .fixtures import load_fixtures
+
+    fixtures = load_fixtures(args.fixtures)
     by_order = {}
     for f in fixtures:
         by_order.setdefault(f.n, []).append(f.label)
@@ -204,8 +198,6 @@ def _parser():
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        # accepted so that older command lines still parse; nothing reads it
-        p.add_argument("--features", action="append", choices=["sz8"], help="ignored: Sz8 needs no flag")
         return p
 
     p = add("os", cmd_os, help="order sequence of an expression")
@@ -238,6 +230,8 @@ def _parser():
     p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")
     p.add_argument("--primes", help="comma-separated prime sample")
+    # accepted so that `verify simple --features sz8` still parses; nothing reads it
+    p.add_argument("--features", action="append", choices=["sz8"], help="ignored: Sz8 needs no flag")
 
     p = add("catalog", cmd_catalog, help="list catalog names or build one entry")
     p.add_argument("name", nargs="?")

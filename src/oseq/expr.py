@@ -97,6 +97,10 @@ def _lex(text):
     return tokens
 
 
+def _shown(tok):
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _lex(text)
@@ -109,7 +113,7 @@ class _Parser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         self.pos += 1
         return tok
 
@@ -146,9 +150,9 @@ class _Parser:
         return Node("^", (node, k))
 
     def atom(self):
-        kind, word, at = self.take()
+        tok = kind, word, at = self.take()
         if kind != "name":
-            raise ParseError(f"expected a constructor name, found {word!r}", at)
+            raise ParseError(f"expected a constructor name, found {_shown(tok)}", at)
         arg_kind = _CONSTRUCTORS.get(word, (None,))[0]
         if arg_kind == "none":
             if self.peek()[0] == "(":

@@ -1,4 +1,9 @@
-"""Exact arithmetic in GF(p) and GF(p^k), p^k <= 256, by full add/mul tables.
+"""Exact arithmetic in the fields the group constructors use, by full add/mul tables.
+
+These are the fields of at most 64 elements: GF(p) for each prime p < 64,
+reduced by x, and the nine extension fields GF(p^k), k > 1, each reduced by
+its modulus in `_MODULI`.  PSL(2,q) takes q <= 64, Sz(8) and F8 use GF(8)
+and `SD_300_23` uses GF(5), so no constructor asks for another field.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
@@ -11,7 +16,6 @@ vector.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import BuildError
@@ -24,66 +28,21 @@ class FieldError(BuildError):
     """Bad field parameters or an undefined field operation."""
 
 
-MAX_EXTENSION_DEGREE = 8
-MAX_FIELD_SIZE = 256  # every field holds full add/mul tables
-
-# Pinned irreducible moduli (ascending coefficients, monic).
-_PINNED_MODULI = {
+# The irreducible modulus of each extension field (ascending coefficients,
+# monic).  GF(8) and GF(64) keep x^3 + x + 1 and x^6 + x + 1, by which F8,
+# Sz(8) and PSL(2,64) are numbered; every other modulus is the first
+# irreducible monic polynomial of its degree in coefficient order.
+_MODULI = {
     (2, 2): (1, 1, 1),  # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
+    (2, 4): (1, 0, 0, 1, 1),  # x^4 + x^3 + 1
+    (2, 5): (1, 0, 0, 1, 0, 1),  # x^5 + x^3 + 1
     (2, 6): (1, 1, 0, 0, 0, 0, 1),  # x^6 + x + 1
+    (3, 2): (1, 0, 1),  # x^2 + 1
+    (3, 3): (1, 0, 2, 1),  # x^3 + 2x^2 + 1
+    (5, 2): (1, 1, 1),  # x^2 + x + 1
+    (7, 2): (1, 0, 1),  # x^2 + 1
 }
-
-
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            f = (c * inv_lead) % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-    return _trim(a[:db])
-
-
-def _is_irreducible(modulus, p):
-    """Trial division by every monic polynomial of degree <= k/2."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            if not _poly_rem(modulus, (*tail, 1), p):
-                return False
-    return True
-
-
-def _check_field(p, k):
-    """Refuse GF(p^k) unless p is prime, 1 <= k <= MAX_EXTENSION_DEGREE and
-    p^k <= MAX_FIELD_SIZE."""
-    if not isprime(p):
-        raise FieldError(f"p={p} is not prime")
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise FieldError(f"extension degree {k} outside 1..{MAX_EXTENSION_DEGREE}")
-    if p**k > MAX_FIELD_SIZE:
-        raise FieldError(f"field size {p**k} exceeds supported maximum {MAX_FIELD_SIZE}")
-
-
-@lru_cache(maxsize=None)
-def _search_modulus(p, k):
-    """First irreducible monic of degree k, by coefficient-tuple order."""
-    for tail in itertools.product(range(p), repeat=k):
-        cand = (*tail, 1)
-        if _is_irreducible(cand, p):
-            return cand
-    raise FieldError(f"no irreducible modulus of degree {k} over GF({p}) found")
 
 
 class FieldSpec:
@@ -95,17 +54,16 @@ class FieldSpec:
 
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_inv")
 
-    def __init__(self, p, k, modulus):
-        _check_field(p, k)
-        modulus = _trim(modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1 or any(not 0 <= c < p for c in modulus):
-            raise FieldError("modulus must be monic of degree k with coefficients in [0, p)")
-        if k > 1 and not _is_irreducible(modulus, p):
-            raise FieldError(f"modulus {modulus} is not irreducible over GF({p})")
+    def __init__(self, p, k=1):
+        if k == 1 and p < 64 and isprime(p):
+            self.modulus = (0, 1)
+        elif (p, k) in _MODULI:
+            self.modulus = _MODULI[p, k]
+        else:
+            raise FieldError(f"no field GF({p}^{k}): the fields are GF(p^k), p prime, p^k <= 64")
         self.p = p
         self.k = k
         self.q = p**k
-        self.modulus = modulus
         self._build_tables()
 
     # -- encoding ---------------------------------------------------------
@@ -197,15 +155,4 @@ class FieldSpec:
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
 
-@lru_cache(maxsize=None)
-def field_make(p, k=1):
-    """GF(p^k) with the pinned modulus table; prime fields use modulus x."""
-    if k == 1:
-        modulus = (0, 1)
-    elif (p, k) in _PINNED_MODULI:
-        modulus = _PINNED_MODULI[p, k]
-    else:
-        _check_field(p, k)  # before the search, which is slow for large p^k
-        modulus = _search_modulus(p, k)
-    return FieldSpec(p, k, modulus)
-
+field_make = lru_cache(maxsize=None)(FieldSpec)

@@ -69,7 +69,11 @@ def parse_fixture_lines(lines, source="<fixtures>"):
     return records
 
 
-def load_fixtures(path):
+def load_fixtures(path=None):
+    """The fixtures in the file at `path`, or in the shipped file when `path` is None."""
+    if path is None:
+        text = resources.files("oseq").joinpath("data/fixtures.txt").read_text(encoding="utf-8")
+        return parse_fixture_lines(text.splitlines(), source="data/fixtures.txt")
     with open(path, encoding="utf-8") as handle:
         try:
             return parse_fixture_lines(handle, source=str(path))
@@ -79,8 +83,7 @@ def load_fixtures(path):
 
 @lru_cache(maxsize=None)
 def default_fixtures():
-    text = resources.files("oseq").joinpath("data/fixtures.txt").read_text(encoding="utf-8")
-    return tuple(parse_fixture_lines(text.splitlines(), source="data/fixtures.txt"))
+    return tuple(load_fixtures())
 
 
 class _ByLabel(dict):

@@ -380,8 +380,8 @@ def run_suite(name, fixtures=None, primes=None):
             readers = ", ".join(n for n, s in _SUITES.items() if getattr(s, option))
             raise SuiteUsageError(f"suite {name!r} takes no {option}; {readers} do")
     if suite.fixtures:
-        from .fixtures import default_fixtures, fixtures_by_label, load_fixtures
-        return suite.check(fixtures_by_label(default_fixtures() if fixtures is None else load_fixtures(fixtures)))
+        from .fixtures import fixtures_by_label, load_fixtures
+        return suite.check(fixtures_by_label(load_fixtures(fixtures)))
     if suite.primes is None:
         return suite.check()
     spec = suite.primes

@@ -621,7 +621,8 @@ def _matrix_dicyclic(n):
 
     The generators are diag(zeta, 1/zeta), for the least zeta of order n/2,
     and ((0, 1), (-1, 0)).  The entries are integers mod q, since q may pass
-    the 256 elements `field_make` supports (Dic(256) needs q = 257).
+    64, the size of the largest field `field_make` builds (Dic(256) needs
+    q = 257).
     """
     half = n // 2
     q = half + 1

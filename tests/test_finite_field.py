@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oseq.arith import isprime
-from oseq.finite_field import FieldError, _poly_rem, _trim, field_make
+from oseq.construct import psl2
+from oseq.finite_field import _MODULI, FieldError, field_make
 
 
 def test_pinned_moduli():
@@ -93,23 +95,24 @@ def test_field_errors():
         field_make(5).inv(0)
 
 
-def test_large_field_without_tables():
-    # every field holds full add/mul tables, so one above 256 elements is refused
-    with pytest.raises(FieldError, match="exceeds supported maximum 256"):
-        field_make(3, 6)
+# The oracle's own polynomial arithmetic over GF(p): ascending coefficient
+# tuples, with no trailing zeros once trimmed.
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
-def test_large_field_is_refused_before_the_modulus_search(monkeypatch):
-    # the search for a degree-8 modulus over GF(31) takes longer than 20 s
-    import oseq.finite_field
-
-    def unreachable(p, k):
-        raise AssertionError("modulus searched before the size check")
-
-    monkeypatch.setattr(oseq.finite_field, "_search_modulus", unreachable)
-    with pytest.raises(FieldError, match="exceeds supported maximum 256"):
-        field_make(31, 8)
-
+def _poly_rem(a, b, p):
+    """a mod b, for b monic."""
+    a = list(a)
+    db = len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % p
+        for j in range(db + 1):
+            a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return _trim(a[:db])
 
 
 def _poly_mul(a, b, p):
@@ -144,5 +147,55 @@ ALL_FIELDS = [(p, k) for p in range(2, 257) if isprime(p) for k in range(1, 9) i
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[f"{p}^{k}" for p, k in ALL_FIELDS])
 def test_tables_match_the_polynomial_builder(p, k):
+    # the constructors use no field of over 64 elements, so none is built
+    if p**k > 64:
+        with pytest.raises(FieldError, match=rf"no field GF\({p}\^{k}\)"):
+            field_make(p, k)
+        return
     f = field_make(p, k)
     assert (f._add, f._mul, f._inv) == _tables_by_polynomials(f)
+
+
+def _is_irreducible(poly, p):
+    """No monic polynomial of degree 1 to deg(poly) / 2 divides poly."""
+    k = len(poly) - 1
+    return all(
+        _poly_rem(poly, (*tail, 1), p)
+        for d in range(1, k // 2 + 1)
+        for tail in itertools.product(range(p), repeat=d)
+    )
+
+
+def test_moduli_are_irreducible_and_the_first_in_coefficient_order():
+    assert sorted(_MODULI) == sorted((p, k) for p, k in ALL_FIELDS if k > 1 and p**k <= 64)
+    for (p, k), modulus in _MODULI.items():
+        assert len(modulus) == k + 1 and modulus[-1] == 1 and _is_irreducible(modulus, p)
+        if (p, k) not in ((2, 3), (2, 6)):  # x^3 + x + 1 and x^6 + x + 1
+            candidates = ((*tail, 1) for tail in itertools.product(range(p), repeat=k))
+            assert modulus == next(m for m in candidates if _is_irreducible(m, p)), (p, k)
+
+
+# md5 of psl2(q)'s generator permutations, concatenated: the field encodings
+# fix the numbering of the projective line, and with it every index
+PSL2_GENERATORS = {
+    2: "e9a7becbafba9e697de70636a5d4536e", 3: "356762fd722ed2ccb3b310b0bad416a1",
+    4: "e2b8b87762c6dbe480fa2a6851f38964", 5: "29fce98e05a2cfe96ad3cf8e5bc2432a",
+    7: "e65236b90e8d2c3eac3e42ee275e0ead", 8: "1c46292e290904f26fc9d4d6068188ed",
+    9: "6bfdf00a3cf21fde095092ab6090e9ba", 11: "9c5fbd2679f6d22fa681eb31c83d95bd",
+    13: "7ab408ce2c7038b7a3f3f6f257ed256b", 16: "2c2552a7eba488dcb9f21cbdd90286fc",
+    17: "3badd9882e46dbcd9aa5e4ec06ae7113", 19: "84f206608bd84392dbf4bd8c59557405",
+    23: "8c25f0192cb37389828f2fbd662ed160", 25: "a18c793d5db6487ff065c9b98ff4fefb",
+    27: "45b79b6ff2f4822f41b2cc69969cc7df", 29: "d102d012df6cc5e994b80f9b767f4cf7",
+    31: "0eb562de50c53a5c86db0c4fcbf6ae35", 32: "1f9451aded6a22634356681c43f644c4",
+    37: "c74b7c02bb5baeefbc22e4f331abc9c7", 41: "12c8ebcdc71cfb56bbdab35fae5c12c7",
+    43: "803ee64e3d1e2d288d6256398ffdfd71", 47: "4b916f3287b8fdb16515e288dc19953f",
+    49: "c5187135202075625729e73653228b6e", 53: "7c0228d9cc36c11a03f75910f61525d2",
+    59: "4a392c2535a1ca08a42e139f8ab0405c", 61: "389d2be8769bf86bd226eb6da0f5c7fc",
+    64: "7a18f540fac3f932e739c2605d5a9af3",
+}
+
+
+def test_psl2_keeps_its_generator_permutations():
+    assert sorted(PSL2_GENERATORS) == sorted(p**k for p, k in ALL_FIELDS if p**k <= 64)
+    for q, digest in PSL2_GENERATORS.items():
+        assert hashlib.md5(b"".join(psl2(q)._chain.gens)).hexdigest() == digest, q

@@ -298,8 +298,12 @@ def _run_cli(*args, **kwargs):
         (("os", "C(5)", "--cache", "{tmp}/missing-dir/c.json"),
          "[Errno 2] No such file or directory: '{tmp}/missing-dir/c.json'"),
         (("verify", "thm23", "--primes", "3,x"), "--primes takes comma-separated integers; got '3,x'"),
+        # an empty path is a path: only leaving --fixtures out reads the shipped file
+        (("fixtures", "--fixtures", ""), "[Errno 2] No such file or directory: ''"),
+        (("poset", "--order", "72", "--fixtures", ""), "[Errno 2] No such file or directory: ''"),
     ],
-    ids=["missing-fixtures", "missing-fixtures-unread", "cache-in-missing-dir", "non-integer-prime"],
+    ids=["missing-fixtures", "missing-fixtures-unread", "cache-in-missing-dir", "non-integer-prime",
+         "empty-fixtures-path", "empty-poset-fixtures-path"],
 )
 def test_cli_bad_path_or_prime_is_a_one_line_user_error(tmp_path, args, message):
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in args))
@@ -369,13 +373,15 @@ def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
         (("poset", "--order", "\u0667\u0662"), "argument --order: invalid int value: '\u0667\u0662'"),
         (("verify", "thm29", "--primes", " 5,1_1"), "--primes takes comma-separated integers; got ' 5,1_1'"),
         (("verify", "thm29", "--primes", "\u0665"), "--primes takes comma-separated integers; got '\u0665'"),
+        # only verify declares the ignored --features
+        (("os", "Sz8", "--features", "sz8"), "unrecognized arguments: --features sz8"),
     ],
     ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
          "prime-without-catalog-name", "check-cache-without-cache", "table1-primes", "table2-primes",
          "table3-primes", "simple-primes", "props-primes", "empty-primes", "poset-exprs-order",
          "poset-exprs-fixtures", "thm23-fixtures", "thm25-fixtures", "thm29-fixtures", "props-fixtures",
          "unicode-digit-prime", "underscore-prime", "unicode-digit-order", "underscore-primes",
-         "unicode-digit-primes"],
+         "unicode-digit-primes", "os-features"],
 )
 def test_cli_usage_error_is_a_one_line_user_error(tmp_path, args, message):
     fixtures = tmp_path / "one-line.txt"
@@ -562,7 +568,7 @@ def test_bench_tracer_installs_on_a_fresh_import():
 
 
 def test_script_imports_resolve():
-    # no test runs the scripts, so each name they import from oseq is checked here
+    # each name the scripts import from oseq resolves, checked without running them
     scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
     assert scripts
     for script in scripts:
@@ -677,7 +683,9 @@ _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
 @pytest.mark.parametrize(
     "args,code,stderr",
     [
-        (("os", "C("), 1, "error: expected 'int', found None (at position 2)\n"),
+        (("os", "C("), 1, "error: expected 'int', found end of input (at position 2)\n"),
+        (("os", ""), 1, "error: expected a constructor name, found end of input (at position 0)\n"),
+        (("os", "PSL2(64)x"), 1, "error: expected a constructor name, found end of input (at position 9)\n"),
         (("compare", "C(2)", "C(3)"), 1, "error: sequences of different totals are not comparable\n"),
         (("verify", "thm23", "--primes", "x"), 1, "error: --primes takes comma-separated integers; got 'x'\n"),
         (("fixtures", "--fixtures", "/nonexistent"), 1,
@@ -696,9 +704,9 @@ _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
         (("catalog", "CpxA4", "--prime", "12"), 1, "error: 12 is not prime\n"),
         (("os", "Cat(CpxA4, 12)"), 1, "error: 12 is not prime\n"),
     ],
-    ids=["ParseError", "SequenceError", "SuiteUsageError", "OSError", "FixtureError", "ConstructionError",
-         "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key", "InputError-exponent-poset-label",
-         "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
+    ids=["ParseError", "ParseError-empty", "ParseError-trailing-x", "SequenceError", "SuiteUsageError", "OSError",
+         "FixtureError", "ConstructionError", "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key",
+         "InputError-exponent-poset-label", "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
          "InputError-catalog-non-prime", "InputError-os-catalog-non-prime"],
 )
 def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
