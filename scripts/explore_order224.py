@@ -44,21 +44,19 @@ def c24_rtimes_d14_candidates():
     """D14 on C2^4: the rotation cannot be inverted by any involution of
     GL(4,2) (the two order-7 rational forms are not conjugate to their
     inverses), so every nontrivial action factors through the C2 quotient;
-    one candidate per involution class rank.  A vector (x0, .., x3) is the
-    integer sum of x_i 2^i, a matrix T its four columns, and Tv the XOR of the
-    columns v selects; T is an involution when T maps each column back to its
-    unit vector, and it acts as a permutation of the table of C2^4.  T + I has
-    rank 4 - log2 |Fix T|, since the fixed vectors of T are the kernel of
-    T + I."""
+    one candidate per involution class rank.  The table of C2^4 holds a
+    vector (x0, .., x3) as the integer sum of x_i 2^i, a matrix T is its four
+    columns, and Tv the XOR of the columns v selects; T is an involution when
+    T maps each column back to its unit vector, and it acts as a permutation
+    of the table of C2^4.  T + I has rank 4 - log2 |Fix T|, since the fixed
+    vectors of T are the kernel of T + I."""
     n = elementary_abelian(2, 4)
-    word = [sum(x << i for i, x in enumerate(v)) for v in n.table]
-    at = {w: i for i, w in enumerate(word)}
 
     def apply(cols, w):
         return reduce(xor, (c for i, c in enumerate(cols) if w >> i & 1), 0)
 
     involutions = [
-        bytes(at[apply(cols, w)] for w in word)
+        bytes(n.index[apply(cols, w)] for w in n.table)
         for cols in itertools.product(range(16), repeat=4)
         if cols != (1, 2, 4, 8) and all(apply(cols, c) == 1 << i for i, c in enumerate(cols))
     ]

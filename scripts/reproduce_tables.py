@@ -8,7 +8,6 @@ expected to pass.
 
 import argparse
 import sys
-import time
 
 from oseq.verify import SUITE_NAMES, run_suite
 
@@ -20,13 +19,11 @@ def main():
 
     grand_total = grand_failed = 0
     for name in args.suites:
-        start = time.perf_counter()
         checks = run_suite(name)
-        elapsed = time.perf_counter() - start
         failed = [c for c in checks if not c.ok]
         grand_total += len(checks)
         grand_failed += len(failed)
-        print(f"== {name}: {len(checks) - len(failed)}/{len(checks)} passed ({elapsed:.1f}s)")
+        print(f"== {name}: {len(checks) - len(failed)}/{len(checks)} passed")
         for check in failed:
             print(f"   FAIL {check.name}  [{check.detail}]")
     print(f"total: {grand_total - grand_failed}/{grand_total} checks passed")

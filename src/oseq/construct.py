@@ -18,7 +18,6 @@ from .groups import (
     MetacyclicBacking,
     PermBacking,
     SemidirectBacking,
-    VectorBacking,
     enumerate_group,
 )
 
@@ -63,12 +62,12 @@ def _require_under_cap(name, factors):
 
 @lru_cache(maxsize=None)
 def cyclic(n):
-    """C_n as the integers mod n; index i holds the i-th power of the generator."""
+    """C_n as the integers mod n, each its own index: i is the i-th power of
+    the generator 1."""
     if n < 1:
         raise ConstructionError("cyclic group order must be >= 1")
     _require_under_cap(f"C{n}", (n,))
-    gens = [] if n == 1 else [(1, 0)]
-    return enumerate_group(MetacyclicBacking(n), gens, name=f"C{n}")
+    return Group(MetacyclicBacking(n), range(n), [] if n == 1 else [1], name=f"C{n}")
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +76,7 @@ def dihedral(n):
     if n < 4 or n % 2:
         raise ConstructionError("dihedral order must be an even integer >= 4")
     _require_under_cap(f"D{n}", (n,))
-    return enumerate_group(MetacyclicBacking(n // 2), [(1, 0), (0, 1)], name=f"D{n}")
+    return enumerate_group(MetacyclicBacking(n // 2), [1, n // 2], name=f"D{n}")
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +85,7 @@ def dicyclic(n):
     if n < 8 or n % 4:
         raise ConstructionError("dicyclic order must be a multiple of 4, at least 8")
     _require_under_cap(f"Dic{n}", (n,))
-    return enumerate_group(MetacyclicBacking(n // 2, n // 4), [(1, 0), (0, 1)], name=f"Dic{n}")
+    return enumerate_group(MetacyclicBacking(n // 2, n // 4), [1, n // 2], name=f"Dic{n}")
 
 
 @lru_cache(maxsize=None)
@@ -124,26 +123,28 @@ def alternating(k):
 def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
 
-    y acts on the vectors by (u, w) -> (u, w + u); the generators are
-    x = (1, 0) and z = (0, 1) in the normal factor and y, in the order of the
-    unitriangular matrices I + E12, I - E13 and I + E23 they stand for.
+    y acts on the vectors by (u, w) -> (u, w + u), that is on their integers
+    u + wp by t -> t + (t mod p) p mod p^2; the generators are x = (1, 0) and
+    z = (0, 1) in the normal factor and y, in the order of the unitriangular
+    matrices I + E12, I - E13 and I + E23 they stand for.
     """
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
     n = elementary_abelian(p, 2)
-    y = [n.index[u, (w + u) % p] for u, w in n.table]
+    y = [n.index[(t + t % p * p) % (p * p)] for t in n.table]
     return semidirect_product(n, cyclic(p), [y], f"He{p}")
 
 
 @lru_cache(maxsize=None)
 def elementary_abelian(p, k):
-    """GF(p)^k as an additive group; the table lists coefficient tuples."""
+    """GF(p)^k as an additive group, numbered breadth-first from the unit
+    vectors.  The table lists each vector v as the integer sum of v_i p^i, as
+    `FieldSpec.encode` packs it, an element of the backing of C(p)^k."""
     if not isprime(p) or k < 1:
         raise ConstructionError("elementary abelian group needs a prime and k >= 1")
-    backing = VectorBacking(p, k)
-    gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    return enumerate_group(backing, gens, name=f"C{p}^{k}")
+    backing = direct_power(cyclic(p), k).backing
+    return enumerate_group(backing, [p**j for j in range(k)], name=f"C{p}^{k}")
 
 
 @lru_cache(maxsize=None)
@@ -157,14 +158,14 @@ def frobenius42():
 def frobenius56():
     """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top.
 
-    The vectors are the coefficient tuples of GF(8) = GF(2)[x]/(x^3 + x + 1),
-    and the C7 generator multiplies them by x.
+    The vectors are the elements of GF(8) = GF(2)[x]/(x^3 + x + 1), which
+    share their encoding, and the C7 generator multiplies them by x.
     """
     from .finite_field import field_make
 
     n = elementary_abelian(2, 3)
     spec = field_make(2, 3)
-    x = [n.index[spec.coeffs(spec.mul(2, spec.encode(v)))] for v in n.table]
+    x = [n.index[spec.mul(2, t)] for t in n.table]
     return semidirect_product(n, cyclic(7), [x], "F8")
 
 
@@ -392,14 +393,15 @@ def _sd_300_23():
 
     The acting Dic12 is the group of permutations of GF(5)^2 that the two
     matrices of `_SD_300_23_MATRICES` generate, and its generators act as
-    themselves.
+    themselves; the vector (x, y) is the integer x + 5y of C5^2.
     """
     from .finite_field import field_make
 
     n = elementary_abelian(5, 2)
     spec = field_make(5)
     backing = PermBacking(len(n))
-    a, b = (bytes(n.index[_matvec(spec, m, v)] for v in n.table) for m in _SD_300_23_MATRICES)
+    images = ([_matvec(spec, m, (t % 5, t // 5)) for t in n.table] for m in _SD_300_23_MATRICES)
+    a, b = (bytes(n.index[x + 5 * y] for x, y in image) for image in images)
     mul, inv = backing.mul, backing.inv
     a3 = mul(a, mul(a, a))
     if mul(a3, a3) != backing.identity() or mul(b, b) != a3 or mul(inv(b), mul(a, b)) != inv(a):
@@ -422,7 +424,7 @@ def _sd_72_35():
     supersolvability.
     """
     n = elementary_abelian(3, 2)
-    negate = [n.index[tuple((3 - x) % 3 for x in v)] for v in n.table]
+    negate = [n.inv(i) for i in range(len(n))]
     return semidirect_product(n, dihedral(8), [negate, range(len(n))], "SD_72_35")
 
 

@@ -7,8 +7,9 @@ and `SD_300_23` uses GF(5), so no constructor asks for another field.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
-significant digit = constant term.  That encoding is the element key used
-for hashing everywhere else in the package.  Moduli are pinned so the
+significant digit = constant term.  C_p^k shares the encoding: its table
+holds the vector v as the integer sum of v_i p^i, so F8 multiplies the
+elements of C_2^3 by x in GF(8) as they are.  Moduli are pinned so the
 encoding is identical across runs.  There is no matrix type: a matrix is a
 tuple of rows of encoded elements, and `construct._matvec` applies one to a
 vector.
@@ -67,14 +68,6 @@ class FieldSpec:
         self._build_tables()
 
     # -- encoding ---------------------------------------------------------
-
-    def coeffs(self, a):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
 
     def encode(self, coeffs):
         x = 0

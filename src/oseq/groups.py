@@ -3,18 +3,19 @@
 A Group numbers its elements: an element list (index -> canonical element),
 the reverse index, and a backing that multiplies raw elements.  No n-by-n
 multiplication table is ever materialised; products go through the backing
-and back through the element index.  A direct or semidirect product numbers
-the pair (i, j) of factor indices as i * w + j, w the right factor's order,
-and its backing multiplies these indices: its table and index are `range(n)`
-and `Group.mul` is the backing's own.  A permutation group is kept as a
-stabiliser chain, its order known, and is listed coset by coset of a point
-stabiliser only when its table is first read; `Group.order_counts` counts
-its element orders from the chain, one coset per suborbit, with no table,
-and on a coset that the two-point stabiliser maps onto itself by
-conjugation, one element per orbit of that stabiliser.
-Every other group is enumerated breadth-first from the identity with
-generators applied in declared order (FIFO).  Each way two runs assign
-identical indices.
+and back through the element index.  C(n) numbers a^k as k, and a direct or
+semidirect product numbers the pair (i, j) of factor indices as i * w + j, w
+the right factor's order; the backing of each multiplies these integers, so
+its table and index are `range(n)` and `Group.mul` is the backing's own.
+D(n), Dic(n) and C_p^k are integers of such backings too, numbered
+breadth-first.  A permutation group is kept as a stabiliser chain, its order
+known, and is listed coset by coset of a point stabiliser only when its
+table is first read; `Group.order_counts` counts its element orders from the
+chain, one coset per suborbit, with no table, and on a coset that the
+two-point stabiliser maps onto itself by conjugation, one element per orbit
+of that stabiliser.  Every other group is enumerated breadth-first from the
+identity with generators applied in declared order (FIFO).  Each way two
+runs assign identical indices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "SubgroupSet",
     "PermBacking",
     "MetacyclicBacking",
-    "VectorBacking",
     "DirectProductBacking",
     "SemidirectBacking",
     "enumerate_group",
@@ -87,9 +87,11 @@ class PermBacking:
 
 
 class MetacyclicBacking:
-    """Pairs (k, s) standing for a^k b^s, with a^m = 1, b^2 = a^z and b^-1 a b = a^-1.
+    """a^k b^s, coded as the integer k + s * m, with a^m = 1, b^2 = a^z and
+    b^-1 a b = a^-1.
 
-    C(m) uses only s = 0, D(2m) has z = 0 and Dic(2m) has z = m/2.
+    C(m) uses only s = 0, so its elements are their own exponents; D(2m) has
+    z = 0 and Dic(2m) has z = m/2.
     """
 
     __slots__ = ("m", "z")
@@ -101,48 +103,22 @@ class MetacyclicBacking:
         self.z = z
 
     def identity(self):
-        return (0, 0)
+        return 0
 
     def mul(self, a, b):
-        k, s = a
-        j, t = b
-        if s:  # b a^j = a^-j b
-            return ((k - j + self.z * t) % self.m, 1 - t)
-        return ((k + j) % self.m, t)
-
-    def inv(self, a):
-        k, s = a
-        return ((k + self.z) % self.m, 1) if s else (-k % self.m, 0)
-
-    def fast_order(self, a):
-        k, s = a
         m = self.m
-        return 2 * m // gcd(self.z, m) if s else m // gcd(k, m)
-
-
-
-class VectorBacking:
-    """GF(p)^k written additively; elements are coefficient tuples."""
-
-    __slots__ = ("p", "k")
-
-    def __init__(self, p, k):
-        self.p = p
-        self.k = k
-
-    def identity(self):
-        return (0,) * self.k
-
-    def mul(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        j, t = b % m, b // m
+        if a >= m:  # b a^j = a^-j b
+            return (a - j + self.z * t) % m + (1 - t) * m
+        return (a + j) % m + t * m
 
     def inv(self, a):
-        p = self.p
-        return tuple((p - x) % p for x in a)
+        m = self.m
+        return (a + self.z) % m + m if a >= m else -a % m
 
     def fast_order(self, a):
-        return 1 if not any(a) else self.p
+        m = self.m
+        return 2 * m // gcd(self.z, m) if a >= m else m // gcd(a, m)
 
 
 

@@ -33,7 +33,6 @@ class Corpus:
         if len(totals) > 1:
             raise SequenceError(f"corpus mixes totals {sorted(totals)}")
         self.entries = entries
-        self.n = totals.pop() if totals else None
 
     def __len__(self):
         return len(self.entries)

@@ -11,7 +11,9 @@ two-point stabiliser K on the coset it maps onto itself by conjugation;
 table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
 the permutations their matrices induce on one projective orbit; C(n), D(n)
-and Dic(n) are pairs (k, s) standing for a^k b^s; a semidirect product is
+and Dic(n) code a^k b^s as the integer k + s * m, C(n) with no enumeration,
+and C_p^k codes the vector v as the sum of v_i p^i over the backing of
+C(p)^k, numbered breadth-first as before; a semidirect product is
 given the action of each generator of its acting group only, and builds the
 action of every element by one walk: F7's C6 multiplies C7 by 3, F8's C7
 multiplies GF(8) by x, He(p)'s y shears C_p^2, SD_300_23's Dic12 acts by two
@@ -27,8 +29,10 @@ invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
 He(p) as matrices, apply the powers of a companion matrix, number the
 projective line by field element, enumerate C(n) and D(n) as the rotations
-and reflections of a polygon, form the quotient group of A4 by V4, and
-write the action of every element by a closed formula or a kernel.
+and reflections of a polygon, build C(n), D(n), Dic(n), C_p^k and the
+products over C_p^k on the tuple backings they had, form the quotient group
+of A4 by V4, and write the action of every element by a closed formula or a
+kernel.
 """
 
 import itertools
@@ -39,6 +43,7 @@ import sys
 import tracemalloc
 from collections import Counter, namedtuple
 from functools import reduce
+from math import gcd
 from operator import xor
 from pathlib import Path
 
@@ -46,6 +51,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oseq import construct
 from oseq.arith import isprime
 from oseq.cli import main
 from oseq.construct import (
@@ -654,6 +660,216 @@ def test_families_keep_the_indices_of_their_old_models(fast, slow, n):
         assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
 
 
+class PairMetacyclicBacking:
+    """Pairs (k, s) standing for a^k b^s, with a^m = 1, b^2 = a^z and b^-1 a b = a^-1.
+
+    C(m) uses only s = 0, D(2m) has z = 0 and Dic(2m) has z = m/2.
+    """
+
+    __slots__ = ("m", "z")
+
+    def __init__(self, m, z=0):
+        if m < 1 or (2 * z) % m:
+            raise GroupError("metacyclic backing needs m >= 1 and a^z central")
+        self.m = m
+        self.z = z
+
+    def identity(self):
+        return (0, 0)
+
+    def mul(self, a, b):
+        k, s = a
+        j, t = b
+        if s:  # b a^j = a^-j b
+            return ((k - j + self.z * t) % self.m, 1 - t)
+        return ((k + j) % self.m, t)
+
+    def inv(self, a):
+        k, s = a
+        return ((k + self.z) % self.m, 1) if s else (-k % self.m, 0)
+
+    def fast_order(self, a):
+        k, s = a
+        m = self.m
+        return 2 * m // gcd(self.z, m) if s else m // gcd(k, m)
+
+
+class VectorBacking:
+    """GF(p)^k written additively; elements are coefficient tuples."""
+
+    __slots__ = ("p", "k")
+
+    def __init__(self, p, k):
+        self.p = p
+        self.k = k
+
+    def identity(self):
+        return (0,) * self.k
+
+    def mul(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def inv(self, a):
+        p = self.p
+        return tuple((p - x) % p for x in a)
+
+    def fast_order(self, a):
+        return 1 if not any(a) else self.p
+
+
+# C(n), D(n), Dic(n) and C_p^k as they were built on tuples: C(n) enumerated
+# from (1, 0), D(n) and Dic(n) from (1, 0) and (0, 1), C_p^k from the unit
+# vectors in order.
+def _pair_cyclic(n):
+    return enumerate_group(PairMetacyclicBacking(n), [] if n == 1 else [(1, 0)], name=f"C{n}")
+
+
+def _pair_dihedral(n):
+    return enumerate_group(PairMetacyclicBacking(n // 2), [(1, 0), (0, 1)], name=f"D{n}")
+
+
+def _pair_dicyclic(n):
+    return enumerate_group(PairMetacyclicBacking(n // 2, n // 4), [(1, 0), (0, 1)], name=f"Dic{n}")
+
+
+def _tuple_elementary_abelian(p, k):
+    gens = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
+    return enumerate_group(VectorBacking(p, k), gens, name=f"C{p}^{k}")
+
+
+def _digits(t, p, k):
+    """The vector of C_p^k coded as the integer t: its k base-p digits, least
+    significant first."""
+    return tuple(t // p**i % p for i in range(k))
+
+
+_Vectors = namedtuple("_Vectors", "table index")
+
+
+def _vectors(p, k):
+    """The table of C_p^k with each integer decoded by `_digits`, and the
+    index of those vectors."""
+    table = [_digits(t, p, k) for t in elementary_abelian(p, k).table]
+    return _Vectors(table, {v: i for i, v in enumerate(table)})
+
+
+def _check_decoded(new, old, decode):
+    """`new` holds `old`'s elements coded as integers, index for index: its
+    table decodes to `old`'s, the generators agree, every raw product, inverse
+    and order decodes to the tuple backing's, and by index every product,
+    inverse and order agrees."""
+    assert [decode(t) for t in new.table] == old.table
+    assert new.generators == old.generators
+    b, ob = new.backing, old.backing
+    for x in new.table:
+        assert decode(b.inv(x)) == ob.inv(decode(x))
+        assert b.fast_order(x) == ob.fast_order(decode(x))
+        assert [decode(b.mul(x, y)) for y in new.table] == [ob.mul(decode(x), decode(y)) for y in new.table]
+    n = len(old)
+    assert new.orders() == old.orders()
+    for i in range(n):
+        assert new.inv(i) == old.inv(i)
+        assert [new.mul(i, j) for j in range(n)] == [old.mul(i, j) for j in range(n)]
+
+
+TUPLE_MODELS = (
+    [(cyclic, _pair_cyclic, n) for n in (1, 2, 3, 7, 12, 30)]
+    + [(dihedral, _pair_dihedral, n) for n in (4, 6, 8, 14, 30)]
+    + [(dicyclic, _pair_dicyclic, n) for n in (8, 12, 20, 36)]
+)
+
+
+@pytest.mark.parametrize(
+    "fast,slow,n", TUPLE_MODELS, ids=[f"{fast.__name__}({n})" for fast, _, n in TUPLE_MODELS]
+)
+def test_metacyclic_integers_decode_to_the_pairs_of_the_tuple_model(fast, slow, n):
+    # a^k b^s is the integer k + s * m
+    new, old = fast(n), slow(n)
+    m = old.backing.m
+    _check_decoded(new, old, lambda t: (t % m, t // m))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_elementary_abelian_integers_decode_to_the_vectors_of_the_tuple_model(p, k):
+    _check_decoded(elementary_abelian(p, k), _tuple_elementary_abelian(p, k), lambda t: _digits(t, p, k))
+
+
+def _tuple_heisenberg(p):
+    n = _tuple_elementary_abelian(p, 2)
+    y = [n.index[u, (w + u) % p] for u, w in n.table]
+    return semidirect_product(n, _pair_cyclic(p), [y], f"He{p}")
+
+
+def _tuple_frobenius56():
+    n = _tuple_elementary_abelian(2, 3)
+    spec = field_make(2, 3)
+    x = [n.index[_digits(spec.mul(2, spec.encode(v)), 2, 3)] for v in n.table]
+    return semidirect_product(n, _pair_cyclic(7), [x], "F8")
+
+
+def _tuple_sd_300_23():
+    n = _tuple_elementary_abelian(5, 2)
+    spec = field_make(5)
+    a, b = (bytes(n.index[_matvec(spec, m, v)] for v in n.table) for m in _SD_300_23_MATRICES)
+    return semidirect_product(n, enumerate_group(PermBacking(len(n)), [a, b]), [a, b], "SD_300_23")
+
+
+def _tuple_sd_72_35():
+    n = _tuple_elementary_abelian(3, 2)
+    negate = [n.index[tuple((3 - x) % 3 for x in v)] for v in n.table]
+    return semidirect_product(n, _pair_dihedral(8), [negate, range(len(n))], "SD_72_35")
+
+
+TUPLE_ACTIONS = (
+    [(lambda p=p: heisenberg(p), lambda p=p: _tuple_heisenberg(p), f"He{p}") for p in (3, 5, 7, 11)]
+    + [(frobenius56, _tuple_frobenius56, "F8"),
+       (lambda: catalog("SD_300_23"), _tuple_sd_300_23, "SD_300_23"),
+       (lambda: catalog("SD_72_35"), _tuple_sd_72_35, "SD_72_35")]
+)
+
+
+@pytest.mark.parametrize("fast,slow", [a[:2] for a in TUPLE_ACTIONS], ids=[a[2] for a in TUPLE_ACTIONS])
+def test_products_over_vectors_keep_the_actions_of_the_tuple_model(fast, slow):
+    new, old = fast(), slow()
+    assert new.backing.perms == old.backing.perms
+    assert new.generators == old.generators
+    acting, old_acting = new.backing.acting, old.backing.acting
+    h = len(old_acting)
+    assert [[acting.mul(i, j) for j in range(h)] for i in range(h)] == [
+        [old_acting.mul(i, j) for j in range(h)] for i in range(h)
+    ]
+    for i in range(len(old)):
+        assert new.inv(i) == old.inv(i)
+        assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, DEFAULT_CLOSURE_CAP])
+def test_cyclic_is_its_own_index_and_enumerates_nothing(n, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_group called")
+
+    monkeypatch.setattr(construct, "enumerate_group", refuse)
+    group = cyclic.__wrapped__(n)
+    assert (group.table, group.index) == (range(n), range(n))
+    assert group.generators == (() if n == 1 else (1,))
+
+
+def test_elementary_abelian_enumerates_only_its_own_vectors(monkeypatch):
+    # C(3)^4's backing is built with no C(3) enumerated
+    sizes = []
+
+    def counting(*args, **kwargs):
+        group = enumerate_group(*args, **kwargs)
+        sizes.append(len(group))
+        return group
+
+    monkeypatch.setattr(construct, "enumerate_group", counting)
+    monkeypatch.setattr(construct, "cyclic", cyclic.__wrapped__)
+    assert len(elementary_abelian.__wrapped__(3, 4)) == 81
+    assert sizes == [81]
+
+
 def _matrix_heisenberg(p):
     """He(p) as unitriangular matrices over GF(p), numbered breadth-first from
     x = I + E12, z = I - E13 and y = I + E23."""
@@ -670,7 +886,7 @@ def test_heisenberg_is_the_unitriangular_group_numbered_row_major(p):
     # (u, w) the vector at index x of C_p^2, and stands for the matrix
     # [[1, u, uj - w], [0, 1, j], [0, 0, 1]]: (u, w; j)(u', w'; j') is
     # (u + u', w + w' + ju'; j + j') on both sides.
-    vectors = elementary_abelian(p, 2)
+    vectors = _vectors(p, 2)
 
     def index(m):
         (_, u, c), (_, _, j), _ = m
@@ -745,7 +961,7 @@ def _induced_permutation(spec, vectors, m):
 
 
 def test_frobenius56_acts_by_the_companion_matrix_powers():
-    spec, vectors = field_make(2), elementary_abelian(2, 3)
+    spec, vectors = field_make(2), _vectors(2, 3)
     # the companion matrix of x^3 + x + 1: column j is x times x^j, reduced
     companion = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
     backing = MatrixBacking(spec, 3)
@@ -778,7 +994,7 @@ def _matrix_word_search(pres, dim, p, oracle):
     gl = _invertible_matrices(p, dim)
     ident = backing.identity()
     inv_of = {m: backing.inv(m) for m in gl}
-    vectors = elementary_abelian(p, dim)
+    vectors, decoded = elementary_abelian(p, dim), _vectors(p, dim)
 
     def value(letters, word):
         m = ident
@@ -805,7 +1021,7 @@ def _matrix_word_search(pres, dim, p, oracle):
         if len(image) != pres.order or frozenset(image.table) in seen_subgroups:
             continue
         seen_subgroups.add(frozenset(image.table))
-        perms = tuple(tuple(_induced_permutation(spec, vectors, m)) for m in image.table)
+        perms = tuple(tuple(_induced_permutation(spec, decoded, m)) for m in image.table)
         action = _Action(image, vectors, perms)
         generator_images = [perms[g] for g in image.generators]
         seq = os_of_group(semidirect_product(vectors, image, generator_images)).entries
@@ -851,17 +1067,17 @@ def test_frobenius42_acts_by_the_powers_of_3():
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_heisenberg_acts_by_the_powers_of_the_shear(p):
     # y^j sends (u, w) to (u, w + ju)
-    n = elementary_abelian(p, 2)
+    n = _vectors(p, 2)
     perms = tuple(tuple(n.index[u, (w + j * u) % p] for u, w in n.table) for j in range(p))
     assert heisenberg(p).backing.perms == perms
 
 
 def test_sd_72_35_acts_through_the_quotient_by_a_klein_subgroup():
     # the kernel <r^2, s> fixes every vector, and the other coset negates it
-    n, h = elementary_abelian(3, 2), dihedral(8)
+    n, h = _vectors(3, 2), dihedral(8)
     rot, ref = h.generators
     kernel = set(subgroup_closure(h, (h.mul(rot, rot), ref)).members)
-    ident = tuple(range(len(n)))
+    ident = tuple(range(len(n.table)))
     negate = tuple(n.index[tuple(-x % 3 for x in v)] for v in n.table)
     perms = tuple(ident if j in kernel else negate for j in range(len(h)))
     assert catalog("SD_72_35").backing.perms == perms

@@ -135,7 +135,7 @@ def _tables_by_polynomials(f):
         poly = _poly_rem(poly, f.modulus, p) if len(poly) > k else poly
         return f.encode(poly + (0,) * (k - len(poly)))
 
-    dec = [f.coeffs(a) for a in range(q)]
+    dec = [tuple(a // p**i % p for i in range(k)) for a in range(q)]
     add = [f.encode((x + y) % p for x, y in zip(dec[a], dec[b])) for a in range(q) for b in range(q)]
     mul = [encode(_poly_mul(_trim(dec[a]), _trim(dec[b]), p)) for a in range(q) for b in range(q)]
     inv = [0] + [next(b for b in range(1, q) if mul[a * q + b] == 1) for a in range(1, q)]

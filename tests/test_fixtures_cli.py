@@ -1,4 +1,3 @@
-import ast
 import importlib
 import os
 import pkgutil
@@ -565,18 +564,6 @@ def test_bench_tracer_installs_on_a_fresh_import():
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_script_imports_resolve():
-    # each name the scripts import from oseq resolves, checked without running them
-    scripts = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
-    assert scripts
-    for script in scripts:
-        for node in ast.walk(ast.parse(script.read_text())):
-            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "oseq":
-                module = importlib.import_module(node.module)
-                for alias in node.names:
-                    assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
 
 
 # Every name `oseq/__init__.py` exported when it imported its submodules eagerly.

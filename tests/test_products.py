@@ -6,6 +6,8 @@ invert and order these indices arithmetically.  The references below are the
 backings that multiplied the pairs themselves, over a table of pairs and a
 dict back to the index; a product is checked against them index by index,
 through divmod(k, w), and so is each factor that is itself a product.
+C_p^k, a factor of F8 and SD_300_23, is numbered breadth-first over the
+backing of C(p)^k, so that row-major product is checked in its place.
 """
 
 import random
@@ -131,6 +133,10 @@ def _check_against_pairs(product, rng):
     assert fresh.orders() == _pair_orders(model)
     for factor in (left, right):
         if type(factor.backing) in (DirectProductBacking, SemidirectBacking):
+            if type(factor.table) is not range:
+                # C_p^k, numbered breadth-first over the backing of the
+                # row-major C(p)^k: that product is checked in its place
+                factor = direct_product(factor.backing.left, factor.backing.right)
             _check_against_pairs(factor, rng)
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,10 +31,9 @@ def test_explore_order224_prints_its_pinned_output():
 def test_reproduce_tables_runs_every_suite_and_reports_the_known_failure():
     run = _run_script("reproduce_tables.py")
     assert run.returncode == 1, run.stderr
-    # the script times each suite; the times are masked
-    lines = re.sub(r"\(\d+\.\ds\)", "(T)", run.stdout.decode()).splitlines()
+    lines = run.stdout.decode().splitlines()
     assert [line for line in lines if line.startswith("== ")] == [
-        f"== {name}: {passed} passed (T)"
+        f"== {name}: {passed} passed"
         for name, passed in zip(oseq.SUITE_NAMES, ("24/24", "21/21", "15/15", "10/10", "9/9", "14/14", "6/6", "41/42"))
     ]
     assert [line.strip() for line in lines if "FAIL" in line] == [
