@@ -1,19 +1,25 @@
 """Integer arithmetic the package needs: primality, factorisation, divisors, phi.
 
-`isprime` is trial division by the primes below 1000, then the Baillie-PSW
-test: a strong probable-prime test to base 2 and a strong Lucas test with
-Selfridge's parameters (Baillie & Wagstaff, Math. Comp. 35, 1980).  No
-composite passes both below 2^64, and none is known above.  `factorint`
-divides out the small primes and splits what is left with Brent's variant of
-Pollard's rho (Brent, BIT 20, 1980), testing each cofactor with `isprime`.
+Every integer the package tests or factors is a group order, an element order,
+a fixture order or a prime that names a group, and all of these are below
+`LIMIT` = 10^6: the closure cap is 500,000 and fixture orders are refused from
+`LIMIT` on.  Below `LIMIT` trial division by the primes below 1000 is exact,
+as a composite has a prime factor no larger than its square root.  The four
+functions refuse an integer at or past `LIMIT` with an `ArithError` before
+they divide anything.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from math import gcd, isqrt
+from math import isqrt
 
-__all__ = ["isprime", "factorint", "divisors", "totient"]
+from . import BuildError
+
+__all__ = ["LIMIT", "ArithError", "isprime", "factorint", "divisors", "totient"]
+
+
+class ArithError(BuildError):
+    """An integer at or past `LIMIT`, where trial division stops being exact."""
 
 
 def _sieve(limit):
@@ -28,113 +34,21 @@ def _sieve(limit):
 
 _SMALL_LIMIT = 1000
 _SMALL_PRIMES = _sieve(_SMALL_LIMIT)
-_SMALL_SET = frozenset(_SMALL_PRIMES)
-
-
-def _strong_probable_prime_base2(n):
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    x = pow(2, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def _jacobi(a, n):
-    a %= n
-    result = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n & 7 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a & 3 == 3 and n & 3 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_lucas_probable_prime(n):
-    """Strong Lucas test with P = 1, Q = (1 - D) / 4 for the first D in
-    5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1; n is odd, not a square,
-    and has no prime factor below 1000."""
-    d_param = 5
-    while _jacobi(d_param, n) != -1:
-        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
-    q_param = (1 - d_param) // 4
-    d, s = n + 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    # U_k, V_k and Q^k mod n by the binary ladder over the bits of d (P = 1)
-    u, v, qk = 1, 1, q_param % n
-    for bit in bin(d)[3:]:
-        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
-        if bit == "1":
-            u, v = u + v, d_param * u + v
-            u = (u + n if u & 1 else u) >> 1
-            v = (v + n if v & 1 else v) >> 1
-            u, v, qk = u % n, v % n, qk * q_param % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        v, qk = (v * v - 2 * qk) % n, qk * qk % n
-        if v == 0:
-            return True
-    return False
+LIMIT = _SMALL_LIMIT * _SMALL_LIMIT
 
 
 def isprime(n):
-    """Whether the integer n is prime."""
-    if n < _SMALL_LIMIT:
-        return n in _SMALL_SET
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return False
-    if n < _SMALL_LIMIT * _SMALL_LIMIT:
-        return True
-    if isqrt(n) ** 2 == n:
-        return False
-    return _strong_probable_prime_base2(n) and _strong_lucas_probable_prime(n)
-
-
-def _brent_factor(n):
-    """A proper factor of the odd composite n, which has no prime factor below 1000."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batched product overshot: redo its steps one by one
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+    """Whether the integer n < LIMIT is prime."""
+    return n > 1 and factorint(n) == {n: 1}
 
 
 def factorint(n):
-    """Prime factorisation of n >= 1 as an ascending {prime: exponent} dict."""
+    """Prime factorisation of 1 <= n < LIMIT as an ascending {prime: exponent} dict."""
     if n < 1:
         raise ValueError(f"factorint needs a positive integer; got {n}")
+    if n >= LIMIT:
+        shown = n if n < 10**20 else f"a {n.bit_length()}-bit integer"
+        raise ArithError(f"{shown} is not below 10^6, the bound of oseq's integer arithmetic")
     out = {}
     for p in _SMALL_PRIMES:
         if p * p > n:
@@ -145,19 +59,13 @@ def factorint(n):
                 n //= p
                 e += 1
             out[p] = e
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if isprime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            f = _brent_factor(m)
-            pending += [f, m // f]
-    return dict(sorted(out.items()))
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def divisors(n):
-    """The positive divisors of n >= 1, ascending."""
+    """The positive divisors of 1 <= n < LIMIT, ascending."""
     out = [1]
     for p, e in factorint(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
@@ -165,7 +73,7 @@ def divisors(n):
 
 
 def totient(n):
-    """Euler's phi of n >= 1."""
+    """Euler's phi of 1 <= n < LIMIT."""
     out = 1
     for p, e in factorint(n).items():
         out *= (p - 1) * p ** (e - 1)

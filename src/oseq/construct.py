@@ -467,7 +467,8 @@ def catalog(name, prime=None):
     """Catalog entry by stable name; parametrized names take a prime.
 
     An unknown name, a prime missing from a parametrized name or given to a
-    fixed one, and a prime that is not prime are usage errors (InputError).
+    fixed one, and a prime that is not prime are usage errors (InputError); a
+    prime of 10^6 or more is refused by `isprime` with an `ArithError`.
     """
     if name in _CATALOG_FIXED:
         if prime is not None:

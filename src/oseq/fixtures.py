@@ -16,6 +16,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import InputError, ascii_int
+from .arith import LIMIT
 from .order_sequence import SequenceError, is_plausible, parse_pairs
 
 __all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
@@ -26,10 +27,9 @@ class FixtureError(InputError):
     """Malformed or implausible fixture data."""
 
 
-# The plausibility filter factors the order.  Below 2^64 the least prime
-# factor of a composite is below 2^32, which Pollard's rho finds in about 2^16
-# steps; a product of two primes near 10^15 would take seconds to minutes.
-MAX_FIXTURE_ORDER = 2**64
+# The plausibility filter factors each order that divides n, and `arith`
+# factors only integers below its LIMIT.
+MAX_FIXTURE_ORDER = LIMIT - 1
 
 
 Fixture = namedtuple("Fixture", "label n seq tags")

@@ -77,7 +77,7 @@ def os_of_group(group):
 
 
 def os_cyclic(n):
-    """Closed form for the cyclic group: one entry (d, phi(d)) per divisor."""
+    """Closed form for the cyclic group of order n < 10^6: one (d, phi(d)) per divisor."""
     if n < 1:
         raise SequenceError("group order must be >= 1")
     return OrderSequence(tuple((d, totient(d)) for d in divisors(n)))
@@ -134,7 +134,8 @@ def os_product(a, b):
 def is_plausible(seq, n):
     """Necessary conditions for being the order sequence of a group of order n.
 
-    Returns (ok, reason); reason names the first violated condition.
+    Returns (ok, reason); reason names the first violated condition.  An order
+    of 10^6 or more that divides n is an `ArithError`, as `arith` factors it.
     """
     if seq.total != n:
         return False, f"total {seq.total} does not equal n={n}"
@@ -159,8 +160,8 @@ def _is_prime_power_of(o, p):
 def nilpotent_from_os(seq):
     """Nilpotency decided from the sequence alone.
 
-    For every prime p dividing n, the number of elements of p-power order
-    must equal the largest power of p dividing n.
+    For every prime p dividing n, which must be below 10^6, the number of
+    elements of p-power order must equal the largest power of p dividing n.
     """
     ok, reason = is_plausible(seq, seq.total)
     if not ok:

@@ -76,13 +76,18 @@ def build_poset(corpus):
     return PosetResult(labels, tuple(tuple(row) for row in verdicts), hasse, minimal, maximal)
 
 
+def _dot_id(label):
+    """The label as a quoted DOT identifier, with its backslashes and quotes escaped."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(result):
     """Hasse diagram; edges run from dominated up to dominator."""
     lines = ["digraph domination {"]
     for label in result.labels:
-        lines.append(f'  "{label}";')
+        lines.append(f"  {_dot_id(label)};")
     for dominator, dominated in result.hasse:
-        lines.append(f'  "{dominated}" -> "{dominator}";')
+        lines.append(f"  {_dot_id(dominated)} -> {_dot_id(dominator)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -251,7 +251,8 @@ _TOKENS = st.sampled_from(
 _ATOM_TOKENS = st.one_of(
     st.builds(lambda name, n: [name, "(", n, ")"], st.sampled_from(["C", "D", "Dic", "S", "A", "He", "PSL2"]),
               st.sampled_from(_INTS)),
-    st.sampled_from([["F7"], ["F8"], ["Sz8"], ["Cat", "(", "CpxA4", ",", "5", ")"]]),
+    st.sampled_from([["F7"], ["F8"], ["Sz8"]]),
+    st.builds(lambda p: ["Cat", "(", "CpxA4", ",", p, ")"], st.sampled_from(_INTS)),
 )
 _EXPR_TOKENS = st.recursive(
     _ATOM_TOKENS,

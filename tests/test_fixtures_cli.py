@@ -399,8 +399,8 @@ def test_cli_help_exits_0():
 
 
 def test_cli_refuses_a_huge_fixture_order_before_factoring_it(tmp_path):
-    # the plausibility filter factors the order: with two prime factors near
-    # 10^15 that takes seconds, and larger factors take minutes
+    # the plausibility filter factors the order, and oseq.arith factors only
+    # integers below 10^6: the order is refused before the filter runs
     n = (10**15 + 37) * (3 * 10**15 + 37)
     path = tmp_path / "big.txt"
     path.write_text(f"BIG | {n} | (1,1)({n},{n - 1}) | x\n", encoding="utf-8")
@@ -666,6 +666,10 @@ def test_catalog_names_have_one_source():
 # writing an int as text
 _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
 
+# a Mersenne prime of 3,376 digits, far past the 10^6 bound of oseq.arith
+_MERSENNE = str(2**11213 - 1)
+_PAST_ARITH_BOUND = "construction error: a 11213-bit integer is not below 10^6, the bound of oseq's integer arithmetic\n"
+
 
 @pytest.mark.parametrize(
     "args,code,stderr",
@@ -690,19 +694,28 @@ _HUGE_EXPONENT = "C(2)" + "^99999999" * 600
         (("os", "Cat(NoSuch)"), 1, "error: unknown catalog name 'NoSuch'\n"),
         (("catalog", "CpxA4", "--prime", "12"), 1, "error: 12 is not prime\n"),
         (("os", "Cat(CpxA4, 12)"), 1, "error: 12 is not prime\n"),
+        (("os", f"Cat(CpxA4, {_MERSENNE})"), 2, _PAST_ARITH_BOUND),
+        (("os", f"He({_MERSENNE})"), 2, _PAST_ARITH_BOUND),
+        (("catalog", "CpxA4", "--prime", _MERSENNE), 2, _PAST_ARITH_BOUND),
+        (("verify", "thm29", "--primes", _MERSENNE), 2, _PAST_ARITH_BOUND),
     ],
     ids=["ParseError", "ParseError-empty", "ParseError-trailing-x", "SequenceError", "SuiteUsageError", "OSError",
          "FixtureError", "ConstructionError", "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key",
          "InputError-exponent-poset-label", "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
-         "InputError-catalog-non-prime", "InputError-os-catalog-non-prime"],
+         "InputError-catalog-non-prime", "InputError-os-catalog-non-prime", "ArithError-os-catalog-prime",
+         "ArithError-os-He", "ArithError-catalog-prime", "ArithError-verify-primes"],
 )
 def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
     # FieldError has no case: the CLI builds fields of fixed sizes, and the
     # field of PSL2(q) only after psl2 has checked q
     (tmp_path / "bad.txt").write_text("only | three | fields\n", encoding="utf-8")
     (tmp_path / "long.txt").write_text(f"X | 2 | (1,1)(2,{'9' * 5000}) | t\n", encoding="utf-8")
+    start = time.perf_counter()
     proc = _run_cli(*(a.format(tmp=tmp_path) for a in args), timeout=60)
-    assert (proc.returncode, proc.stderr) == (code, stderr.format(tmp=tmp_path))
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", stderr.format(tmp=tmp_path))
+    # each refusal comes before any work: an integer past 10^6 is not divided at all
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize(

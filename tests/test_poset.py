@@ -1,7 +1,7 @@
 import pytest
 
 from oseq.fixtures import default_fixtures, corpus_for_order
-from oseq.order_sequence import SequenceError, Verdict, os_of_group
+from oseq.order_sequence import SequenceError, Verdict, os_of_group, parse_pairs
 from oseq.poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
 from oseq.verify import order12_corpus_groups
 
@@ -112,6 +112,13 @@ def test_dot_output():
     assert '"A4" -> "C12";' in dot or '"A4" -> "Dic12";' in dot
     for label, _ in order12_corpus_groups():
         assert f'"{label}";' in dot
+
+
+def test_dot_output_escapes_quotes_and_backslashes_in_labels():
+    # C4 dominates C2^2; unescaped, the label A"x would end its quoted id early
+    corpus = Corpus([CorpusEntry('A"x', parse_pairs("(1,1)(2,1)(4,2)")),
+                     CorpusEntry("B\\y", parse_pairs("(1,1)(2,3)"))])
+    assert to_dot(build_poset(corpus)) == 'digraph domination {\n  "A\\"x";\n  "B\\\\y";\n  "B\\\\y" -> "A\\"x";\n}\n'
 
 
 def test_csv_output():
