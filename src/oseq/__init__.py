@@ -40,9 +40,6 @@ def ascii_int(text):
     return int(text)
 
 
-ascii_int.__name__ = "int"  # argparse names a type in its error: "invalid int value: 'x'"
-
-
 _EXPORTS = {
     "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
     "is_supersolvable lower_central_series supersolvable_chain",

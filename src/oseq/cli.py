@@ -2,15 +2,16 @@
 
 Verbs: os, compare, classify, psi, product, poset, verify, catalog, fixtures.
 Exit codes: 0 ok, 1 user error, 2 construction failure, 3 verification failure.
-Each verb imports the modules it runs when it runs, so building the parser
-and mapping errors to exit codes load no other `oseq` module.  The bare
-`catalog` listing prints the names `oseq` keeps and loads nothing more.
+`_parse` reads argv from the one `_VERBS` table, and each verb imports the
+modules it runs when it runs, so reading argv, printing help and mapping
+errors to exit codes load no other module: no other `oseq` module, and not
+argparse.  The bare `catalog` listing prints the names `oseq` keeps.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, BuildError, InputError, ascii_int
 
@@ -183,70 +184,109 @@ def cmd_fixtures(args):
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as an InputError, so that it exits 1 with one
-    `error:` line like every other user error; `--help` still exits 0."""
+# Each verb: its function, its one-line help, and its positionals (`NAME?` may
+# be left out, `NAME*` takes any number) and `--options`, each mapped to how it
+# is read: str, ascii_int, a tuple of choices (the first the default) or bool.
+_VERBS = {
+    "os": (cmd_os, "order sequence of an expression", {"expr": str, "--cache": str, "--check-cache": bool}),
+    "compare": (cmd_compare, "domination verdict for two expressions", {"expr1": str, "expr2": str}),
+    "classify": (cmd_classify, "nilpotent / supersolvable / solvable report", {"expr": str}),
+    "psi": (cmd_psi, "sum of element orders", {"expr": str}),
+    "product": (cmd_product, "sequence product of two expressions", {"expr1": str, "expr2": str}),
+    "poset": (cmd_poset, "domination poset over expressions or fixtures", {
+        "exprs*": str, "--fixtures": str, "--order": ascii_int, "--emit": ("text", "dot", "csv"), "--out": str}),
+    # `--features` is accepted so that `verify simple --features sz8` still parses; nothing reads it
+    "verify": (cmd_verify, "run a verification suite", {
+        "suite": SUITE_NAMES, "--fixtures": str, "--primes": str, "--features": ("sz8",)}),
+    "catalog": (cmd_catalog, "list catalog names or build one entry", {"name?": str, "--prime": ascii_int}),
+    "fixtures": (cmd_fixtures, "load and summarise a fixture file", {"--fixtures": str}),
+}
+_HELP = {"-h": None, "--help": None}
 
-    def error(self, message):
-        raise InputError(message)
+
+def _help(verb):
+    """Print the usage of the verb, or of every verb: the README's CLI block."""
+    print("usage: oseq VERB ...\nOrder-sequence calculus for finite groups\n" if verb is None else "usage: ", end="")
+    for name in [verb] if verb else _VERBS:
+        words = ["oseq", name]
+        for arg, kind in _VERBS[name][2].items():
+            meta = "|".join(kind) if isinstance(kind, tuple) else arg.strip("-?*").upper()
+            word = arg if kind is bool else f"{arg} {meta}" if arg[0] == "-" else meta + " ..." * (arg[-1] == "*")
+            words.append(f"[{word}]" if arg[0] == "-" or arg[-1] in "?*" else word)
+        print(" ".join(words) + "\n    " + _VERBS[name][1])
+    return 0
 
 
-def _parser():
-    parser = _Parser(prog="oseq", description="Order-sequence calculus for finite groups")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option(token, options):
+    """(name, text after `=` or None) for a declared option, (None, None) for
+    another option, None for a positional.  As in argparse, a token that starts
+    with `-` is an option unless it is `-`, a negative number or has a space."""
+    name, eq, value = token.partition("=")
+    if token in options or eq and name in options:
+        return (token, None) if token in options else (name, value)
+    digits = token[1:].removesuffix("\n")  # argparse's `$` also matches before a final newline
+    whole, dot, frac = digits.partition(".")
+    number = digits.isdecimal() or dot and frac.isdecimal() and (whole.isdecimal() or not whole)
+    return (None, None) if token[:1] == "-" and token != "-" and " " not in token and not number else None
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        return p
 
-    p = add("os", cmd_os, help="order sequence of an expression")
-    p.add_argument("expr")
-    p.add_argument("--cache", help="flat-file cache path")
-    p.add_argument("--check-cache", action="store_true", help="recompute and verify cached entries")
+def _value(name, kind, text):
+    if isinstance(kind, tuple) and text not in kind:
+        raise InputError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    try:
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise InputError(f"argument {name}: invalid int value: {text!r}") from None
 
-    p = add("compare", cmd_compare, help="domination verdict for two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
 
-    p = add("classify", cmd_classify, help="nilpotent / supersolvable / solvable report")
-    p.add_argument("expr")
-
-    p = add("psi", cmd_psi, help="sum of element orders")
-    p.add_argument("expr")
-
-    p = add("product", cmd_product, help="sequence product of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-
-    p = add("poset", cmd_poset, help="domination poset over expressions or fixtures")
-    p.add_argument("exprs", nargs="*")
-    p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")
-    p.add_argument("--order", type=ascii_int, help="select fixtures of this order")
-    p.add_argument("--emit", choices=["text", "dot", "csv"], default="text")
-    p.add_argument("--out", help="write output to a file instead of stdout")
-
-    p = add("verify", cmd_verify, help="run a verification suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")
-    p.add_argument("--primes", help="comma-separated prime sample")
-    # accepted so that `verify simple --features sz8` still parses; nothing reads it
-    p.add_argument("--features", action="append", choices=["sz8"], help="ignored: Sz8 needs no flag")
-
-    p = add("catalog", cmd_catalog, help="list catalog names or build one entry")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--prime", type=ascii_int)
-
-    p = add("fixtures", cmd_fixtures, help="load and summarise a fixture file")
-    p.add_argument("--fixtures", help="fixture file (defaults to the shipped one)")
-    return parser
+def _parse(argv):
+    """The verb's function and its arguments, or `_help` and the verb: argv
+    read as argparse read it, with its error lines in its order.  Options come
+    before, between or after positionals, as `--opt value` or `--opt=value`;
+    the last of a repeated one counts.  Unlike argparse, no long option is
+    abbreviated, `--` is an unknown option and `NAME*` takes every positional."""
+    func, values, extras = None, {}, []
+    arguments, options, pending = {"command": tuple(_VERBS)}, _HELP, ["command"]
+    tokens = iter(argv)
+    for token in tokens:
+        option = _option(token, options)
+        if option is None and pending and pending[0][-1] == "*":
+            values[pending[0]].append(token)
+        elif option is None and pending:
+            name = pending.pop(0)
+            values[name] = _value(name, arguments[name], token)
+            if func is None:  # the verb: its entry reads the rest of argv
+                func, _, arguments = _VERBS[token]
+                options = {name: kind for name, kind in arguments.items() if name[0] == "-"} | _HELP
+                pending = [name for name in arguments if name[0] != "-"]
+                values |= {n: [] if n[-1] == "*" else k[0] if isinstance(k, tuple) else False if k is bool else None
+                           for n, k in arguments.items()}
+        elif option is None or option[0] is None:
+            extras.append(token)
+        else:
+            name, value = option
+            kind = options[name]
+            if kind in (None, bool) and value is not None:
+                raise InputError(f"argument {name if kind else '-h/--help'}: ignored explicit argument {value!r}")
+            if kind is None:
+                return _help, values.get("command")
+            if kind is not bool and value is None:
+                value = next(tokens, None)
+                if value is None or _option(value, options) is not None:
+                    raise InputError(f"argument {name}: expected one argument")
+            values[name] = True if kind is bool else _value(name, kind, value)
+    missing = [name for name in pending if name[-1] not in "?*"]
+    if missing:
+        raise InputError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise InputError(f"unrecognized arguments: {' '.join(extras)}")
+    return func, SimpleNamespace(**{name.strip("-?*").replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
+        return func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USER_ERROR

@@ -29,7 +29,7 @@ import re
 from collections import namedtuple
 from functools import reduce
 
-from . import InputError, construct
+from . import InputError
 
 __all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING"]
 
@@ -218,6 +218,8 @@ def _int_text(k):
 def build(node):
     """Evaluate an expression to an enumerated group; a product's factors are
     built and multiplied left to right, as the recursion over the tree would."""
+    from . import construct  # here, so that an `os --cache` hit, which builds nothing, skips the engine
+
     if node.name == "x":
         return reduce(construct.direct_product, (build(f) for f in _factors(node)))
     args = [build(a) if isinstance(a, Node) else a for a in node.args]

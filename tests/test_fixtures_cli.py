@@ -12,7 +12,7 @@ from sympy import isprime
 
 import oseq
 from oseq import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, verify
-from oseq.cli import _parser, main
+from oseq.cli import _VERBS, main
 from oseq.fixtures import (
     MAX_FIXTURE_ORDER,
     FixtureError,
@@ -347,34 +347,39 @@ def test_sz8_needs_no_flag_and_the_features_option_is_ignored():
     assert plain.stdout.endswith("6/6 checks passed\n")
 
 
+# argv and the start of its one `error:` line; `test_cli_parser.py` also
+# reads each with the argparse parser that `oseq.cli._parse` replaced
+USAGE_ERRORS = [
+    (("os",), "the following arguments are required: expr"),
+    (("verify", "nosuch"), "argument suite: invalid choice: 'nosuch'"),
+    (("catalog", "--prime", "x"), "argument --prime: invalid int value: 'x'"),
+    (("classify", "C(5)", "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: command"),
+    (("catalog", "--prime", "7"), "--prime needs a catalog name"),
+    # an option that the verb would ignore is refused
+    (("os", "C(2)", "--check-cache"), "--check-cache needs --cache"),
+    *((("verify", suite, "--primes", "5"), f"suite {suite!r} takes no primes; thm23, thm25, thm29 do")
+      for suite in ("table1", "table2", "table3", "simple", "props")),
+    (("verify", "thm23", "--primes", ""), "--primes takes comma-separated integers; got ''"),
+    (("poset", "C(2)", "--order", "12"), "poset over expressions takes no --order or --fixtures"),
+    (("poset", "C(2)", "--fixtures", "missing.txt"), "poset over expressions takes no --order or --fixtures"),
+    *((("verify", suite, "--fixtures", "{fixtures}"),
+       f"suite {suite!r} takes no fixtures; table1, table2, table3, simple do")
+      for suite in ("thm23", "thm25", "thm29", "props")),
+    # integers are read in ASCII digits only, without underscores
+    (("catalog", "CpxA4", "--prime", "\u0667"), "argument --prime: invalid int value: '\u0667'"),
+    (("catalog", "CpxA4", "--prime", "1_1"), "argument --prime: invalid int value: '1_1'"),
+    (("poset", "--order", "\u0667\u0662"), "argument --order: invalid int value: '\u0667\u0662'"),
+    (("verify", "thm29", "--primes", " 5,1_1"), "--primes takes comma-separated integers; got ' 5,1_1'"),
+    (("verify", "thm29", "--primes", "\u0665"), "--primes takes comma-separated integers; got '\u0665'"),
+    # only verify declares the ignored --features
+    (("os", "Sz8", "--features", "sz8"), "unrecognized arguments: --features sz8"),
+]
+
+
 @pytest.mark.parametrize(
     "args,message",
-    [
-        (("os",), "the following arguments are required: expr"),
-        (("verify", "nosuch"), "argument suite: invalid choice: 'nosuch'"),
-        (("catalog", "--prime", "x"), "argument --prime: invalid int value: 'x'"),
-        (("classify", "C(5)", "--bogus"), "unrecognized arguments: --bogus"),
-        ((), "the following arguments are required: command"),
-        (("catalog", "--prime", "7"), "--prime needs a catalog name"),
-        # an option that the verb would ignore is refused
-        (("os", "C(2)", "--check-cache"), "--check-cache needs --cache"),
-        *((("verify", suite, "--primes", "5"), f"suite {suite!r} takes no primes; thm23, thm25, thm29 do")
-          for suite in ("table1", "table2", "table3", "simple", "props")),
-        (("verify", "thm23", "--primes", ""), "--primes takes comma-separated integers; got ''"),
-        (("poset", "C(2)", "--order", "12"), "poset over expressions takes no --order or --fixtures"),
-        (("poset", "C(2)", "--fixtures", "missing.txt"), "poset over expressions takes no --order or --fixtures"),
-        *((("verify", suite, "--fixtures", "{fixtures}"),
-           f"suite {suite!r} takes no fixtures; table1, table2, table3, simple do")
-          for suite in ("thm23", "thm25", "thm29", "props")),
-        # integers are read in ASCII digits only, without underscores
-        (("catalog", "CpxA4", "--prime", "\u0667"), "argument --prime: invalid int value: '\u0667'"),
-        (("catalog", "CpxA4", "--prime", "1_1"), "argument --prime: invalid int value: '1_1'"),
-        (("poset", "--order", "\u0667\u0662"), "argument --order: invalid int value: '\u0667\u0662'"),
-        (("verify", "thm29", "--primes", " 5,1_1"), "--primes takes comma-separated integers; got ' 5,1_1'"),
-        (("verify", "thm29", "--primes", "\u0665"), "--primes takes comma-separated integers; got '\u0665'"),
-        # only verify declares the ignored --features
-        (("os", "Sz8", "--features", "sz8"), "unrecognized arguments: --features sz8"),
-    ],
+    USAGE_ERRORS,
     ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
          "prime-without-catalog-name", "check-cache-without-cache", "table1-primes", "table2-primes",
          "table3-primes", "simple-primes", "props-primes", "empty-primes", "poset-exprs-order",
@@ -396,6 +401,15 @@ def test_cli_help_exits_0():
         proc = _run_cli(*args)
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: oseq") and proc.stderr == ""
+
+
+def test_readme_cli_block_is_the_usage_that_help_prints(capsys):
+    assert main(["--help"]) == 0
+    usage = [line for line in capsys.readouterr().out.splitlines() if line.startswith("oseq ")]
+    assert [line.split()[1] for line in usage] == list(_VERBS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == usage
 
 
 def test_cli_refuses_a_huge_fixture_order_before_factoring_it(tmp_path):
@@ -594,7 +608,7 @@ EXPORTS = {
 SUBMODULES = [*EXPORTS, "arith", "cache", "cli", "verify"]
 
 
-def test_catalog_and_classify_import_only_what_they_run():
+def test_catalog_and_classify_import_only_what_they_run(tmp_path):
     # the bare listing prints the names `oseq` itself keeps
     code = (
         "import sys\n"
@@ -606,12 +620,18 @@ def test_catalog_and_classify_import_only_what_they_run():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "['oseq', 'oseq.cli']\n"
     # `verify simple` and `fixtures` run no classification and build no poset;
-    # `verify thm25` reads no fixtures
+    # `verify thm25` reads no fixtures; an `os --cache` hit builds no group;
+    # no verb loads argparse or the gettext and locale it would pull in
+    hit = ["os", "C(6)", "--cache", str(tmp_path / "cache.txt")]
+    assert _run_cli(*hit).returncode == 0
     for verbs, unwanted in (
         ((["catalog"], ["classify", "C(6)"]),
          ["dataclasses", "oseq.finite_field", "oseq.verify", "oseq.poset", "oseq.fixtures", "oseq.cache"]),
         ((["verify", "simple"], ["fixtures"]), ["oseq.classify", "oseq.poset", "csv"]),
         ((["verify", "thm25"],), ["oseq.fixtures"]),
+        ((hit,), ["oseq.construct", "oseq.groups"]),
+        ((["verify", "table2"], ["poset", "--order", "216", "--emit", "csv"], ["os", "C(2)"], ["compare", "C(2)", "C(2)"],
+          ["psi", "C(2)"], ["product", "C(2)", "C(3)"]), ["argparse", "gettext", "locale"]),
     ):
         code = (
             "import sys\n"
@@ -625,10 +645,25 @@ def test_catalog_and_classify_import_only_what_they_run():
 
 
 def test_parser_and_error_mapping_load_no_other_module():
-    code = "import sys, oseq.cli\noseq.cli._parser()\nprint(sorted(m for m in sys.modules if m.startswith('oseq')))\n"
+    # one argv per verb is read, and help and a usage error are mapped to
+    # their exit codes, without argparse and the gettext and locale it loads
+    argvs = [
+        ["os", "C(2)", "--cache=c.txt", "--check-cache"], ["compare", "C(2)", "C(3)"], ["classify", "C(2)"],
+        ["psi", "C(2)"], ["product", "C(2)", "C(3)"], ["poset", "C(2)", "--emit", "csv"],
+        ["verify", "thm23", "--primes", "3,7"], ["catalog", "CpxA4", "--prime", "7"], ["fixtures", "--fixtures", "f"],
+    ]
+    assert sorted(argv[0] for argv in argvs) == sorted(_VERBS)
+    code = (
+        "import sys\n"
+        "from oseq.cli import _parse, main\n"
+        f"assert all(_parse(argv)[0].__name__ == 'cmd_' + argv[0] for argv in {argvs!r})\n"
+        "assert main(['--help']) == main(['os', '-h']) == 0 and main(['os']) == 1\n"
+        "print(sorted(m for m in sys.modules if m.startswith('oseq') or m in ('argparse', 'gettext', 'locale')),"
+        " file=sys.stderr)\n"
+    )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['oseq', 'oseq.cli']\n"
+    assert proc.stderr.endswith("['oseq', 'oseq.cli']\n")
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -648,9 +683,7 @@ def test_suite_names_have_one_source():
     assert verify.SUITE_NAMES is SUITE_NAMES
     assert tuple(verify._SUITES) == SUITE_NAMES
     assert all(suite.check is getattr(verify, f"suite_{name}") for name, suite in verify._SUITES.items())
-    (verbs,) = [a for a in _parser()._actions if a.dest == "command"]
-    (suite,) = [a for a in verbs.choices["verify"]._actions if a.dest == "suite"]
-    assert tuple(suite.choices) == SUITE_NAMES
+    assert _VERBS["verify"][2]["suite"] is SUITE_NAMES
 
 
 def test_catalog_names_have_one_source():
