@@ -1,5 +1,8 @@
 """Constructors for the group zoo: standard families, products, PSL(2,q),
 Frobenius and Heisenberg groups, and the named catalog behind the CLI.
+
+Only PSL(2,q) and Sz(8) load `finite_field`; every other action, F8's and
+SD_300_23's too, is integer arithmetic on the codes of C_p^k.
 """
 
 from __future__ import annotations
@@ -158,14 +161,11 @@ def frobenius42():
 def frobenius56():
     """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top.
 
-    The vectors are the elements of GF(8) = GF(2)[x]/(x^3 + x + 1), which
-    share their encoding, and the C7 generator multiplies them by x.
+    The C7 generator multiplies GF(8) = GF(2)[x]/(x^3 + x + 1), the bits of
+    C2^3's codes, by x: one shift, with x^3 reduced to x + 1.
     """
-    from .finite_field import field_make
-
     n = elementary_abelian(2, 3)
-    spec = field_make(2, 3)
-    x = [n.index[spec.mul(2, t)] for t in n.table]
+    x = [n.index[t << 1 ^ (0b1011 if t & 4 else 0)] for t in n.table]
     return semidirect_product(n, cyclic(7), [x], "F8")
 
 
@@ -391,25 +391,18 @@ _SD_300_23_MATRICES = (((0, 1), (4, 1)), ((0, 2), (2, 0)))
 def _sd_300_23():
     """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row.
 
-    The acting Dic12 is the group of permutations of GF(5)^2 that the two
-    matrices of `_SD_300_23_MATRICES` generate, and its generators act as
-    themselves; the vector (x, y) is the integer x + 5y of C5^2.
+    `dicyclic(12)`'s generators act on C5^2, the vector (x, y) being the
+    integer x + 5y, by the matrices of `_SD_300_23_MATRICES`.  `_semidirect`
+    refuses matrices that break Dic12's relations; the 12 actions must differ.
     """
-    from .finite_field import field_make
-
     n = elementary_abelian(5, 2)
-    spec = field_make(5)
-    backing = PermBacking(len(n))
-    images = ([_matvec(spec, m, (t % 5, t // 5)) for t in n.table] for m in _SD_300_23_MATRICES)
-    a, b = (bytes(n.index[x + 5 * y] for x, y in image) for image in images)
-    mul, inv = backing.mul, backing.inv
-    a3 = mul(a, mul(a, a))
-    if mul(a3, a3) != backing.identity() or mul(b, b) != a3 or mul(inv(b), mul(a, b)) != inv(a):
-        raise ConstructionError("SD_300_23: the matrices break the relations of Dic12")
-    h = enumerate_group(backing, [a, b])
-    if len(h) != 12:
-        raise ConstructionError(f"SD_300_23: the matrices generate {len(h)} elements, not 12")
-    return semidirect_product(n, h, [a, b], "SD_300_23")
+    vectors = [(t % 5, t // 5) for t in n.table]
+    images = [[n.index[(a * x + b * y) % 5 + (c * x + d * y) % 5 * 5] for x, y in vectors]
+              for (a, b), (c, d) in _SD_300_23_MATRICES]
+    group = semidirect_product(n, dicyclic(12), images, "SD_300_23")
+    if len(set(group.backing.perms)) != 12:
+        raise ConstructionError("SD_300_23: the matrices do not act faithfully")
+    return group
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,14 @@
-"""Exact arithmetic in the fields the group constructors use, by full add/mul tables.
+"""Exact arithmetic in the fields of PSL(2,q) and Sz(8), by full add/mul tables.
 
 These are the fields of at most 64 elements: GF(p) for each prime p < 64,
 reduced by x, and the nine extension fields GF(p^k), k > 1, each reduced by
-its modulus in `_MODULI`.  PSL(2,q) takes q <= 64, Sz(8) and F8 use GF(8)
-and `SD_300_23` uses GF(5), so no constructor asks for another field.
+its modulus in `_MODULI`.  PSL(2,q) takes q <= 64 and Sz(8) uses GF(8); no
+other constructor loads this module.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
 significant digit = constant term.  C_p^k shares the encoding: its table
-holds the vector v as the integer sum of v_i p^i, so F8 multiplies the
-elements of C_2^3 by x in GF(8) as they are.  Moduli are pinned so the
+holds the vector v as the integer sum of v_i p^i.  Moduli are pinned so the
 encoding is identical across runs.  There is no matrix type: a matrix is a
 tuple of rows of encoded elements, and `construct._matvec` applies one to a
 vector.
@@ -30,7 +29,7 @@ class FieldError(BuildError):
 
 
 # The irreducible modulus of each extension field (ascending coefficients,
-# monic).  GF(8) and GF(64) keep x^3 + x + 1 and x^6 + x + 1, by which F8,
+# monic).  GF(8) and GF(64) keep x^3 + x + 1 and x^6 + x + 1, by which
 # Sz(8) and PSL(2,64) are numbered; every other modulus is the first
 # irreducible monic polynomial of its degree in coefficient order.
 _MODULI = {

@@ -495,7 +495,7 @@ def _grow(group, members, gens, s):
 def subgroup_closure(group, seed):
     """Smallest subgroup containing the seed indices."""
     members, gens = {0}, []
-    for s in sorted({int(i) for i in seed}):
+    for s in sorted(set(seed)):
         if s not in members:
             _grow(group, members, gens, s)
     return SubgroupSet(group, tuple(sorted(members)))

@@ -68,7 +68,7 @@ class OrderSequence(namedtuple("OrderSequence", "entries")):
 
 
 def _from_counts(counts):
-    return OrderSequence(tuple(sorted((int(o), int(m)) for o, m in counts.items())))
+    return OrderSequence(tuple(sorted(counts.items())))
 
 
 def os_of_group(group):

@@ -347,10 +347,12 @@ _A, _B = ((0, 1), (4, 1)), ((0, 2), (2, 0))
 @pytest.mark.parametrize(
     "mats,match",
     [
-        ((((1, 1), (0, 1)), _B), "relations"),  # a has order 5
-        ((_A, ((0, 1), (1, 0))), "relations"),  # b^2 = 1, not a^3 = -1
-        ((_A, ((2, 0), (0, 2))), "relations"),  # b = 2 is central, so b^-1 a b = a
-        ((((4, 0), (0, 4)), _B), "4 elements"),  # a = -1 satisfies the relations
+        # `_semidirect` reaches an element of Dic12 with two actions
+        ((((1, 1), (0, 1)), _B), "not a homomorphism"),  # a has order 5
+        ((_A, ((0, 1), (1, 0))), "not a homomorphism"),  # b^2 = 1, not a^3 = -1
+        ((_A, ((2, 0), (0, 2))), "not a homomorphism"),  # b = 2 is central, so b^-1 a b = a
+        # a = -1 satisfies the relations, but Dic12 acts by 4 matrices
+        ((((4, 0), (0, 4)), _B), "do not act faithfully"),
     ],
     ids=["a^6", "b^2", "b^-1ab", "order"],
 )

@@ -87,6 +87,7 @@ from oseq.groups import (
     subgroup_closure,
 )
 from oseq.order_sequence import os_of_group
+import sd_300_23_oracle
 from quotient_oracle import quotient
 
 
@@ -295,10 +296,16 @@ def _check_translate_paths(group, monkeypatch, caps):
     assert last == fast.orders()[-1]
 
 
+def _permutation_dic12():
+    """The degree-25 permutation group by which SD_300_23's Dic12 acts on C5^2."""
+    sd = catalog("SD_300_23").backing
+    return enumerate_group(PermBacking(25), [bytes(sd.perms[g]) for g in sd.acting.generators])
+
+
 @pytest.mark.parametrize(
     "make",
     [*(lambda q=q: psl2(q) for q in (4, 5, 7, 8, 9, 16)),
-     suzuki8, lambda: symmetric(5), lambda: alternating(6), lambda: catalog("SD_300_23").backing.acting],
+     suzuki8, lambda: symmetric(5), lambda: alternating(6), _permutation_dic12],
     ids=[*(f"PSL2_{q}" for q in (4, 5, 7, 8, 9, 16)), "Sz8", "S5", "A6", "SD_300_23-Dic12"],
 )
 def test_translate_bfs_and_orders_match_the_mul_references(make, monkeypatch):
@@ -811,8 +818,8 @@ def _tuple_frobenius56():
 def _tuple_sd_300_23():
     n = _tuple_elementary_abelian(5, 2)
     spec = field_make(5)
-    a, b = (bytes(n.index[_matvec(spec, m, v)] for v in n.table) for m in _SD_300_23_MATRICES)
-    return semidirect_product(n, enumerate_group(PermBacking(len(n)), [a, b]), [a, b], "SD_300_23")
+    images = [[n.index[_matvec(spec, m, v)] for v in n.table] for m in _SD_300_23_MATRICES]
+    return semidirect_product(n, _pair_dicyclic(12), images, "SD_300_23")
 
 
 def _tuple_sd_72_35():
@@ -842,6 +849,24 @@ def test_products_over_vectors_keep_the_actions_of_the_tuple_model(fast, slow):
     for i in range(len(old)):
         assert new.inv(i) == old.inv(i)
         assert [new.mul(i, g) for g in new.generators] == [old.mul(i, g) for g in old.generators]
+
+
+def test_sd_300_23_is_the_group_it_was_on_the_permutation_dic12_renumbered():
+    # Dic12's index j stands for the permutation perms[j] it acts by, an
+    # element of the old acting group; C5^2 keeps its numbering, and both
+    # products are row-major over 12 acting elements
+    new, old = catalog("SD_300_23"), sd_300_23_oracle._sd_300_23()
+    perms, old_acting = new.backing.perms, old.backing.acting
+    assert type(old_acting.backing) is PermBacking and len(old_acting) == 12
+    image = [i // 12 * 12 + old_acting.index[bytes(perms[i % 12])] for i in range(len(new))]
+    assert sorted(image) == list(range(len(old)))
+    assert [image[g] for g in new.generators] == list(old.generators)
+    old_orders = old.orders()
+    assert new.orders() == [old_orders[j] for j in image]
+    for i, x in enumerate(image):
+        assert image[new.inv(i)] == old.inv(x)
+        assert [image[new.mul(i, j)] for j in range(len(new))] == [old.mul(x, y) for y in image]
+    assert os_of_group(new).entries == os_of_group(old).entries
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, DEFAULT_CLOSURE_CAP])
@@ -1041,13 +1066,10 @@ def test_sd_300_23_is_the_first_action_of_the_matrix_word_search():
     assert [slow.acting.table[g] for g in slow.acting.generators] == list(_SD_300_23_MATRICES)
     fast = catalog("SD_300_23").backing
     assert fast.normal is slow.target
-    # a matrix corresponds to the permutation it induces on the vectors, and
-    # that permutation is its action in both products
-    slow_index = slow.acting.index
-    image = lambda m: bytes(slow.perms[slow_index[m]])
-    _check_same_group(fast.acting, slow.acting, [11, 12, _drawn_cap(12)], image=image)
-    for m, perm in zip(slow.acting.table, slow.perms):
-        assert fast.perms[fast.acting.index[image(m)]] == perm
+    # a matrix acts by the permutation it induces on the vectors: Dic12's
+    # generators act as the search's, and its 12 elements by its 12 matrices
+    assert [fast.perms[g] for g in fast.acting.generators] == [slow.perms[g] for g in slow.acting.generators]
+    assert len(set(slow.perms)) == 12 and set(fast.perms) == set(slow.perms)
 
 
 def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():

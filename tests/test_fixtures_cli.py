@@ -642,6 +642,20 @@ def test_catalog_and_classify_import_only_what_they_run(tmp_path):
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "loaded: []\n", verbs
+    # only the PSL(2,q) and Sz(8) builders load the field tables: SD_300_23
+    # and F8 act by integer arithmetic; `verify props` exits 3 on its known
+    # failing check
+    code = (
+        "import sys\n"
+        "from oseq.cli import main\n"
+        "codes = [main(argv) for argv in [['classify', 'Cat(SD_300_23)'], ['classify', 'Cat(C4xF8)'],"
+        " ['verify', 'table1'], ['verify', 'props'], ['catalog', 'CpxSD300', '--prime', '7']]]\n"
+        "print(codes, 'oseq.finite_field' in sys.modules, file=sys.stderr)\n"
+        "print(main(['os', 'PSL2(7)']), 'oseq.finite_field' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[0, 0, 0, 3, 0] False\n0 True\n"
 
 
 def test_parser_and_error_mapping_load_no_other_module():
