@@ -48,8 +48,8 @@ _EXPORTS = {
     "semidirect_product suzuki8 symmetric wreath_square",
     "expr": "ParseError build parse print_expr",
     "finite_field": "FieldError FieldSpec field_make",
-    "fixtures": "Fixture FixtureError default_fixtures load_fixtures",
-    "groups": "Group GroupError SubgroupSet commutator_subgroup enumerate_group subgroup_closure",
+    "fixtures": "Fixture FixtureError load_fixtures",
+    "groups": "Group GroupError SubgroupSet commutator_subgroup enumerate_group",
     "order_sequence": "OrderSequence SequenceError Verdict compare format_sequence is_plausible "
     "nilpotent_from_os os_cyclic os_of_group os_product parse_pairs parse_sequence psi",
     "poset": "Corpus CorpusEntry PosetResult build_poset to_csv to_dot",

@@ -1,8 +1,8 @@
 """Constructors for the group zoo: standard families, products, PSL(2,q),
 Frobenius and Heisenberg groups, and the named catalog behind the CLI.
 
-Only PSL(2,q) and Sz(8) load `finite_field`; every other action, F8's and
-SD_300_23's too, is integer arithmetic on the codes of C_p^k.
+Only PSL(2,q) and Sz(8) load `finite_field`; every C_p^k : H is built by
+`_linear` from the integer matrices its H acts by.
 """
 
 from __future__ import annotations
@@ -126,24 +126,21 @@ def alternating(k):
 def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
 
-    y acts on the vectors by (u, w) -> (u, w + u), that is on their integers
-    u + wp by t -> t + (t mod p) p mod p^2; the generators are x = (1, 0) and
-    z = (0, 1) in the normal factor and y, in the order of the unitriangular
-    matrices I + E12, I - E13 and I + E23 they stand for.
+    y acts on the vectors by (u, w) -> (u, w + u); the generators are
+    x = (1, 0) and z = (0, 1) in the normal factor and y, in the order of the
+    unitriangular matrices I + E12, I - E13 and I + E23 they stand for.
     """
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
-    n = elementary_abelian(p, 2)
-    y = [n.index[(t + t % p * p) % (p * p)] for t in n.table]
-    return semidirect_product(n, cyclic(p), [y], f"He{p}")
+    return _linear(p, cyclic(p), [((1, 0), (1, 1))], f"He{p}")
 
 
 @lru_cache(maxsize=None)
 def elementary_abelian(p, k):
     """GF(p)^k as an additive group, numbered breadth-first from the unit
     vectors.  The table lists each vector v as the integer sum of v_i p^i, as
-    `FieldSpec.encode` packs it, an element of the backing of C(p)^k."""
+    `_linear` reads it, an element of the backing of C(p)^k."""
     if not isprime(p) or k < 1:
         raise ConstructionError("elementary abelian group needs a prime and k >= 1")
     backing = direct_power(cyclic(p), k).backing
@@ -154,19 +151,15 @@ def elementary_abelian(p, k):
 def frobenius42():
     """Order-42 Frobenius group: C7 with its full automorphism group C6 on
     top, the generator of C6 multiplying by 3."""
-    return semidirect_product(cyclic(7), cyclic(6), [[3 * i % 7 for i in range(7)]], "F7")
+    return _linear(7, cyclic(6), [((3,),)], "F7")
 
 
 @lru_cache(maxsize=None)
 def frobenius56():
-    """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top.
-
-    The C7 generator multiplies GF(8) = GF(2)[x]/(x^3 + x + 1), the bits of
-    C2^3's codes, by x: one shift, with x^3 reduced to x + 1.
-    """
-    n = elementary_abelian(2, 3)
-    x = [n.index[t << 1 ^ (0b1011 if t & 4 else 0)] for t in n.table]
-    return semidirect_product(n, cyclic(7), [x], "F8")
+    """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top, its
+    generator multiplying GF(8) = GF(2)[x]/(x^3 + x + 1) by x, the vector
+    (a0, a1, a2) standing for a0 + a1 x + a2 x^2."""
+    return _linear(2, cyclic(7), [((0, 0, 1), (1, 0, 1), (0, 1, 0))], "F8")
 
 
 # -- products ----------------------------------------------------------------
@@ -274,6 +267,18 @@ def semidirect_product(n, h, images, name=None):
     `_semidirect`.  The name defaults to 'N:H'."""
     validate_action(n, images)
     return _semidirect(n, h, images, name or f"{n.name}:{h.name}")
+
+
+def _linear(p, h, matrices, name):
+    """C_p^k : H, the j-th generator of H acting by matrices[j], k rows of k
+    integers mod p, on the column vector v of each code sum v_i p^i of C_p^k
+    (C(p) itself when k = 1)."""
+    k = len(matrices[0])
+    n = cyclic(p) if k == 1 else elementary_abelian(p, k)
+    vectors = [[t // p**i % p for i in range(k)] for t in n.table]
+    images = [[n.index[sum(sum(map(int.__mul__, row, v)) % p * p**i for i, row in enumerate(m))]
+               for v in vectors] for m in matrices]
+    return semidirect_product(n, h, images, name)
 
 
 def wreath_square(g):
@@ -389,17 +394,10 @@ _SD_300_23_MATRICES = (((0, 1), (4, 1)), ((0, 2), (2, 0)))
 
 @lru_cache(maxsize=None)
 def _sd_300_23():
-    """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row.
-
-    `dicyclic(12)`'s generators act on C5^2, the vector (x, y) being the
-    integer x + 5y, by the matrices of `_SD_300_23_MATRICES`.  `_semidirect`
-    refuses matrices that break Dic12's relations; the 12 actions must differ.
-    """
-    n = elementary_abelian(5, 2)
-    vectors = [(t % 5, t // 5) for t in n.table]
-    images = [[n.index[(a * x + b * y) % 5 + (c * x + d * y) % 5 * 5] for x, y in vectors]
-              for (a, b), (c, d) in _SD_300_23_MATRICES]
-    group = semidirect_product(n, dicyclic(12), images, "SD_300_23")
+    """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row, Dic12
+    acting by `_SD_300_23_MATRICES`.  `_semidirect` refuses matrices that
+    break Dic12's relations; the 12 actions must differ."""
+    group = _linear(5, dicyclic(12), _SD_300_23_MATRICES, "SD_300_23")
     if len(set(group.backing.perms)) != 12:
         raise ConstructionError("SD_300_23: the matrices do not act faithfully")
     return group
@@ -416,17 +414,14 @@ def _sd_72_35():
     and the reflection.  That action fixes every line, which forces
     supersolvability.
     """
-    n = elementary_abelian(3, 2)
-    negate = [n.inv(i) for i in range(len(n))]
-    return semidirect_product(n, dihedral(8), [negate, range(len(n))], "SD_72_35")
+    return _linear(3, dihedral(8), [((2, 0), (0, 2)), ((1, 0), (0, 1))], "SD_72_35")
 
 
 @lru_cache(maxsize=None)
 def _c7_rtimes_a4():
     """C7 : A4 acting through the unique order-3 quotient of A4: its
     generators, the 3-cycles (0 1 2) and (1 2 3), multiply by 4 and 2."""
-    times = [[k * i % 7 for i in range(7)] for k in (4, 2)]
-    return semidirect_product(cyclic(7), alternating(4), times, "C7:A4")
+    return _linear(7, alternating(4), [((4,),), ((2,),)], "C7:A4")
 
 
 # Keyed by `oseq.CATALOG_FIXED_NAMES` and `oseq.CATALOG_PRIME_NAMES`.

@@ -7,11 +7,9 @@ other constructor loads this module.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
-significant digit = constant term.  C_p^k shares the encoding: its table
-holds the vector v as the integer sum of v_i p^i.  Moduli are pinned so the
-encoding is identical across runs.  There is no matrix type: a matrix is a
-tuple of rows of encoded elements, and `construct._matvec` applies one to a
-vector.
+significant digit = constant term.  Moduli are pinned so the encoding is
+identical across runs.  There is no matrix type: a matrix is a tuple of rows
+of encoded elements, and `construct._matvec` applies one to a vector.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ surface immediately.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from importlib import resources
 
 from . import InputError, ascii_int
@@ -20,7 +19,7 @@ from .arith import LIMIT
 from .order_sequence import SequenceError, is_plausible, parse_pairs
 
 __all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
-           "default_fixtures", "fixtures_by_label", "corpus_for_order"]
+           "fixtures_by_label", "corpus_for_order"]
 
 
 class FixtureError(InputError):
@@ -79,11 +78,6 @@ def load_fixtures(path=None):
             return parse_fixture_lines(handle, source=str(path))
         except UnicodeDecodeError:
             raise FixtureError(f"{path}: not UTF-8 text") from None
-
-
-@lru_cache(maxsize=None)
-def default_fixtures():
-    return tuple(load_fixtures())
 
 
 class _ByLabel(dict):

@@ -35,7 +35,6 @@ __all__ = [
     "DirectProductBacking",
     "SemidirectBacking",
     "enumerate_group",
-    "subgroup_closure",
     "commutator_subgroup",
     "DEFAULT_CLOSURE_CAP",
 ]
@@ -490,15 +489,6 @@ def _grow(group, members, gens, s):
             if y not in members:
                 members.update(mul(h, y) for h in base)
                 reps.append(y)
-
-
-def subgroup_closure(group, seed):
-    """Smallest subgroup containing the seed indices."""
-    members, gens = {0}, []
-    for s in sorted(set(seed)):
-        if s not in members:
-            _grow(group, members, gens, s)
-    return SubgroupSet(group, tuple(sorted(members)))
 
 
 def commutator_subgroup(group, a_gens, b_gens):

@@ -1,7 +1,7 @@
 """Order sequences as run-length-encoded multisets, and their calculus.
 
-A sequence is stored as ascending (order, multiplicity) pairs; the fully
-expanded non-decreasing list exists only for tests and tiny corpora.
+A sequence is stored as ascending (order, multiplicity) pairs and is never
+expanded to its non-decreasing list.
 Canonical text form (used by fixtures, the cache, and the CLI, bit-exact):
 ``n=<total>; (o1,m1)(o2,m2)...``.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "is_plausible",
     "nilpotent_from_os",
     "format_sequence",
-    "format_pairs",
     "parse_pairs",
     "parse_sequence",
 ]
@@ -56,12 +55,6 @@ class OrderSequence(namedtuple("OrderSequence", "entries")):
     @property
     def total(self):
         return sum(m for _, m in self.entries)
-
-    def expand(self):
-        out = []
-        for o, m in self.entries:
-            out.extend([o] * m)
-        return out
 
     def __str__(self):
         return format_sequence(self)
@@ -93,13 +86,6 @@ class Verdict(Enum):
     PROPERLY_DOMINATES = "ProperlyDominates"
     PROPERLY_DOMINATED_BY = "ProperlyDominatedBy"
     INCOMPARABLE = "Incomparable"
-
-    def mirror(self):
-        if self is Verdict.PROPERLY_DOMINATES:
-            return Verdict.PROPERLY_DOMINATED_BY
-        if self is Verdict.PROPERLY_DOMINATED_BY:
-            return Verdict.PROPERLY_DOMINATES
-        return self
 
 
 def compare(a, b):
@@ -179,12 +165,8 @@ def nilpotent_from_os(seq):
 _PAIR_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
 
 
-def format_pairs(seq):
-    return "".join(f"({o},{m})" for o, m in seq.entries)
-
-
 def format_sequence(seq):
-    return f"n={seq.total}; {format_pairs(seq)}"
+    return f"n={seq.total}; " + "".join(f"({o},{m})" for o, m in seq.entries)
 
 
 def _int(digits):

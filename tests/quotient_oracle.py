@@ -1,11 +1,27 @@
-"""Normality test and coset groups: the slow references of the tests.
+"""Subgroup closure, normality test and coset groups: the slow references of
+the tests.
 
 The runtime forms no quotient group.  `supersolvable_chain` finds its chain
 inside G, and C7 : A4 gives only the images of A4's two generators; these
 are the oracles they are checked against.
 """
 
-from oseq.groups import Group, GroupError
+from oseq.groups import Group, GroupError, SubgroupSet
+
+
+def subgroup_closure(group, seed):
+    """The smallest subgroup holding the seed indices: a breadth-first walk
+    from the identity by right products with the seed, which in a finite
+    group reaches every element of <seed>."""
+    seed = tuple(set(seed))
+    members, walk = {0}, [0]
+    for x in walk:  # grows while it is walked
+        for s in seed:
+            y = group.mul(x, s)
+            if y not in members:
+                members.add(y)
+                walk.append(y)
+    return SubgroupSet(group, tuple(sorted(members)))
 
 
 class CosetBacking:

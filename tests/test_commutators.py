@@ -3,9 +3,9 @@
 `derived_series`, `lower_central_series` and `is_nilpotent` build every
 commutator subgroup as a normal closure of generator commutators.  The
 references here form [A, B] from every pair (a, b) of members instead, over
-a Cayley table that shares no code with `commutator_subgroup` or
-`subgroup_closure`, and decide nilpotency by counting elements of
-prime-power order against the Sylow orders.
+a Cayley table that shares no code with `commutator_subgroup`, and decide
+nilpotency by counting elements of prime-power order against the Sylow
+orders.
 """
 
 from collections import Counter

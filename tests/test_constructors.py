@@ -217,6 +217,15 @@ def test_frobenius56_against_affine_permutations():
     assert os_of_group(frobenius56()).entries == ((1, 1), (2, 7), (7, 48))
 
 
+def test_actions_on_one_coordinate_act_on_cyclic_p():
+    # C7 : H acts on `cyclic(7)` itself, whose elements are their own
+    # indices, and enumerates no second copy of C7
+    import oseq.construct
+
+    assert frobenius42().backing.normal is cyclic(7)
+    assert oseq.construct._c7_rtimes_a4().backing.normal is cyclic(7)
+
+
 def test_wreath_square():
     w = wreath_square(symmetric(3))
     assert len(w) == 72
@@ -353,8 +362,10 @@ _A, _B = ((0, 1), (4, 1)), ((0, 2), (2, 0))
         ((_A, ((2, 0), (0, 2))), "not a homomorphism"),  # b = 2 is central, so b^-1 a b = a
         # a = -1 satisfies the relations, but Dic12 acts by 4 matrices
         ((((4, 0), (0, 4)), _B), "do not act faithfully"),
+        # a singular matrix is no permutation of C5^2
+        ((((1, 1), (1, 1)), _B), "not an identity-fixing permutation"),
     ],
-    ids=["a^6", "b^2", "b^-1ab", "order"],
+    ids=["a^6", "b^2", "b^-1ab", "order", "singular"],
 )
 def test_sd_300_23_refuses_matrices_that_are_not_dic12(monkeypatch, mats, match):
     import oseq.construct

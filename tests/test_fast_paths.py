@@ -76,7 +76,7 @@ from oseq.construct import (
     symmetric,
 )
 from oseq.finite_field import FieldError, field_make
-from oseq.fixtures import default_fixtures, fixtures_by_label
+from oseq.fixtures import fixtures_by_label, load_fixtures
 from oseq.groups import (
     DEFAULT_CLOSURE_CAP,
     Group,
@@ -84,11 +84,10 @@ from oseq.groups import (
     PermBacking,
     commutator_subgroup,
     enumerate_group,
-    subgroup_closure,
 )
 from oseq.order_sequence import os_of_group
 import sd_300_23_oracle
-from quotient_oracle import quotient
+from quotient_oracle import quotient, subgroup_closure
 
 
 def _inv_by_points(a):
@@ -503,7 +502,7 @@ def test_k_orbit_count_matches_the_oracles_on_random_transitive_groups(case):
 def test_psl2_64_is_counted_without_its_table():
     # 262080 degree-65 permutations in a list and an index take over 30 MB;
     # the chain keeps a 4032-element stabiliser and its own 63-element one
-    by_label = fixtures_by_label(default_fixtures())
+    by_label = fixtures_by_label(load_fixtures())
     field_make(2, 6)  # cached for the process, so not counted in the peak
     tracemalloc.start()
     try:
@@ -1061,7 +1060,7 @@ def _matrix_word_search(pres, dim, p, oracle):
 
 
 def test_sd_300_23_is_the_first_action_of_the_matrix_word_search():
-    oracle = fixtures_by_label(default_fixtures())["SG300_23"].seq
+    oracle = fixtures_by_label(load_fixtures())["SG300_23"].seq
     slow = _matrix_word_search(_DIC12, 2, 5, oracle=oracle)[0]
     assert [slow.acting.table[g] for g in slow.acting.generators] == list(_SD_300_23_MATRICES)
     fast = catalog("SD_300_23").backing

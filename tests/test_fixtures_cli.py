@@ -16,7 +16,6 @@ from oseq.cli import _VERBS, main
 from oseq.fixtures import (
     MAX_FIXTURE_ORDER,
     FixtureError,
-    default_fixtures,
     fixtures_by_label,
     load_fixtures,
     parse_fixture_lines,
@@ -25,7 +24,7 @@ from oseq.order_sequence import OrderSequence, format_sequence, is_plausible, os
 
 
 def test_default_fixtures_load_and_are_plausible():
-    fixtures = default_fixtures()
+    fixtures = load_fixtures()
     assert len(fixtures) >= 40
     for f in fixtures:
         ok, reason = is_plausible(f.seq, f.n)
@@ -33,20 +32,20 @@ def test_default_fixtures_load_and_are_plausible():
 
 
 def test_big_display_totals():
-    by_label = fixtures_by_label(default_fixtures())
+    by_label = fixtures_by_label(load_fixtures())
     assert by_label["L2_64"].seq.total == 262080
     assert by_label["C32xSz8"].seq.total == 262080
 
 
 def test_identical_rows_both_load():
-    by_label = fixtures_by_label(default_fixtures())
+    by_label = fixtures_by_label(load_fixtures())
     assert by_label["SG780_16"].seq.entries == by_label["SG780_17"].seq.entries
 
 
 def test_equal_sequences_share_psi():
     from oseq.order_sequence import psi
 
-    by_label = fixtures_by_label(default_fixtures())
+    by_label = fixtures_by_label(load_fixtures())
     assert psi(by_label["SG72_40"].seq) == psi(by_label["SG72_35"].seq)
     assert psi(by_label["SG216_100"].seq) == psi(by_label["SG216_131"].seq)
 
@@ -580,7 +579,7 @@ def test_bench_tracer_installs_on_a_fresh_import():
     assert proc.returncode == 0, proc.stderr
 
 
-# Every name `oseq/__init__.py` exported when it imported its submodules eagerly.
+# Every name `oseq/__init__.py` exports from its submodules.
 EXPORTS = {
     "classify": [
         "ClassificationReport", "classify_group", "derived_series", "is_nilpotent", "is_solvable",
@@ -593,11 +592,8 @@ EXPORTS = {
     ],
     "expr": ["ParseError", "build", "parse", "print_expr"],
     "finite_field": ["FieldError", "FieldSpec", "field_make"],
-    "fixtures": ["Fixture", "FixtureError", "default_fixtures", "load_fixtures"],
-    "groups": [
-        "Group", "GroupError", "SubgroupSet", "commutator_subgroup", "enumerate_group",
-        "subgroup_closure",
-    ],
+    "fixtures": ["Fixture", "FixtureError", "load_fixtures"],
+    "groups": ["Group", "GroupError", "SubgroupSet", "commutator_subgroup", "enumerate_group"],
     "order_sequence": [
         "OrderSequence", "SequenceError", "Verdict", "compare", "format_sequence", "is_plausible",
         "nilpotent_from_os", "os_cyclic", "os_of_group", "os_product", "parse_pairs",
@@ -642,20 +638,21 @@ def test_catalog_and_classify_import_only_what_they_run(tmp_path):
         proc = _run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "loaded: []\n", verbs
-    # only the PSL(2,q) and Sz(8) builders load the field tables: SD_300_23
-    # and F8 act by integer arithmetic; `verify props` exits 3 on its known
+    # only the PSL(2,q) and Sz(8) builders load the field tables: every
+    # C_p^k : H acts by integer matrices; `verify props` exits 3 on its known
     # failing check
     code = (
         "import sys\n"
         "from oseq.cli import main\n"
         "codes = [main(argv) for argv in [['classify', 'Cat(SD_300_23)'], ['classify', 'Cat(C4xF8)'],"
-        " ['verify', 'table1'], ['verify', 'props'], ['catalog', 'CpxSD300', '--prime', '7']]]\n"
+        " ['verify', 'table1'], ['verify', 'props'], ['catalog', 'CpxSD300', '--prime', '7'],"
+        " ['os', 'He(5)'], ['os', 'F7'], ['classify', 'Cat(SD_72_35)'], ['classify', 'Cat(C5xC7A4)']]]\n"
         "print(codes, 'oseq.finite_field' in sys.modules, file=sys.stderr)\n"
         "print(main(['os', 'PSL2(7)']), 'oseq.finite_field' in sys.modules, file=sys.stderr)\n"
     )
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "[0, 0, 0, 3, 0] False\n0 True\n"
+    assert proc.stderr == "[0, 0, 0, 3, 0, 0, 0, 0, 0] False\n0 True\n"
 
 
 def test_parser_and_error_mapping_load_no_other_module():

@@ -11,9 +11,8 @@ from oseq.groups import (
     PermBacking,
     commutator_subgroup,
     enumerate_group,
-    subgroup_closure,
 )
-from quotient_oracle import is_normal, quotient
+from quotient_oracle import is_normal, quotient, subgroup_closure
 
 
 def _derived(g):

@@ -132,8 +132,14 @@ def _random_rle(rng, total):
     return OrderSequence(tuple(entries))
 
 
+# The verdict of compare(b, a), given that of compare(a, b).
+_MIRROR = {Verdict.EQUAL: Verdict.EQUAL, Verdict.INCOMPARABLE: Verdict.INCOMPARABLE,
+           Verdict.PROPERLY_DOMINATES: Verdict.PROPERLY_DOMINATED_BY,
+           Verdict.PROPERLY_DOMINATED_BY: Verdict.PROPERLY_DOMINATES}
+
+
 def _naive_verdict(a, b):
-    ea, eb = a.expand(), b.expand()
+    ea, eb = ([o for o, m in s.entries for _ in range(m)] for s in (a, b))
     if ea == eb:
         return Verdict.EQUAL
     if all(x >= y for x, y in zip(ea, eb)):
@@ -158,7 +164,7 @@ def test_compare_matches_naive_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     a, b = _random_rle(rng, total), _random_rle(rng, total)
     assert compare(a, b) is _naive_verdict(a, b)
-    assert compare(b, a) is compare(a, b).mirror()
+    assert compare(b, a) is _MIRROR[compare(a, b)]
 
 
 @settings(max_examples=200)

@@ -1,6 +1,6 @@
 import pytest
 
-from oseq.fixtures import default_fixtures, corpus_for_order
+from oseq.fixtures import corpus_for_order, load_fixtures
 from oseq.order_sequence import SequenceError, Verdict, os_of_group, parse_pairs
 from oseq.poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
 from oseq.verify import order12_corpus_groups
@@ -75,7 +75,7 @@ def test_corpus_validation():
 
 
 def test_order300_fixture_pair():
-    fixtures = default_fixtures()
+    fixtures = load_fixtures()
     corpus = corpus_for_order(fixtures, 300)
     result = build_poset(corpus)
     assert result.minimal == {"SG300_23"}
@@ -83,15 +83,16 @@ def test_order300_fixture_pair():
 
 
 def test_order900_domination_pairs():
-    corpus = corpus_for_order(default_fixtures(), 900)
-    tags = {f.label: f.tags for f in default_fixtures()}
+    fixtures = load_fixtures()
+    corpus = corpus_for_order(fixtures, 900)
+    tags = {f.label: f.tags for f in fixtures}
     pairs = _dominations(corpus, lambda top, low: "nonsolvable" in tags[top] and "solvable" in tags[low])
     assert len(pairs) == 14
     assert all(top == "SG900_88" for top, _ in pairs)
 
 
 def test_order72_fixture_pairs_are_equal_only():
-    corpus = corpus_for_order(default_fixtures(), 72)
+    corpus = corpus_for_order(load_fixtures(), 72)
     assert _dominations(corpus) == []
     result = build_poset(corpus)
     assert result.verdicts[0][1] is Verdict.EQUAL
