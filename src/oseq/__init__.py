@@ -15,13 +15,35 @@ __version__ = "0.1.0"
 
 SUITE_NAMES = ("table1", "table2", "table3", "thm23", "thm25", "thm29", "simple", "props")
 
-# The catalog's names in listing order: `oseq catalog` prints them from here
-# without loading the builders in `construct`, which are keyed by them.
-CATALOG_FIXED_NAMES = (
-    "C13xA5", "C15xA5", "C22xF8", "C24xD14", "C35xA4", "C4xF8", "C5xA5",
-    "C5xC7A4", "C7xA5", "D10xF7", "S3wrC2", "SD_300_23", "SD_72_35",
-)
-CATALOG_PRIME_NAMES = ("C5pxA5", "CpxA4", "CpxS3wrC2", "CpxSD300", "CpxSD72", "S3xD2p")
+# The catalog: each name and the expression text `construct.catalog` builds,
+# in the paper's order.  An entry takes a prime p exactly when its text holds
+# {p}, {2p} or {5p}.  `oseq catalog` lists the names from here, sorted,
+# without loading `construct`.
+CATALOG = {
+    "C5xA5": "C(5) x A(5)",
+    "C7xA5": "C(7) x A(5)",
+    "C13xA5": "C(13) x A(5)",
+    "C15xA5": "C(15) x A(5)",
+    "SD_300_23": "Aff(5, Dic(12), 0, 1, 4, 1, 0, 2, 2, 0)",
+    # S3wrC2's order sequence, but supersolvable: D8 acts by -I and I, which
+    # fix every line of GF(3)^2
+    "SD_72_35": "Aff(3, D(8), 2, 0, 0, 2, 1, 0, 0, 1)",
+    "S3wrC2": "Wr2(S(3))",
+    "C4xF8": "C(4) x F8",
+    "C22xF8": "C(2)^2 x F8",
+    "C24xD14": "C(2)^4 x D(14)",
+    "D10xF7": "D(10) x F7",
+    "C35xA4": "C(35) x A(4)",
+    "C5xC7A4": "C(5) x Aff(7, A(4), 4, 2)",
+    "C5pxA5": "C({5p}) x A(5)",
+    "CpxA4": "C({p}) x A(4)",
+    "S3xD2p": "S(3) x D({2p})",
+    "CpxSD300": "C({p}) x Cat(SD_300_23)",
+    "CpxS3wrC2": "C({p}) x Cat(S3wrC2)",
+    "CpxSD72": "C({p}) x Cat(SD_72_35)",
+}
+CATALOG_FIXED_NAMES = tuple(sorted(name for name, text in CATALOG.items() if "{" not in text))
+CATALOG_PRIME_NAMES = tuple(sorted(name for name, text in CATALOG.items() if "{" in text))
 
 
 class InputError(ValueError):
@@ -43,7 +65,7 @@ def ascii_int(text):
 _EXPORTS = {
     "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
     "is_supersolvable lower_central_series supersolvable_chain",
-    "construct": "ConstructionError alternating catalog cyclic dicyclic "
+    "construct": "ConstructionError affine alternating catalog cyclic dicyclic "
     "dihedral direct_product elementary_abelian frobenius42 frobenius56 heisenberg psl2 "
     "semidirect_product suzuki8 symmetric wreath_square",
     "expr": "ParseError build parse print_expr",
@@ -57,7 +79,7 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "arith", "cache", "cli", "verify"}
 
-__all__ = ["SUITE_NAMES", "CATALOG_FIXED_NAMES", "CATALOG_PRIME_NAMES", "InputError", "BuildError", *_HOME]
+__all__ = ["SUITE_NAMES", "CATALOG", "CATALOG_FIXED_NAMES", "CATALOG_PRIME_NAMES", "InputError", "BuildError", *_HOME]
 
 
 def __getattr__(name):

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import repeat
-from math import gcd
+from math import gcd, isqrt
 
-from . import BuildError, InputError
+from . import CATALOG, BuildError, InputError
 from .arith import factorint, isprime
 from .groups import (
     DEFAULT_CLOSURE_CAP,
@@ -40,6 +40,7 @@ __all__ = [
     "semidirect_product",
     "validate_action",
     "wreath_square",
+    "affine",
     "psl2",
     "suzuki8",
     "catalog",
@@ -269,7 +270,7 @@ def semidirect_product(n, h, images, name=None):
     return _semidirect(n, h, images, name or f"{n.name}:{h.name}")
 
 
-def _linear(p, h, matrices, name):
+def _linear(p, h, matrices, name=None):
     """C_p^k : H, the j-th generator of H acting by matrices[j], k rows of k
     integers mod p, on the column vector v of each code sum v_i p^i of C_p^k
     (C(p) itself when k = 1)."""
@@ -279,6 +280,25 @@ def _linear(p, h, matrices, name):
     images = [[n.index[sum(sum(map(int.__mul__, row, v)) % p * p**i for i, row in enumerate(m))]
                for v in vectors] for m in matrices]
     return semidirect_product(n, h, images, name)
+
+
+def affine(p, h, *entries):
+    """C_p^k : H through `_linear`, the j-th of H's g generators acting by the
+    j-th k x k matrix of the g * k^2 `entries`, read row by row.  The order is
+    checked against the cap before anything is built.  An action need not be
+    faithful."""
+    g = len(h.generators)
+    if not g:
+        raise ConstructionError("affine group needs an acting group with generators")
+    k = isqrt(len(entries) // g)
+    if not entries or len(entries) != g * k * k:
+        raise ConstructionError(f"affine group needs k x k matrices for the {g} generators; "
+                                f"{len(entries)} entries is not {g} * k^2")
+    if not isprime(p):
+        raise ConstructionError(f"affine group needs a prime; got {p}")
+    _require_under_cap(f"C{p}^{k}:{h.name}", (len(h), *[p] * k))
+    rows = [entries[i : i + k] for i in range(0, len(entries), k)]
+    return _linear(p, h, [rows[j : j + k] for j in range(0, g * k, k)])
 
 
 def wreath_square(g):
@@ -387,85 +407,28 @@ def suzuki8():
 
 # -- the named catalog ---------------------------------------------------------
 
-# The generators a and b of Dic12 = <a, b | a^6 = 1, b^2 = a^3, b^-1 a b = a^-1>
-# as matrices over GF(5), acting on GF(5)^2 by v -> Mv.
-_SD_300_23_MATRICES = (((0, 1), (4, 1)), ((0, 2), (2, 0)))
-
-
-@lru_cache(maxsize=None)
-def _sd_300_23():
-    """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row, Dic12
-    acting by `_SD_300_23_MATRICES`.  `_semidirect` refuses matrices that
-    break Dic12's relations; the 12 actions must differ."""
-    group = _linear(5, dicyclic(12), _SD_300_23_MATRICES, "SD_300_23")
-    if len(set(group.backing.perms)) != 12:
-        raise ConstructionError("SD_300_23: the matrices do not act faithfully")
-    return group
-
-
-@lru_cache(maxsize=None)
-def _sd_72_35():
-    """The supersolvable order-72 companion of the wreath square of S3.
-
-    Both groups are C3^2 : D8 semidirect products with identical order
-    sequences, so a sequence oracle cannot separate them; in this one the
-    rotation inverts every vector and the reflection fixes them, so D8 acts
-    through its quotient by the Klein subgroup generated by the half-turn
-    and the reflection.  That action fixes every line, which forces
-    supersolvability.
-    """
-    return _linear(3, dihedral(8), [((2, 0), (0, 2)), ((1, 0), (0, 1))], "SD_72_35")
-
-
-@lru_cache(maxsize=None)
-def _c7_rtimes_a4():
-    """C7 : A4 acting through the unique order-3 quotient of A4: its
-    generators, the 3-cycles (0 1 2) and (1 2 3), multiply by 4 and 2."""
-    return _linear(7, alternating(4), [((4,),), ((2,),)], "C7:A4")
-
-
-# Keyed by `oseq.CATALOG_FIXED_NAMES` and `oseq.CATALOG_PRIME_NAMES`.
-_CATALOG_FIXED = {
-    "C5xA5": lambda: direct_product(cyclic(5), alternating(5)),
-    "C7xA5": lambda: direct_product(cyclic(7), alternating(5)),
-    "C13xA5": lambda: direct_product(cyclic(13), alternating(5)),
-    "C15xA5": lambda: direct_product(cyclic(15), alternating(5)),
-    "SD_300_23": _sd_300_23,
-    "SD_72_35": _sd_72_35,
-    "S3wrC2": lambda: wreath_square(symmetric(3)),
-    "C4xF8": lambda: direct_product(cyclic(4), frobenius56()),
-    "C22xF8": lambda: direct_product(elementary_abelian(2, 2), frobenius56()),
-    "C24xD14": lambda: direct_product(elementary_abelian(2, 4), dihedral(14)),
-    "D10xF7": lambda: direct_product(dihedral(10), frobenius42()),
-    "C35xA4": lambda: direct_product(cyclic(35), alternating(4)),
-    "C5xC7A4": lambda: direct_product(cyclic(5), _c7_rtimes_a4()),
-}
-
-_CATALOG_PRIME = {
-    "CpxA4": lambda p: direct_product(cyclic(p), alternating(4)),
-    "S3xD2p": lambda p: direct_product(symmetric(3), dihedral(2 * p)),
-    "C5pxA5": lambda p: direct_product(cyclic(5 * p), alternating(5)),
-    "CpxSD300": lambda p: direct_product(cyclic(p), catalog("SD_300_23")),
-    "CpxS3wrC2": lambda p: direct_product(cyclic(p), catalog("S3wrC2")),
-    "CpxSD72": lambda p: direct_product(cyclic(p), catalog("SD_72_35")),
-}
 
 @lru_cache(maxsize=None)
 def catalog(name, prime=None):
-    """Catalog entry by stable name; parametrized names take a prime.
+    """Catalog entry by stable name, built from its text in `oseq.CATALOG`;
+    parametrized names take a prime.
 
     An unknown name, a prime missing from a parametrized name or given to a
     fixed one, and a prime that is not prime are usage errors (InputError); a
     prime of 10^6 or more is refused by `isprime` with an `ArithError`.
     """
-    if name in _CATALOG_FIXED:
+    from .expr import build, parse  # here, so that only a catalog entry loads the parser
+
+    text = CATALOG.get(name)
+    if text is None:
+        raise InputError(f"unknown catalog name {name!r}")
+    if "{" not in text:
         if prime is not None:
             raise InputError(f"catalog entry {name!r} takes no prime argument")
-        return _CATALOG_FIXED[name]()
-    if name in _CATALOG_PRIME:
-        if prime is None:
-            raise InputError(f"catalog entry {name!r} requires a prime argument")
-        if not isprime(prime):
-            raise InputError(f"{prime} is not prime")
-        return _CATALOG_PRIME[name](prime)
-    raise InputError(f"unknown catalog name {name!r}")
+    elif prime is None:
+        raise InputError(f"catalog entry {name!r} requires a prime argument")
+    elif not isprime(prime):
+        raise InputError(f"{prime} is not prime")
+    else:
+        text = text.format_map({"p": prime, "2p": 2 * prime, "5p": 5 * prime})
+    return build(parse(text))

@@ -6,9 +6,11 @@ Grammar (ASCII only, whitespace insignificant):
     term := atom ('^' INT)*
     atom := NAME '(' args ')' | NAME
 
-Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Cat.  ``C(5)^2`` is
-C5 x C5; ``Cat(name[, prime])`` resolves through the catalog.  An ``x``
-that starts a word is the product sign, and F7, F8 and Sz8 may be followed
+Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Aff, Cat.  ``C(5)^2``
+is C5 x C5; ``Aff(p, H, m...)`` is C_p^k : H, the j-th generator of H
+acting by the j-th k x k matrix of the integers m, read row by row
+(`construct.affine`); ``Cat(name[, prime])`` resolves through the catalog.
+An ``x`` that starts a word is the product sign, and F7, F8 and Sz8 may be followed
 directly by it: ``C(2)xF7`` and ``F7xF8`` are products, ``Cat(C4xF8)`` one name.
 
 Every expression is a ``Node(name, args)``.  A product is
@@ -19,7 +21,7 @@ most about twice as long as the input; `construct.direct_power` refuses an
 oversized power at its first partial product past the cap.
 Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
 printing and building walk a product's left spine in a loop, so a long
-product cannot exhaust the stack, and `Wr2` nesting deeper than
+product cannot exhaust the stack, and `Wr2` or `Aff` nesting deeper than
 ``MAX_NESTING`` is refused while it is parsed.
 """
 
@@ -33,8 +35,8 @@ from . import InputError
 
 __all__ = ["ParseError", "Node", "parse", "print_expr", "build", "MAX_NESTING"]
 
-# Deepest sub-expression nesting the parser takes; Wr2 squares the order, so
-# five levels of it already pass the closure cap.
+# Deepest sub-expression nesting the parser takes, through Wr2 and Aff; Wr2
+# squares the order, so five levels of it already pass the closure cap.
 MAX_NESTING = 100
 
 
@@ -49,10 +51,11 @@ Node.__doc__ = "One constructor applied to its arguments: ints, names or sub-nod
 
 
 # Name -> (argument kind, `construct` function that builds it).  The kinds
-# are "none" (F7 or F7()), "int", "expr" (one sub-expression), "catalog" (a
-# catalog name and an optional prime), and the two operators "product" and
-# "power".  Builders are looked up on `construct` at call time and receive
-# the arguments with sub-expressions already built.
+# are "none" (F7 or F7()), "int", "expr" (one sub-expression), "aff" (an
+# int, a sub-expression, then any number of ints), "catalog" (a catalog name
+# and an optional prime), and the two operators "product" and "power".
+# Builders are looked up on `construct` at call time and receive the
+# arguments with sub-expressions already built.
 _CONSTRUCTORS = {
     "C": ("int", "cyclic"),
     "D": ("int", "dihedral"),
@@ -65,6 +68,7 @@ _CONSTRUCTORS = {
     "F8": ("none", "frobenius56"),
     "Sz8": ("none", "suzuki8"),
     "Wr2": ("expr", "wreath_square"),
+    "Aff": ("aff", "affine"),
     "Cat": ("catalog", "catalog"),
     "x": ("product", "direct_product"),
     "^": ("power", "direct_power"),
@@ -159,24 +163,36 @@ class _Parser:
                 self.take()
                 self.take(")")
             return Node(word)
-        if arg_kind not in ("int", "expr", "catalog"):
+        if arg_kind not in ("int", "expr", "aff", "catalog"):
             raise ParseError(f"unknown constructor {word!r}", at)
         self.take("(")
         if arg_kind == "int":
-            args = (self.take("int")[1],)
+            args = [self.take("int")[1]]
         elif arg_kind == "expr":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"expression nested deeper than {MAX_NESTING}", at)
-            args = (self.expr(),)
-            self.depth -= 1
+            args = [self.nested(at)]
+        elif arg_kind == "aff":
+            args = [self.take("int")[1]]
+            self.take(",")
+            args.append(self.nested(at))
+            while self.peek()[0] == ",":
+                self.take()
+                args.append(self.take("int")[1])
         else:
-            args = (self.take("name")[1],)
+            args = [self.take("name")[1]]
             if self.peek()[0] == ",":
                 self.take()
-                args += (self.take("int")[1],)
+                args.append(self.take("int")[1])
         self.take(")")
-        return Node(word, args)
+        return Node(word, tuple(args))
+
+    def nested(self, at):
+        """A sub-expression, refused past `MAX_NESTING` levels."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING}", at)
+        node = self.expr()
+        self.depth -= 1
+        return node
 
 
 def parse(text):

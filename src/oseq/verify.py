@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from . import SUITE_NAMES, InputError
+from . import CATALOG, CATALOG_FIXED_NAMES, SUITE_NAMES, InputError
 from .arith import isprime
 from .construct import (
     alternating,
@@ -294,12 +294,10 @@ def order12_corpus_groups():
 
 
 def catalog_sample():
-    """The catalog groups used by the classification-wide property suites."""
-    named = [
-        "C5xA5", "C7xA5", "C13xA5", "C15xA5", "SD_300_23", "SD_72_35", "S3wrC2",
-        "C4xF8", "C22xF8", "C24xD14", "D10xF7", "C35xA4", "C5xC7A4",
-    ]
-    sample = [(name, catalog(name)) for name in named]
+    """The catalog groups used by the classification-wide property suites:
+    every entry that takes no prime, in the order of `oseq.CATALOG`, then
+    three that take one."""
+    sample = [(name, catalog(name)) for name in CATALOG if name in CATALOG_FIXED_NAMES]
     sample.append(("CpxA4(11)", catalog("CpxA4", 11)))
     sample.append(("CpxA4(17)", catalog("CpxA4", 17)))
     sample.append(("S3xD2p(11)", catalog("S3xD2p", 11)))

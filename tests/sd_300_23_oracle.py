@@ -3,15 +3,15 @@ tests.
 
 `_sd_300_23` is kept as it was in `oseq/construct.py`, where the acting
 Dic12 was the degree-25 permutation group the two matrices generate and its
-relations were checked by hand.  `construct._sd_300_23` now acts by
+relations were checked by hand.  `catalog("SD_300_23")` now acts by
 `dicyclic(12)`, numbered its own way, so the two groups hold the same
 elements under different indices.
 """
 
 from functools import lru_cache
 
+from catalog_oracle import _SD_300_23_MATRICES
 from oseq.construct import (
-    _SD_300_23_MATRICES,
     ConstructionError,
     _matvec,
     elementary_abelian,

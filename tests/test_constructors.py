@@ -7,6 +7,7 @@ from oseq.construct import (
     ConstructionError,
     _row_major,
     _semidirect,
+    affine,
     alternating,
     catalog,
     cyclic,
@@ -24,6 +25,7 @@ from oseq.construct import (
     validate_action,
     wreath_square,
 )
+from oseq.expr import build, parse
 from oseq.finite_field import field_make
 from oseq.groups import (
     DEFAULT_CLOSURE_CAP,
@@ -220,10 +222,8 @@ def test_frobenius56_against_affine_permutations():
 def test_actions_on_one_coordinate_act_on_cyclic_p():
     # C7 : H acts on `cyclic(7)` itself, whose elements are their own
     # indices, and enumerates no second copy of C7
-    import oseq.construct
-
     assert frobenius42().backing.normal is cyclic(7)
-    assert oseq.construct._c7_rtimes_a4().backing.normal is cyclic(7)
+    assert affine(7, alternating(4), 4, 2).backing.normal is cyclic(7)
 
 
 def test_wreath_square():
@@ -350,29 +350,28 @@ def test_sd_300_23_and_sd_72_35_have_their_published_sequences():
         "(1,1)(2,21)(3,8)(4,18)(6,24)").entries
 
 
-_A, _B = ((0, 1), (4, 1)), ((0, 2), (2, 0))
-
-
 @pytest.mark.parametrize(
-    "mats,match",
+    "text,match",
     [
         # `_semidirect` reaches an element of Dic12 with two actions
-        ((((1, 1), (0, 1)), _B), "not a homomorphism"),  # a has order 5
-        ((_A, ((0, 1), (1, 0))), "not a homomorphism"),  # b^2 = 1, not a^3 = -1
-        ((_A, ((2, 0), (0, 2))), "not a homomorphism"),  # b = 2 is central, so b^-1 a b = a
-        # a = -1 satisfies the relations, but Dic12 acts by 4 matrices
-        ((((4, 0), (0, 4)), _B), "do not act faithfully"),
+        ("Aff(5, Dic(12), 1, 1, 0, 1, 0, 2, 2, 0)", "not a homomorphism"),  # a has order 5
+        ("Aff(5, Dic(12), 0, 1, 4, 1, 0, 1, 1, 0)", "not a homomorphism"),  # b^2 = 1, not a^3 = -1
+        ("Aff(5, Dic(12), 0, 1, 4, 1, 2, 0, 0, 2)", "not a homomorphism"),  # b = 2 is central, so b^-1 a b = a
         # a singular matrix is no permutation of C5^2
-        ((((1, 1), (1, 1)), _B), "not an identity-fixing permutation"),
+        ("Aff(5, Dic(12), 1, 1, 1, 1, 0, 2, 2, 0)", "not an identity-fixing permutation"),
     ],
-    ids=["a^6", "b^2", "b^-1ab", "order", "singular"],
+    ids=["a^6", "b^2", "b^-1ab", "singular"],
 )
-def test_sd_300_23_refuses_matrices_that_are_not_dic12(monkeypatch, mats, match):
-    import oseq.construct
-
-    monkeypatch.setattr(oseq.construct, "_SD_300_23_MATRICES", mats)
+def test_sd_300_23_refuses_matrices_that_are_not_dic12(text, match):
     with pytest.raises(ConstructionError, match=match):
-        oseq.construct._sd_300_23.__wrapped__()
+        build(parse(text))
+
+
+def test_sd_300_23_acts_faithfully():
+    # Dic12's 12 elements act by 12 distinct matrices.  a = -1 satisfies
+    # the relations too, and `Aff` builds it, but it acts by only 4
+    assert len(set(catalog("SD_300_23").backing.perms)) == 12
+    assert len(set(build(parse("Aff(5, Dic(12), 4, 0, 0, 4, 0, 2, 2, 0)")).backing.perms)) == 4
 
 
 def test_suzuki8():

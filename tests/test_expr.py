@@ -36,6 +36,25 @@ def test_parse_examples():
     assert parse("Wr2(S(3))") == Node("Wr2", (Node("S", (3,)),))
     assert parse("F7") == Node("F7")
     assert parse("PSL2(64)") == Node("PSL2", (64,))
+    assert parse("Aff(7, A(4), 4, 2)") == Node("Aff", (7, Node("A", (4,)), 4, 2))
+    assert parse("Aff(2, C(3) x C(5))") == Node("Aff", (2, _product(C(3), C(5))))
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("Aff(5)", "expected ',', found ')' (at position 5)"),
+        ("Aff(C(2), 1)", "expected 'int', found 'C' (at position 4)"),
+        ("Aff(5, 1)", "expected a constructor name, found 1 (at position 7)"),
+        ("Aff(5, C(2), F7)", "expected 'int', found 'F7' (at position 13)"),
+        ("Aff(5, C(2), 1,)", "expected 'int', found ')' (at position 15)"),
+        ("Aff(5, C(2) 1)", "expected ')', found 1 (at position 12)"),
+    ],
+)
+def test_aff_takes_an_int_an_expression_then_ints(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_whitespace_insignificant():
@@ -117,6 +136,8 @@ def test_lexer_refusals(text, message):
         ("Sz8xF7", "Sz8 x F7"),
         ("Sz8xC(3)", "Sz8 x C(3)"),
         ("C(2)xF7", "C(2) x F7"),
+        ("Aff(7,A(4),4,2)", "Aff(7, A(4), 4, 2)"),
+        ("Aff( 2 ,C(7)xF7 )", "Aff(2, C(7) x F7)"),
     ],
 )
 def test_canonical_text(text, canonical):
@@ -135,6 +156,11 @@ def test_nesting_is_bounded():
         parse(nested(MAX_NESTING + 1))
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
         parse(nested(3000))
+    # Aff's sub-expression counts as Wr2's does
+    mixed = "Aff(2, Wr2(" * (MAX_NESTING // 2) + "C(2)" + "))" * (MAX_NESTING // 2)
+    assert parse(mixed).name == "Aff"
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+        parse("Aff(2, " + mixed + ")")
     # side by side is not nested
     assert len(_factors(parse(" x ".join([nested(1)] * (MAX_NESTING + 1))))) == MAX_NESTING + 1
 
@@ -153,8 +179,8 @@ def test_print_parse_roundtrip_examples():
 _ATOM_LIST = [
     C(3), C(5), Node("D", (8,)), Node("Dic", (12,)), Node("S", (3,)), Node("A", (4,)),
     Node("He", (3,)), Node("PSL2", (5,)), Node("F7"), Node("F8"), Node("Sz8"),
-    Node("Wr2", (Node("S", (3,)),)), Node("Cat", ("SD_300_23",)), Node("Cat", ("CpxA4", 11)),
-    Node("^", (C(2), 3)),
+    Node("Wr2", (Node("S", (3,)),)), Node("Aff", (7, Node("A", (4,)), 4, 2)),
+    Node("Cat", ("SD_300_23",)), Node("Cat", ("CpxA4", 11)), Node("^", (C(2), 3)),
 ]
 _ATOMS = st.sampled_from(_ATOM_LIST)
 
@@ -248,11 +274,21 @@ _TOKENS = st.sampled_from(
     [name for name in _CONSTRUCTORS if name not in "x^"]
     + ["x", "^", "(", ")", ",", "SD_300_23", "CpxA4", "Nope", "@"] + _INTS
 )
+
+
+def _aff(p, h, entries):
+    """`Aff(p, h, entries...)` as tokens, h a token list."""
+    return ["Aff", "(", p, ",", *h, *(t for m in entries for t in (",", m)), ")"]
+
+
+_INT_TOKENS = st.sampled_from(_INTS)
+_ENTRIES = st.lists(_INT_TOKENS, max_size=5)
 _ATOM_TOKENS = st.one_of(
     st.builds(lambda name, n: [name, "(", n, ")"], st.sampled_from(["C", "D", "Dic", "S", "A", "He", "PSL2"]),
-              st.sampled_from(_INTS)),
+              _INT_TOKENS),
     st.sampled_from([["F7"], ["F8"], ["Sz8"]]),
-    st.builds(lambda p: ["Cat", "(", "CpxA4", ",", p, ")"], st.sampled_from(_INTS)),
+    st.builds(lambda p: ["Cat", "(", "CpxA4", ",", p, ")"], _INT_TOKENS),
+    st.builds(_aff, _INT_TOKENS, st.builds(lambda n: ["C", "(", n, ")"], _INT_TOKENS), _ENTRIES),
 )
 _EXPR_TOKENS = st.recursive(
     _ATOM_TOKENS,
@@ -260,6 +296,7 @@ _EXPR_TOKENS = st.recursive(
         st.builds(lambda a, b: [*a, "x", *b], sub, sub),
         st.builds(lambda a, k: [*a, "^", k], sub, st.sampled_from(_INTS)),
         st.builds(lambda a: ["Wr2", "(", *a, ")"], sub),
+        st.builds(_aff, _INT_TOKENS, sub, _ENTRIES),
     ),
     max_leaves=5,
 )

@@ -56,10 +56,9 @@ from oseq.arith import isprime
 from oseq.cli import main
 from oseq.construct import (
     ConstructionError,
-    _SD_300_23_MATRICES,
-    _c7_rtimes_a4,
     _projective_group,
     _suzuki8_matrices,
+    affine,
     alternating,
     catalog,
     cyclic,
@@ -87,6 +86,7 @@ from oseq.groups import (
 )
 from oseq.order_sequence import os_of_group
 import sd_300_23_oracle
+from catalog_oracle import _SD_300_23_MATRICES, _c7_rtimes_a4
 from quotient_oracle import quotient, subgroup_closure
 
 
@@ -1077,7 +1077,8 @@ def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():
     assert len(q) == 3
     coset_of = q.backing.coset_of
     perms = tuple(tuple(i * pow(2, coset_of[j], 7) % 7 for i in range(7)) for j in range(len(a4)))
-    assert _c7_rtimes_a4().backing.perms == perms
+    # C5xC7A4's C7 : A4 is `Aff(7, A(4), 4, 2)`; the builder it replaced, too
+    assert affine(7, a4, 4, 2).backing.perms == _c7_rtimes_a4().backing.perms == perms
 
 
 def test_frobenius42_acts_by_the_powers_of_3():

@@ -11,7 +11,7 @@ import pytest
 from sympy import isprime
 
 import oseq
-from oseq import CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, verify
+from oseq import CATALOG, CATALOG_FIXED_NAMES, CATALOG_PRIME_NAMES, SUITE_NAMES, verify
 from oseq.cli import _VERBS, main
 from oseq.fixtures import (
     MAX_FIXTURE_ORDER,
@@ -586,7 +586,7 @@ EXPORTS = {
         "is_supersolvable", "lower_central_series", "supersolvable_chain",
     ],
     "construct": [
-        "ConstructionError", "alternating", "catalog", "cyclic",
+        "ConstructionError", "affine", "alternating", "catalog", "cyclic",
         "dicyclic", "dihedral", "direct_product", "elementary_abelian", "frobenius42", "frobenius56",
         "heisenberg", "psl2", "semidirect_product", "suzuki8", "symmetric", "wreath_square",
     ],
@@ -615,7 +615,8 @@ def test_catalog_and_classify_import_only_what_they_run(tmp_path):
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "['oseq', 'oseq.cli']\n"
-    # `verify simple` and `fixtures` run no classification and build no poset;
+    # `verify simple` and `fixtures` run no classification, build no poset
+    # and no catalog entry, so they parse no expression text;
     # `verify thm25` reads no fixtures; an `os --cache` hit builds no group;
     # no verb loads argparse or the gettext and locale it would pull in
     hit = ["os", "C(6)", "--cache", str(tmp_path / "cache.txt")]
@@ -623,7 +624,7 @@ def test_catalog_and_classify_import_only_what_they_run(tmp_path):
     for verbs, unwanted in (
         ((["catalog"], ["classify", "C(6)"]),
          ["dataclasses", "oseq.finite_field", "oseq.verify", "oseq.poset", "oseq.fixtures", "oseq.cache"]),
-        ((["verify", "simple"], ["fixtures"]), ["oseq.classify", "oseq.poset", "csv"]),
+        ((["verify", "simple"], ["fixtures"]), ["oseq.classify", "oseq.poset", "oseq.expr", "csv"]),
         ((["verify", "thm25"],), ["oseq.fixtures"]),
         ((hit,), ["oseq.construct", "oseq.groups"]),
         ((["verify", "table2"], ["poset", "--order", "216", "--emit", "csv"], ["os", "C(2)"], ["compare", "C(2)", "C(2)"],
@@ -697,13 +698,15 @@ def test_suite_names_have_one_source():
     assert _VERBS["verify"][2]["suite"] is SUITE_NAMES
 
 
-def test_catalog_names_have_one_source():
-    from oseq import construct
-
-    names = CATALOG_FIXED_NAMES + CATALOG_PRIME_NAMES
-    assert set(construct._CATALOG_FIXED) == set(CATALOG_FIXED_NAMES)
-    assert set(construct._CATALOG_PRIME) == set(CATALOG_PRIME_NAMES)
-    assert len(set(names)) == len(names)
+def test_catalog_names_have_one_source(capsys):
+    # `oseq catalog` lists `oseq.CATALOG` sorted: first the entries whose
+    # text takes no prime, then those whose text holds {p}, {2p} or {5p}
+    takes_prime = {name: any(f"{{{k}}}" in text for k in ("p", "2p", "5p")) for name, text in CATALOG.items()}
+    fixed = [name for name in sorted(CATALOG) if not takes_prime[name]]
+    prime = [name for name in sorted(CATALOG) if takes_prime[name]]
+    assert (list(CATALOG_FIXED_NAMES), list(CATALOG_PRIME_NAMES)) == (fixed, prime)
+    assert main(["catalog"]) == 0
+    assert capsys.readouterr().out.splitlines() == [*fixed, *(f"{name} (takes a prime)" for name in prime)]
 
 
 # C(2)^k with k = 99999999^600: a 4,800-digit exponent, over Python's limit on
