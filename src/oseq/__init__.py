@@ -4,9 +4,10 @@ Enumerated groups, the run-length-encoded order sequence, the domination
 partial order, sequence products, nilpotency/supersolvability/solvability,
 and the constructors and verification suites behind the ``oseq`` CLI.
 
-Submodules load on first use (PEP 562): ``oseq.cyclic`` imports
-``oseq.construct`` when it is first read, so a CLI verb pays only for the
-modules it runs.
+Submodules load on first use (PEP 562): ``oseq.construct`` is imported
+when it is first read, so a CLI verb pays only for the modules it runs.  The
+package keeps no flat copies of their names: ``cyclic`` is
+``oseq.construct.cyclic``.
 """
 
 from importlib import import_module
@@ -62,29 +63,13 @@ def ascii_int(text):
     return int(text)
 
 
-_EXPORTS = {
-    "classify": "ClassificationReport classify_group derived_series is_nilpotent is_solvable "
-    "is_supersolvable lower_central_series supersolvable_chain",
-    "construct": "ConstructionError affine alternating catalog cyclic dicyclic "
-    "dihedral direct_product elementary_abelian frobenius42 frobenius56 heisenberg psl2 "
-    "semidirect_product suzuki8 symmetric wreath_square",
-    "expr": "ParseError build parse print_expr",
-    "finite_field": "FieldError FieldSpec field_make",
-    "fixtures": "Fixture FixtureError load_fixtures",
-    "groups": "Group GroupError SubgroupSet commutator_subgroup enumerate_group",
-    "order_sequence": "OrderSequence SequenceError Verdict compare format_sequence is_plausible "
-    "nilpotent_from_os os_cyclic os_of_group os_product parse_pairs parse_sequence psi",
-    "poset": "Corpus CorpusEntry PosetResult build_poset to_csv to_dot",
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "arith", "cache", "cli", "verify"}
+_SUBMODULES = {"arith", "cache", "classify", "cli", "construct", "expr", "finite_field", "fixtures", "groups",
+               "order_sequence", "poset", "verify"}
 
-__all__ = ["SUITE_NAMES", "CATALOG", "CATALOG_FIXED_NAMES", "CATALOG_PRIME_NAMES", "InputError", "BuildError", *_HOME]
+__all__ = ["SUITE_NAMES", "CATALOG", "CATALOG_FIXED_NAMES", "CATALOG_PRIME_NAMES", "InputError", "BuildError"]
 
 
 def __getattr__(name):
     if name in _SUBMODULES:
         return import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .arith import factorint
-from .groups import GroupError, SubgroupSet, commutator_subgroup
+from .groups import GroupError, commutator_subgroup
 
 __all__ = [
     "ClassificationReport",
@@ -23,7 +23,7 @@ def _series(group, operands):
     """The series G = S0 > S1 > ... with S(i+1) = [A, B], up to a trivial or
     repeated term; `operands` maps the generators of S(i) to those of A and B.
     """
-    series = [SubgroupSet(group, tuple(range(len(group))))]
+    series = [range(len(group))]
     gens = group.generators
     while len(series[-1]) > 1:
         nxt, gens = commutator_subgroup(group, *operands(gens))
@@ -34,12 +34,14 @@ def _series(group, operands):
 
 
 def derived_series(group):
-    """G > G' > G'' > ... with each term the commutator subgroup of the last."""
+    """G > G' > G'' > ... with each term the commutator subgroup of the last:
+    G as `range(n)`, then each term as a frozenset of member indices."""
     return _series(group, lambda gens: (gens, gens))
 
 
 def lower_central_series(group):
-    """G > [G, G] > [G, [G, G]] > ... until the series stabilises."""
+    """G > [G, G] > [G, [G, G]] > ... until the series stabilises, its terms
+    held as in `derived_series`."""
     return _series(group, lambda gens: (group.generators, gens))
 
 
@@ -134,14 +136,15 @@ class ClassificationReport(
 
 
 def classify_group(group):
-    """Full report.  A group that is not solvable is not supersolvable, so it
-    skips the supersolvable chain search."""
+    """Full report.  A group that is not solvable is neither supersolvable nor
+    nilpotent, so it skips the supersolvable chain search and the lower
+    central series."""
     series = derived_series(group)
     solvable = len(series[-1]) == 1
     chain = supersolvable_chain(group) if solvable else None
     return ClassificationReport(
         order=len(group),
-        nilpotent=is_nilpotent(group),
+        nilpotent=solvable and is_nilpotent(group),
         supersolvable=chain is not None,
         solvable=solvable,
         chain=chain,

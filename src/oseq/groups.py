@@ -29,7 +29,6 @@ from . import BuildError
 __all__ = [
     "GroupError",
     "Group",
-    "SubgroupSet",
     "PermBacking",
     "MetacyclicBacking",
     "DirectProductBacking",
@@ -457,21 +456,6 @@ def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
     return Group(backing, table, generator_elements=generators, name=name, index=index)
 
 
-class SubgroupSet(namedtuple("SubgroupSet", "group members")):
-    """A subgroup of an enumerated group, as a sorted index tuple; its len()
-    is the subgroup's order, not the record's field count."""
-
-    __slots__ = ()
-
-    def __new__(cls, group, members):
-        if not members or members[0] != 0:
-            raise GroupError("subgroup must contain the identity index 0")
-        return super().__new__(cls, group, members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 def _grow(group, members, gens, s):
     """Enlarge the subgroup `members`, generated by `gens`, to <members, s>.
 
@@ -492,7 +476,8 @@ def _grow(group, members, gens, s):
 
 
 def commutator_subgroup(group, a_gens, b_gens):
-    """[A, B] for A = <a_gens> and B = <b_gens>, and the generators collected.
+    """[A, B] for A = <a_gens> and B = <b_gens>, as a frozenset of member
+    indices, and the generators collected.
 
     [A, B] is the normal closure in <A, B> of the generator commutators
     [a, b] = a^-1 b^-1 a b (Holt, Eick & O'Brien, Handbook of Computational
@@ -513,4 +498,4 @@ def commutator_subgroup(group, a_gens, b_gens):
             y = mul(mul(inv(g), x), g)
             if y not in members:
                 _grow(group, members, gens, y)
-    return SubgroupSet(group, tuple(sorted(members))), tuple(gens)
+    return frozenset(members), tuple(gens)

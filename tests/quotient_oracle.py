@@ -6,13 +6,13 @@ inside G, and C7 : A4 gives only the images of A4's two generators; these
 are the oracles they are checked against.
 """
 
-from oseq.groups import Group, GroupError, SubgroupSet
+from oseq.groups import Group, GroupError
 
 
 def subgroup_closure(group, seed):
     """The smallest subgroup holding the seed indices: a breadth-first walk
     from the identity by right products with the seed, which in a finite
-    group reaches every element of <seed>."""
+    group reaches every element of <seed>.  Returns the sorted member indices."""
     seed = tuple(set(seed))
     members, walk = {0}, [0]
     for x in walk:  # grows while it is walked
@@ -21,7 +21,7 @@ def subgroup_closure(group, seed):
             if y not in members:
                 members.add(y)
                 walk.append(y)
-    return SubgroupSet(group, tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 class CosetBacking:
@@ -48,13 +48,12 @@ class CosetBacking:
 
 
 def is_normal(group, sub):
-    """Conjugation check against the group's generators."""
-    if sub.group is not group:
-        raise GroupError("subgroup belongs to a different group")
-    members = set(sub.members)
+    """Conjugation check against the group's generators; `sub` holds the
+    member indices of a subgroup of `group`."""
+    members = set(sub)
     for g in group.generators:
         gi = group.inv(g)
-        for h in sub.members:
+        for h in members:
             if group.mul(group.mul(g, h), gi) not in members:
                 return False
     return True
@@ -71,7 +70,7 @@ def quotient(group, sub):
         if coset_of[i] < 0:
             cid = len(reps)
             reps.append(i)
-            for h in sub.members:
+            for h in sub:
                 coset_of[group.mul(i, h)] = cid
     backing = CosetBacking(group, coset_of, reps)
     gen_elems = [reps[coset_of[g]] for g in group.generators]

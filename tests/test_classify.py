@@ -1,5 +1,6 @@
 import pytest
 
+from oseq import classify
 from oseq.classify import (
     classify_group,
     derived_series,
@@ -116,6 +117,23 @@ def test_classify_skips_quotients_when_not_solvable():
     assert (report.nilpotent, report.supersolvable, report.solvable) == (False, False, False)
     assert report.chain is None
     assert report.derived_orders == (20160,)
+
+
+def test_classify_skips_the_lower_central_series_when_not_solvable(monkeypatch):
+    # a nilpotent group is solvable, so a group that is not solvable is not
+    # nilpotent, and [G, G] is not formed a second time
+    calls = []
+    real = classify.lower_central_series
+
+    def spy(group):
+        calls.append(group)
+        return real(group)
+
+    monkeypatch.setattr(classify, "lower_central_series", spy)
+    assert classify_group(catalog("C5xA5")).nilpotent is False
+    assert calls == []
+    assert classify_group(catalog("SD_72_35")).nilpotent is False
+    assert len(calls) == 1
 
 
 def test_psl2_64_is_not_solvable():

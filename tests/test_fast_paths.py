@@ -1098,7 +1098,7 @@ def test_sd_72_35_acts_through_the_quotient_by_a_klein_subgroup():
     # the kernel <r^2, s> fixes every vector, and the other coset negates it
     n, h = _vectors(3, 2), dihedral(8)
     rot, ref = h.generators
-    kernel = set(subgroup_closure(h, (h.mul(rot, rot), ref)).members)
+    kernel = set(subgroup_closure(h, (h.mul(rot, rot), ref)))
     ident = tuple(range(len(n.table)))
     negate = tuple(n.index[tuple(-x % 3 for x in v)] for v in n.table)
     perms = tuple(ident if j in kernel else negate for j in range(len(h)))

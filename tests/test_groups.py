@@ -116,7 +116,7 @@ def test_subgroup_closure():
     s3 = _s3()
     rot = next(i for i in range(6) if s3.order_of(i) == 3)
     assert len(subgroup_closure(s3, [rot])) == 3
-    assert subgroup_closure(s3, []).members == (0,)
+    assert subgroup_closure(s3, []) == (0,)
 
 
 def test_commutator_closure_of_a4_is_klein():
@@ -124,7 +124,7 @@ def test_commutator_closure_of_a4_is_klein():
     comms = {a4.mul(a4.mul(a4.inv(g), a4.inv(h)), a4.mul(g, h))
              for g in range(12) for h in range(12)}
     assert len(subgroup_closure(a4, comms)) == 4
-    assert _derived(a4).members == subgroup_closure(a4, comms).members
+    assert tuple(sorted(_derived(a4))) == subgroup_closure(a4, comms)
 
 
 def test_is_normal():
@@ -182,12 +182,12 @@ def test_derived_subgroup_above_quotient_threshold():
     # the commutator closure was never bound by it
     big = direct_product(cyclic(150), cyclic(150))
     assert len(big) > 20_000
-    assert _derived(big).members == (0,)
+    assert _derived(big) == {0}
 
 
 def test_derived_subgroups():
     assert len(_derived(_s3())) == 3
-    assert _derived(cyclic(12)).members == (0,)
+    assert _derived(cyclic(12)) == {0}
     a5 = alternating(5)
     assert len(_derived(a5)) == 60
 

@@ -17,7 +17,7 @@ from sympy import isprime
 from oseq import classify
 from oseq.classify import supersolvable_chain
 from oseq.construct import alternating, catalog, cyclic, direct_product, heisenberg, psl2, symmetric
-from oseq.groups import PermBacking, SubgroupSet, enumerate_group
+from oseq.groups import PermBacking, enumerate_group
 from oseq.verify import catalog_sample, order12_corpus_groups
 from quotient_oracle import is_normal, quotient
 
@@ -41,9 +41,8 @@ def prime_order_normal_subgroups(group):
             if members in seen:
                 continue
             seen.add(members)
-            sub = SubgroupSet(group, tuple(sorted(members)))
-            if is_normal(group, sub):
-                found.append(sub)
+            if is_normal(group, members):
+                found.append(members)
     return found
 
 
