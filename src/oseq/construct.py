@@ -363,7 +363,7 @@ def psl2(q):
         raise ConstructionError("psl2 supports 2 <= q <= 64")
     p, k = _prime_power(q)
     spec = field_make(p, k)
-    alpha = next(x for x in range(1, spec.q) if spec.element_order(x) == spec.q - 1)
+    alpha = spec.primitive
     mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]
     return _projective_group(f"PSL(2,{q})", spec, mats, (1, 0), q * (q * q - 1) // gcd(2, q - 1))
 
@@ -386,13 +386,8 @@ def _suzuki8_matrices():
         r3 = add(add(mul(mul(a, a), th(a)), mul(a, b)), th(b))  # a^(2+t) + ab + b^t
         return ((1, 0, 0, 0), (a, 1, 0, 0), (r2, th(a), 1, 0), (r3, b, a, 1))
 
-    alpha = 2  # the class of x, a multiplicative generator
-    torus = (
-        (spec.pow(alpha, 3), 0, 0, 0),
-        (0, spec.pow(alpha, 2), 0, 0),
-        (0, 0, spec.pow(alpha, -2), 0),
-        (0, 0, 0, spec.pow(alpha, -3)),
-    )
+    diagonal = [spec.pow(spec.primitive, e) for e in (3, 2, -2, -3)]  # the weights
+    torus = tuple(tuple(diagonal[i] if i == j else 0 for j in range(4)) for i in range(4))
     tau = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
     return [unipotent(1, 0), unipotent(0, 1), torus, tau]
 

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the fields of PSL(2,q) and Sz(8), by full add/mul tables.
+"""Exact arithmetic in the fields of PSL(2,q) and Sz(8), by one table of powers.
 
 These are the fields of at most 64 elements: GF(p) for each prime p < 64,
 reduced by x, and the nine extension fields GF(p^k), k > 1, each reduced by
@@ -8,13 +8,16 @@ other constructor loads this module.
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
 significant digit = constant term.  Moduli are pinned so the encoding is
-identical across runs.  There is no matrix type: a matrix is a tuple of rows
-of encoded elements, and `construct._matvec` applies one to a vector.
+identical across runs.  A sum is digit-wise mod p; a product is a lookup in
+the powers of the least primitive code and their logarithms (Zech's
+logarithms; Lidl & Niederreiter, *Finite Fields*, 1997).  There is no
+matrix type: `construct._matvec` applies a tuple of rows to a vector.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from . import BuildError
 from .arith import isprime
@@ -44,102 +47,66 @@ _MODULI = {
 
 
 class FieldSpec:
-    """GF(p^k) with a pinned modulus.
+    """GF(p^k) with a pinned modulus, and `primitive`, its least code of order q - 1.
 
     Immutable after construction; all operations are pure functions of
     int-encoded elements and safe for concurrent use.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_inv")
+    __slots__ = ("p", "k", "q", "modulus", "primitive", "_exp", "_log")
 
     def __init__(self, p, k=1):
-        if k == 1 and p < 64 and isprime(p):
-            self.modulus = (0, 1)
-        elif (p, k) in _MODULI:
-            self.modulus = _MODULI[p, k]
-        else:
+        if not (k == 1 and p < 64 and isprime(p) or (p, k) in _MODULI):
             raise FieldError(f"no field GF({p}^{k}): the fields are GF(p^k), p prime, p^k <= 64")
-        self.p = p
-        self.k = k
-        self.q = p**k
-        self._build_tables()
-
-    # -- encoding ---------------------------------------------------------
+        self.p, self.k, self.q = p, k, p**k
+        self.modulus = _MODULI.get((p, k), (0, 1))
+        # the least primitive code: the class of x is not one in GF(9), GF(25) or GF(49)
+        for g in range(1, self.q):
+            powers = [1]
+            while (x := self._product(powers[-1], g)) != 1:
+                powers.append(x)
+            if len(powers) == self.q - 1:
+                break
+        self.primitive, self._exp = g, powers
+        self._log = [None] + sorted(range(self.q - 1), key=powers.__getitem__)  # _log[powers[e]] = e
 
     def encode(self, coeffs):
-        x = 0
-        for c in reversed(tuple(coeffs)):
-            x = x * self.p + (c % self.p)
-        return x
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
 
-    # -- arithmetic on int-encoded elements -------------------------------
-
-    def _build_tables(self):
-        """The add and mul tables, row b from row b' = b - p^i, and the inverses.
-
-        For i the lowest non-zero digit of b > 0, b = b' + x^i as elements:
-        a + b is a + b' with digit i stepped up mod p, and a * b = a * b' +
-        a * x^i, where a * x^i is a * x^(i-1) shifted one digit up and reduced
-        once by x^k = -(m_0 + ... + m_(k-1) x^(k-1)), the modulus's low
-        terms.  Each entry is a table lookup or two, O(q^2) in all.
-        """
-        q, p, k = self.q, self.p, self.k
-        top = p ** (k - 1)
-        add = list(range(q))  # row 0; row b fills add[b * q : (b + 1) * q]
-        steps = []  # steps[i][s]: s with digit i stepped up mod p
-        for i in range(k):
-            pi = p**i
-            steps.append([s - (p - 1) * pi if s // pi % p == p - 1 else s + pi for s in range(q)])
-        lowest = [0] * q  # the lowest non-zero digit of each b > 0
-        for b in range(1, q):
-            i = 0
-            while b // p**i % p == 0:
-                i += 1
-            lowest[b] = i
-            row = (b - p**i) * q
-            add += map(steps[i].__getitem__, add[row : row + q])
-        over = [self.encode((-c * m) % p for m in self.modulus[:k]) for c in range(p)]
-        shifted = [list(range(q))]  # shifted[i][a] = a * x^i
-        for _ in range(1, k):
-            shifted.append([add[c % top * p * q + over[c // top]] for c in shifted[-1]])
-        mul = [0] * q
-        for b in range(1, q):
-            i = lowest[b]
-            row = (b - p**i) * q
-            mul += [add[m * q + y] for m, y in zip(mul[row : row + q], shifted[i])]
-        inv = [0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)]
-        self._add, self._mul, self._inv = add, mul, inv
+    def _product(self, a, b):
+        """a * b by Horner's rule over b's digits, top first: shift the sum up a
+        degree, x^k reduced to -(m_0 + ... + m_(k-1) x^(k-1)), and add digit * a."""
+        p, k = self.p, self.k
+        digits = lambda c: [c // p**i % p for i in range(k)]
+        da, r = digits(a), [0] * k
+        for c in reversed(digits(b)):
+            r = [(s - r[-1] * m + c * d) % p for s, m, d in zip([0] + r[:-1], self.modulus, da)]
+        return self.encode(r)
 
     def add(self, a, b):
-        return self._add[a * self.q + b]
+        p, s, unit = self.p, 0, 1
+        while b:  # then a's digits above b's carry over unchanged
+            s += (a + b) % p * unit  # the sum of the low digits, mod p
+            a, b, unit = a // p, b // p, unit * p
+        return s + a * unit
 
     def mul(self, a, b):
-        return self._mul[a * self.q + b]
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)] if a and b else 0
 
     def inv(self, a):
-        if a == 0:
-            raise FieldError("zero has no multiplicative inverse")
-        return self._inv[a]
+        return self.pow(a, -1)
 
     def pow(self, a, e):
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+            raise FieldError("zero has no multiplicative inverse")
+        return 0 if e else 1
 
     def element_order(self, a):
         if a == 0:
             raise FieldError("zero has no multiplicative order")
-        x, o = a, 1
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
+        return (self.q - 1) // gcd(self._log[a], self.q - 1)
 
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -126,10 +127,12 @@ def _poly_mul(a, b, p):
     return _trim(out)
 
 
-def _tables_by_polynomials(f):
-    """The add, mul and inv tables of f, each entry from the coefficient
+@lru_cache(maxsize=None)
+def _tables_by_polynomials(p, k):
+    """The add, mul and inv tables of GF(p^k), each entry from the coefficient
     vectors: a digit-wise sum, and a polynomial product reduced by the modulus."""
-    q, p, k = f.q, f.p, f.k
+    f = field_make(p, k)
+    q = f.q
 
     def encode(poly):
         poly = _poly_rem(poly, f.modulus, p) if len(poly) > k else poly
@@ -142,7 +145,22 @@ def _tables_by_polynomials(f):
     return add, mul, inv
 
 
+def _orders_by_polynomials(p, k):
+    """The multiplicative order of each non-zero code, by repeated oracle products."""
+    q = p**k
+    mul = _tables_by_polynomials(p, k)[1]
+    orders = {}
+    for a in range(1, q):
+        x, o = a, 1
+        while x != 1:
+            x, o = mul[x * q + a], o + 1
+        orders[a] = o
+    return orders
+
+
 ALL_FIELDS = [(p, k) for p in range(2, 257) if isprime(p) for k in range(1, 9) if p**k <= 256]
+FIELDS = [(p, k) for p, k in ALL_FIELDS if p**k <= 64]
+FIELD_IDS = [f"{p}^{k}" for p, k in FIELDS]
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS, ids=[f"{p}^{k}" for p, k in ALL_FIELDS])
@@ -153,7 +171,49 @@ def test_tables_match_the_polynomial_builder(p, k):
             field_make(p, k)
         return
     f = field_make(p, k)
-    assert (f._add, f._mul, f._inv) == _tables_by_polynomials(f)
+    q = f.q
+    add, mul, inv = _tables_by_polynomials(p, k)
+    assert [f.add(a, b) for a in range(q) for b in range(q)] == add
+    assert [f.mul(a, b) for a in range(q) for b in range(q)] == mul
+    assert [f.inv(a) for a in range(1, q)] == inv[1:]
+    for a in range(1, q):
+        assert f.pow(a, -1) == inv[a]
+        x = 1  # a^e, by e oracle products
+        for e in range(q + 1):
+            assert f.pow(a, e) == x, (a, e)
+            x = mul[x * q + a]
+    assert {a: f.element_order(a) for a in range(1, q)} == _orders_by_polynomials(p, k)
+
+
+@pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
+def test_primitive_is_the_least_code_of_order_q_minus_1(p, k):
+    orders = _orders_by_polynomials(p, k)
+    assert field_make(p, k).primitive == min(a for a, o in orders.items() if o == p**k - 1)
+
+
+@pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
+def test_zero_has_no_logarithm(p, k):
+    # zero is the one code outside the table of powers
+    f = field_make(p, k)
+    for a in range(f.q):
+        assert f.mul(0, a) == 0 and f.mul(a, 0) == 0
+    assert f.pow(0, 0) == 1
+    assert all(f.pow(0, e) == 0 for e in range(1, f.q + 1))
+    with pytest.raises(FieldError, match="^zero has no multiplicative inverse$"):
+        f.pow(0, -1)
+    with pytest.raises(FieldError, match="^zero has no multiplicative inverse$"):
+        f.inv(0)
+    with pytest.raises(FieldError, match="^zero has no multiplicative order$"):
+        f.element_order(0)
+
+
+@pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
+def test_no_field_holds_a_quadratic_table(p, k):
+    f = field_make(p, k)
+    for name in type(f).__slots__:
+        value = getattr(f, name)
+        if hasattr(value, "__len__"):
+            assert len(value) <= f.q, name
 
 
 def _is_irreducible(poly, p):
