@@ -1,8 +1,9 @@
 """Constructors for the group zoo: standard families, products, PSL(2,q),
-Frobenius and Heisenberg groups, and the named catalog behind the CLI.
+Sz(8), and the named catalog behind the CLI.
 
-Only PSL(2,q) and Sz(8) load `finite_field`; every C_p^k : H is built by
-`_linear` from the integer matrices its H acts by.
+Only PSL(2,q) and Sz(8) load `finite_field`; every C_p^k : H, the Frobenius
+groups F7 and F8 and He(p) among them, is built by `affine` from the integer
+matrices its H acts by.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "alternating",
     "heisenberg",
     "elementary_abelian",
-    "frobenius42",
-    "frobenius56",
     "direct_product",
     "direct_power",
     "semidirect_product",
@@ -129,38 +128,24 @@ def heisenberg(p):
 
     y acts on the vectors by (u, w) -> (u, w + u); the generators are
     x = (1, 0) and z = (0, 1) in the normal factor and y, in the order of the
-    unitriangular matrices I + E12, I - E13 and I + E23 they stand for.
+    unitriangular matrices I + E12, I - E13 and I + E23 they stand for.  The
+    refusals come first and name He(p): at p = 2 the `affine` call gives D8.
     """
     if p == 2 or not isprime(p):
         raise ConstructionError("heisenberg group needs an odd prime")
     _require_under_cap(f"He{p}", (p, p, p))
-    return _linear(p, cyclic(p), [((1, 0), (1, 1))], f"He{p}")
+    return affine(p, cyclic(p), 1, 0, 1, 1)
 
 
 @lru_cache(maxsize=None)
 def elementary_abelian(p, k):
     """GF(p)^k as an additive group, numbered breadth-first from the unit
     vectors.  The table lists each vector v as the integer sum of v_i p^i, as
-    `_linear` reads it, an element of the backing of C(p)^k."""
+    `affine` reads it, an element of the backing of C(p)^k."""
     if not isprime(p) or k < 1:
         raise ConstructionError("elementary abelian group needs a prime and k >= 1")
     backing = direct_power(cyclic(p), k).backing
     return enumerate_group(backing, [p**j for j in range(k)], name=f"C{p}^{k}")
-
-
-@lru_cache(maxsize=None)
-def frobenius42():
-    """Order-42 Frobenius group: C7 with its full automorphism group C6 on
-    top, the generator of C6 multiplying by 3."""
-    return _linear(7, cyclic(6), [((3,),)], "F7")
-
-
-@lru_cache(maxsize=None)
-def frobenius56():
-    """Order-56 Frobenius group: C2^3 with a fixed-point-free C7 on top, its
-    generator multiplying GF(8) = GF(2)[x]/(x^3 + x + 1) by x, the vector
-    (a0, a1, a2) standing for a0 + a1 x + a2 x^2."""
-    return _linear(2, cyclic(7), [((0, 0, 1), (1, 0, 1), (0, 1, 0))], "F8")
 
 
 # -- products ----------------------------------------------------------------
@@ -270,21 +255,10 @@ def semidirect_product(n, h, images, name=None):
     return _semidirect(n, h, images, name or f"{n.name}:{h.name}")
 
 
-def _linear(p, h, matrices, name=None):
-    """C_p^k : H, the j-th generator of H acting by matrices[j], k rows of k
-    integers mod p, on the column vector v of each code sum v_i p^i of C_p^k
-    (C(p) itself when k = 1)."""
-    k = len(matrices[0])
-    n = cyclic(p) if k == 1 else elementary_abelian(p, k)
-    vectors = [[t // p**i % p for i in range(k)] for t in n.table]
-    images = [[n.index[sum(sum(map(int.__mul__, row, v)) % p * p**i for i, row in enumerate(m))]
-               for v in vectors] for m in matrices]
-    return semidirect_product(n, h, images, name)
-
-
 def affine(p, h, *entries):
-    """C_p^k : H through `_linear`, the j-th of H's g generators acting by the
-    j-th k x k matrix of the g * k^2 `entries`, read row by row.  The order is
+    """C_p^k : H, the j-th of H's g generators acting by the j-th k x k matrix
+    of the g * k^2 `entries`, read row by row, mod p on the column vector v
+    of each code sum v_i p^i of C_p^k (C(p) itself when k = 1).  The order is
     checked against the cap before anything is built.  An action need not be
     faithful."""
     g = len(h.generators)
@@ -297,8 +271,13 @@ def affine(p, h, *entries):
     if not isprime(p):
         raise ConstructionError(f"affine group needs a prime; got {p}")
     _require_under_cap(f"C{p}^{k}:{h.name}", (len(h), *[p] * k))
+    n = cyclic(p) if k == 1 else elementary_abelian(p, k)
+    vectors = [[t // p**i % p for i in range(k)] for t in n.table]
     rows = [entries[i : i + k] for i in range(0, len(entries), k)]
-    return _linear(p, h, [rows[j : j + k] for j in range(0, g * k, k)])
+    matrices = [rows[j : j + k] for j in range(0, g * k, k)]
+    images = [[n.index[sum(sum(map(int.__mul__, row, v)) % p * p**i for i, row in enumerate(m))] for v in vectors]
+              for m in matrices]
+    return semidirect_product(n, h, images)
 
 
 def wreath_square(g):

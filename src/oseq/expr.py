@@ -10,6 +10,9 @@ Names: C, D, Dic, S, A, He, F7, F8, PSL2, Sz8, Wr2, Aff, Cat.  ``C(5)^2``
 is C5 x C5; ``Aff(p, H, m...)`` is C_p^k : H, the j-th generator of H
 acting by the j-th k x k matrix of the integers m, read row by row
 (`construct.affine`); ``Cat(name[, prime])`` resolves through the catalog.
+The Frobenius groups ``F7`` and ``F8`` are defined as the text
+``Aff(7, C(6), 3)`` and ``Aff(2, C(7), 0, 0, 1, 1, 0, 1, 0, 1, 0)``; ``He(p)``
+is ``Aff(p, C(p), 1, 0, 1, 1)`` after its own refusals (`construct.heisenberg`).
 An ``x`` that starts a word is the product sign, and F7, F8 and Sz8 may be followed
 directly by it: ``C(2)xF7`` and ``F7xF8`` are products, ``Cat(C4xF8)`` one name.
 
@@ -50,12 +53,13 @@ Node = namedtuple("Node", "name args", defaults=((),))
 Node.__doc__ = "One constructor applied to its arguments: ints, names or sub-nodes."
 
 
-# Name -> (argument kind, `construct` function that builds it).  The kinds
-# are "none" (F7 or F7()), "int", "expr" (one sub-expression), "aff" (an
-# int, a sub-expression, then any number of ints), "catalog" (a catalog name
-# and an optional prime), and the two operators "product" and "power".
-# Builders are looked up on `construct` at call time and receive the
-# arguments with sub-expressions already built.
+# Name -> (argument kind, target).  The kinds are "none" (F7 or F7()),
+# "int", "expr" (one sub-expression), "aff" (an int, a sub-expression, then
+# any number of ints), "catalog" (a catalog name and an optional prime), and
+# the two operators "product" and "power".  A target is either expression
+# text, which `build` parses and builds (F7 and F8), or the name of a
+# `construct` function, looked up at call time and given the arguments with
+# sub-expressions already built.
 _CONSTRUCTORS = {
     "C": ("int", "cyclic"),
     "D": ("int", "dihedral"),
@@ -64,8 +68,8 @@ _CONSTRUCTORS = {
     "A": ("int", "alternating"),
     "He": ("int", "heisenberg"),
     "PSL2": ("int", "psl2"),
-    "F7": ("none", "frobenius42"),
-    "F8": ("none", "frobenius56"),
+    "F7": ("none", "Aff(7, C(6), 3)"),
+    "F8": ("none", "Aff(2, C(7), 0, 0, 1, 1, 0, 1, 0, 1, 0)"),
     "Sz8": ("none", "suzuki8"),
     "Wr2": ("expr", "wreath_square"),
     "Aff": ("aff", "affine"),
@@ -238,5 +242,8 @@ def build(node):
 
     if node.name == "x":
         return reduce(construct.direct_product, (build(f) for f in _factors(node)))
+    target = _CONSTRUCTORS[node.name][1]
+    if "(" in target:
+        return build(parse(target))
     args = [build(a) if isinstance(a, Node) else a for a in node.args]
-    return getattr(construct, _CONSTRUCTORS[node.name][1])(*args)
+    return getattr(construct, target)(*args)

@@ -14,18 +14,7 @@ from math import gcd
 
 from . import CATALOG, CATALOG_FIXED_NAMES, SUITE_NAMES, InputError
 from .arith import isprime
-from .construct import (
-    alternating,
-    catalog,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    psl2,
-    suzuki8,
-    symmetric,
-)
+from .construct import catalog, elementary_abelian, psl2, suzuki8
 from .order_sequence import (
     OrderSequence,
     Verdict,
@@ -259,38 +248,31 @@ def suite_simple(by_label):
 
 # -- property suites -------------------------------------------------------------
 
+# Expression text; a check line names each group by its text without the
+# parentheses, C(2)^2 as C2^2.
 _COPRIME_PAIRS = (
-    lambda: (cyclic(2), cyclic(3)),
-    lambda: (cyclic(2), cyclic(9)),
-    lambda: (cyclic(3), cyclic(4)),
-    lambda: (cyclic(4), cyclic(9)),
-    lambda: (cyclic(5), symmetric(3)),
-    lambda: (cyclic(7), alternating(4)),
-    lambda: (cyclic(5), dihedral(8)),
-    lambda: (cyclic(9), dihedral(8)),
-    lambda: (cyclic(5), alternating(4)),
-    lambda: (cyclic(7), dicyclic(12)),
-    lambda: (cyclic(25), symmetric(4)),
+    ("C(2)", "C(3)"), ("C(2)", "C(9)"), ("C(3)", "C(4)"), ("C(4)", "C(9)"), ("C(5)", "S(3)"), ("C(7)", "A(4)"),
+    ("C(5)", "D(8)"), ("C(9)", "D(8)"), ("C(5)", "A(4)"), ("C(7)", "Dic(12)"), ("C(25)", "S(4)"),
 )
-
 _CONGRUENCE_TRIPLES = (
-    lambda: (cyclic(5), cyclic(12), alternating(4)),
-    lambda: (cyclic(5), cyclic(12), dihedral(12)),
-    lambda: (cyclic(7), cyclic(12), dicyclic(12)),
-    lambda: (cyclic(7), cyclic(4), elementary_abelian(2, 2)),
-    lambda: (cyclic(11), cyclic(6), symmetric(3)),
-    lambda: (cyclic(5), cyclic(8), dihedral(8)),
+    ("C(5)", "C(12)", "A(4)"), ("C(5)", "C(12)", "D(12)"), ("C(7)", "C(12)", "Dic(12)"),
+    ("C(7)", "C(4)", "C(2)^2"), ("C(11)", "C(6)", "S(3)"), ("C(5)", "C(8)", "D(8)"),
 )
+_ORDER12_CORPUS = ("C(12)", "C(2)xC(6)", "D(12)", "A(4)", "Dic(12)")
+
+
+def _label(text):
+    return text.replace("(", "").replace(")", "")
+
+
+def _group(text):
+    from .expr import build, parse  # here, so that `verify simple` parses no text
+
+    return build(parse(text))
 
 
 def order12_corpus_groups():
-    return (
-        ("C12", cyclic(12)),
-        ("C2xC6", direct_product(cyclic(2), cyclic(6))),
-        ("D12", dihedral(12)),
-        ("A4", alternating(4)),
-        ("Dic12", dicyclic(12)),
-    )
+    return tuple((_label(text), _group(text)) for text in _ORDER12_CORPUS)
 
 
 def catalog_sample():
@@ -309,29 +291,30 @@ def suite_props():
 
     checks = []
     pair_count = 0
-    for a, b in (make() for make in _COPRIME_PAIRS):
-        if gcd(len(a), len(b)) != 1:
+    for a, b in _COPRIME_PAIRS:
+        ga, gb = _group(a), _group(b)
+        if gcd(len(ga), len(gb)) != 1:
             continue
         pair_count += 1
-        left = os_of_group(direct_product(a, b))
-        right = os_product(os_of_group(a), os_of_group(b))
-        checks.append(_os_eq(f"product law {a.name} x {b.name}", left, right))
+        left = os_of_group(_group(f"{a} x {b}"))
+        right = os_product(os_of_group(ga), os_of_group(gb))
+        checks.append(_os_eq(f"product law {_label(a)} x {_label(b)}", left, right))
     checks.append(_eq("coprime pairs checked >= 10", pair_count >= 10, True))
 
-    c2 = os_of_group(cyclic(2))
+    c2 = os_of_group(_group("C(2)"))
     square = os_product(c2, c2)
-    left = os_of_group(direct_product(cyclic(2), cyclic(2)))
+    left = os_of_group(_group("C(2)^2"))
     checks.append(_eq("product law fails for C2 x C2", left.entries != square.entries, True))
     ok, reason = is_plausible(square, 4)
     checks.append(Check("os(C2)^2 rejected with the phi(4) reason",
                         (not ok) and "phi(4)" in (reason or ""), reason or ""))
 
-    for h, a, b in (make() for make in _CONGRUENCE_TRIPLES):
-        inner = compare(os_of_group(a), os_of_group(b))
-        outer = compare(os_product(os_of_group(h), os_of_group(a)),
-                        os_product(os_of_group(h), os_of_group(b)))
+    for h, a, b in _CONGRUENCE_TRIPLES:
+        sh, sa, sb = (os_of_group(_group(text)) for text in (h, a, b))
+        inner = compare(sa, sb)
+        outer = compare(os_product(sh, sa), os_product(sh, sb))
         ok = inner is Verdict.PROPERLY_DOMINATES and outer is Verdict.PROPERLY_DOMINATES
-        checks.append(Check(f"domination congruence {h.name} * ({a.name} > {b.name})", ok,
+        checks.append(Check(f"domination congruence {_label(h)} * ({_label(a)} > {_label(b)})", ok,
                             f"inner {inner.value}, outer {outer.value}"))
 
     groups12 = dict(order12_corpus_groups())

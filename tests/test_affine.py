@@ -2,10 +2,11 @@
 generator of H acting by the j-th k x k matrix of the entries, read row by
 row.
 
-The reference names each element of C_p^k by its vector, found by a
-breadth-first walk of C_p^k from 0 that adds the j-th unit vector along the
-j-th generator, multiplies the matrix into that vector entry by entry, and
-hands the images to `semidirect_product` as explicit permutations.
+The reference, `catalog_oracle._reference`, names each element of C_p^k by
+its vector, found by a breadth-first walk of C_p^k from 0 that adds the j-th
+unit vector along the j-th generator, multiplies the matrix into that vector
+entry by entry, and hands the images to `semidirect_product` as explicit
+permutations.
 """
 
 import io
@@ -19,45 +20,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oseq.cli import main
-from oseq.construct import (
-    ConstructionError,
-    affine,
-    cyclic,
-    dicyclic,
-    dihedral,
-    elementary_abelian,
-    frobenius42,
-    frobenius56,
-    heisenberg,
-    semidirect_product,
-)
+from oseq.construct import ConstructionError, affine, cyclic, dicyclic, dihedral
 from oseq.expr import build, parse
 from oseq.groups import DEFAULT_CLOSURE_CAP, GroupError
 
-
-def _vectors(n, k):
-    """The vector of each index of C_p^k, by a walk of its Cayley graph from
-    0 whose j-th generator adds the j-th unit vector."""
-    p = n.order_of(n.generators[0])
-    vectors, walk = {0: (0,) * k}, [0]
-    for x in walk:  # grows while it is walked
-        for j, g in enumerate(n.generators):
-            y = n.mul(x, g)
-            if y not in vectors:
-                vectors[y] = tuple((c + (i == j)) % p for i, c in enumerate(vectors[x]))
-                walk.append(y)
-    return [vectors[i] for i in range(len(n))]
-
-
-def _reference(p, h, matrices):
-    """C_p^k : H, the images of H's generators written out as permutations."""
-    k = len(matrices[0])
-    n = cyclic(p) if k == 1 else elementary_abelian(p, k)
-    vectors = _vectors(n, k)
-    index = {v: i for i, v in enumerate(vectors)}
-    images = [[index[tuple(sum(a * b for a, b in zip(row, v)) % p for row in m)] for v in vectors]
-              for m in matrices]
-    return semidirect_product(n, h, images)
+import catalog_oracle
+from catalog_oracle import _reference
 
 
 def _same(new, old):
@@ -148,18 +116,20 @@ def _equal_index_for_index(new, old):
 
 
 @pytest.mark.parametrize(
-    "text,make",
+    "atom,text,make",
     [
-        ("Aff(7, C(6), 3)", frobenius42),
-        ("Aff(2, C(7), 0, 0, 1, 1, 0, 1, 0, 1, 0)", frobenius56),
-        ("Aff(3, C(3), 1, 0, 1, 1)", lambda: heisenberg(3)),
-        ("Aff(5, C(5), 1, 0, 1, 1)", lambda: heisenberg(5)),
-        ("Aff(7, C(7), 1, 0, 1, 1)", lambda: heisenberg(7)),
+        ("F7", "Aff(7, C(6), 3)", catalog_oracle.frobenius42),
+        ("F8", "Aff(2, C(7), 0, 0, 1, 1, 0, 1, 0, 1, 0)", catalog_oracle.frobenius56),
+        ("He(3)", "Aff(3, C(3), 1, 0, 1, 1)", lambda: catalog_oracle.heisenberg(3)),
+        ("He(5)", "Aff(5, C(5), 1, 0, 1, 1)", lambda: catalog_oracle.heisenberg(5)),
+        ("He(7)", "Aff(7, C(7), 1, 0, 1, 1)", lambda: catalog_oracle.heisenberg(7)),
     ],
     ids=["F7", "F8", "He3", "He5", "He7"],
 )
-def test_named_groups_are_aff_index_for_index(text, make):
+def test_named_groups_are_aff_index_for_index(atom, text, make):
+    # against the oracle's copies, which write the permutations out
     _equal_index_for_index(build(parse(text)), make())
+    _equal_index_for_index(build(parse(atom)), make())
 
 
 def _identity(k):
@@ -199,6 +169,24 @@ def test_aff_refusals_and_their_exit_codes(text, code, message):
         assert main(["os", text]) == code
     assert out.getvalue() == ""
     assert err.getvalue().endswith(f": {message}\n") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("He(101)", "He101 has more than 500000 elements, the closure cap"),
+        ("He(2)", "heisenberg group needs an odd prime"),
+        ("He(4)", "heisenberg group needs an odd prime"),
+    ],
+    ids=["past-cap", "two", "composite"],
+)
+def test_he_refusals_come_before_affs_and_name_he(text, message):
+    # He(p) is Aff(p, C(p), 1, 0, 1, 1), which would name the cap C101^2:C101
+    # and would take p = 2, giving D8
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(["os", text]) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", f"construction error: {message}\n")
 
 
 @pytest.mark.parametrize("p,k,h", [(2, 13, 64), (2, 16, 8), (3, 11, 4), (2, 20, 2)])

@@ -15,8 +15,6 @@ from oseq.construct import (
     dihedral,
     direct_product,
     elementary_abelian,
-    frobenius42,
-    frobenius56,
     heisenberg,
     psl2,
     semidirect_product,
@@ -54,8 +52,8 @@ from oseq.order_sequence import os_of_group, parse_pairs
         (lambda: alternating(6), 360),
         (lambda: heisenberg(3), 27),
         (lambda: elementary_abelian(2, 4), 16),
-        (lambda: frobenius42(), 42),
-        (lambda: frobenius56(), 56),
+        (lambda: build(parse("F7")), 42),
+        (lambda: build(parse("F8")), 56),
     ],
 )
 def test_advertised_orders(maker, order):
@@ -204,8 +202,8 @@ def test_frobenius42_against_affine_permutations():
     shift = backing.pack((i + 1) % 7 for i in range(7))
     scale = backing.pack((3 * i) % 7 for i in range(7))
     affine = enumerate_group(backing, [shift, scale])
-    assert os_of_group(frobenius42()).entries == os_of_group(affine).entries
-    assert os_of_group(frobenius42()).entries == ((1, 1), (2, 7), (3, 14), (6, 14), (7, 6))
+    assert os_of_group(build(parse("F7"))).entries == os_of_group(affine).entries
+    assert os_of_group(build(parse("F7"))).entries == ((1, 1), (2, 7), (3, 14), (6, 14), (7, 6))
 
 
 def test_frobenius56_against_affine_permutations():
@@ -215,14 +213,14 @@ def test_frobenius56_against_affine_permutations():
     shift = backing.pack(f8.add(v, 1) for v in range(8))
     scale = backing.pack(f8.mul(v, 2) for v in range(8))
     affine = enumerate_group(backing, [shift, scale])
-    assert os_of_group(frobenius56()).entries == os_of_group(affine).entries
-    assert os_of_group(frobenius56()).entries == ((1, 1), (2, 7), (7, 48))
+    assert os_of_group(build(parse("F8"))).entries == os_of_group(affine).entries
+    assert os_of_group(build(parse("F8"))).entries == ((1, 1), (2, 7), (7, 48))
 
 
 def test_actions_on_one_coordinate_act_on_cyclic_p():
     # C7 : H acts on `cyclic(7)` itself, whose elements are their own
     # indices, and enumerates no second copy of C7
-    assert frobenius42().backing.normal is cyclic(7)
+    assert build(parse("F7")).backing.normal is cyclic(7)
     assert affine(7, alternating(4), 4, 2).backing.normal is cyclic(7)
 
 
@@ -238,7 +236,7 @@ def test_wreath_square():
 @pytest.mark.parametrize(
     "make",
     [lambda: cyclic(3), lambda: symmetric(3), lambda: dihedral(8), lambda: dicyclic(8), lambda: alternating(4),
-     frobenius42],
+     lambda: build(parse("F7"))],
     ids=["C3", "S3", "D8", "Q8", "A4", "F7"],
 )
 def test_wreath_square_swap_passes_validate_action(make):

@@ -189,6 +189,15 @@ def test_atoms_cover_the_table():
     assert {node.name for node in _ATOM_LIST} | {"x"} == set(_CONSTRUCTORS)
 
 
+_ATOM_ORDERS = [3, 5, 8, 12, 6, 12, 27, 60, 42, 56, 29120, 72, 84, 300, 132, 8]
+
+
+@pytest.mark.parametrize("node,order", zip(_ATOM_LIST, _ATOM_ORDERS, strict=True), ids=map(print_expr, _ATOM_LIST))
+def test_every_atom_builds(node, order):
+    # F7 and F8 build their `Aff` text, the rest a `construct` function
+    assert len(build(node)) == order
+
+
 def _exprs(depth):
     # canonical products are left-nested, so only extend on the left
     if depth == 0:

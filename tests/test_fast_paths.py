@@ -66,14 +66,13 @@ from oseq.construct import (
     dihedral,
     direct_product,
     elementary_abelian,
-    frobenius42,
-    frobenius56,
     heisenberg,
     psl2,
     semidirect_product,
     suzuki8,
     symmetric,
 )
+from oseq.expr import build, parse
 from oseq.finite_field import FieldError, field_make
 from oseq.fixtures import fixtures_by_label, load_fixtures
 from oseq.groups import (
@@ -179,7 +178,7 @@ def _c4xs3_mod_c2():
     [
         lambda: dicyclic(12),
         lambda: heisenberg(3),
-        lambda: frobenius42(),
+        lambda: build(parse("F7")),
         _c4xs3_mod_c2,
         lambda: direct_product(cyclic(4), symmetric(3)),
     ],
@@ -829,7 +828,7 @@ def _tuple_sd_72_35():
 
 TUPLE_ACTIONS = (
     [(lambda p=p: heisenberg(p), lambda p=p: _tuple_heisenberg(p), f"He{p}") for p in (3, 5, 7, 11)]
-    + [(frobenius56, _tuple_frobenius56, "F8"),
+    + [(lambda: build(parse("F8")), _tuple_frobenius56, "F8"),
        (lambda: catalog("SD_300_23"), _tuple_sd_300_23, "SD_300_23"),
        (lambda: catalog("SD_72_35"), _tuple_sd_72_35, "SD_72_35")]
 )
@@ -994,7 +993,7 @@ def test_frobenius56_acts_by_the_companion_matrix_powers():
         expected.append(tuple(_induced_permutation(spec, vectors, power)))
         power = backing.mul(power, companion)
     assert power == backing.identity()
-    assert frobenius56().backing.perms == tuple(expected)
+    assert build(parse("F8")).backing.perms == tuple(expected)
 
 
 # A two-generator presentation: relators are words of signed 1-based
@@ -1083,7 +1082,7 @@ def test_c7_rtimes_a4_acts_through_the_quotient_by_v4():
 
 def test_frobenius42_acts_by_the_powers_of_3():
     perms = tuple(tuple(i * pow(3, j, 7) % 7 for i in range(7)) for j in range(6))
-    assert frobenius42().backing.perms == perms
+    assert build(parse("F7")).backing.perms == perms
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

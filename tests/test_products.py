@@ -27,12 +27,11 @@ from oseq.construct import (
     dihedral,
     direct_power,
     direct_product,
-    frobenius42,
-    frobenius56,
     heisenberg,
     symmetric,
     wreath_square,
 )
+from oseq.expr import build, parse
 from oseq.groups import DirectProductBacking, Group, SemidirectBacking
 
 
@@ -147,8 +146,8 @@ def _check_against_pairs(product, rng):
         lambda: direct_product(alternating(4), dicyclic(12)),
         lambda: direct_product(symmetric(3), dihedral(14)),
         lambda: wreath_square(symmetric(3)),
-        frobenius42,
-        frobenius56,
+        lambda: build(parse("F7")),
+        lambda: build(parse("F8")),
         lambda: catalog("SD_300_23"),
         lambda: direct_power(cyclic(2), 5),
         lambda: direct_power(symmetric(4), 2),
@@ -166,7 +165,7 @@ _ATOMS = {
     "Dic8": lambda: dicyclic(8),
     "S3": lambda: symmetric(3),
     "A4": lambda: alternating(4),
-    "F7": frobenius42,
+    "F7": lambda: build(parse("F7")),
     "He3": lambda: heisenberg(3),
 }
 
