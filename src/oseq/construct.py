@@ -3,12 +3,13 @@ Sz(8), and the named catalog behind the CLI.
 
 Only PSL(2,q) and Sz(8) load `finite_field`; every C_p^k : H, the Frobenius
 groups F7 and F8 and He(p) among them, is built by `affine` from the integer
-matrices its H acts by.
+matrices its H acts by.  A constructor builds a new group on every call;
+`expr.build` keeps each group it builds, once per expression and process.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import repeat
 from math import gcd, isqrt
 
@@ -63,7 +64,6 @@ def _require_under_cap(name, factors):
             raise GroupError(f"{name} has more than {DEFAULT_CLOSURE_CAP} elements, the closure cap")
 
 
-@lru_cache(maxsize=None)
 def cyclic(n):
     """C_n as the integers mod n, each its own index: i is the i-th power of
     the generator 1."""
@@ -73,7 +73,6 @@ def cyclic(n):
     return Group(MetacyclicBacking(n), range(n), [] if n == 1 else [1], name=f"C{n}")
 
 
-@lru_cache(maxsize=None)
 def dihedral(n):
     """Dihedral group of order n (order-subscript convention: D12 has 12 elements)."""
     if n < 4 or n % 2:
@@ -82,7 +81,6 @@ def dihedral(n):
     return enumerate_group(MetacyclicBacking(n // 2), [1, n // 2], name=f"D{n}")
 
 
-@lru_cache(maxsize=None)
 def dicyclic(n):
     """Dicyclic group of order n = 4m: <a,b | a^(2m)=1, b^2=a^m, b^-1 a b=a^-1>."""
     if n < 8 or n % 4:
@@ -91,7 +89,6 @@ def dicyclic(n):
     return enumerate_group(MetacyclicBacking(n // 2, n // 4), [1, n // 2], name=f"Dic{n}")
 
 
-@lru_cache(maxsize=None)
 def symmetric(k):
     if k < 1:
         raise ConstructionError("symmetric degree must be >= 1")
@@ -105,7 +102,6 @@ def symmetric(k):
     return enumerate_group(backing, gens, name=f"S{k}")
 
 
-@lru_cache(maxsize=None)
 def alternating(k):
     if k < 1:
         raise ConstructionError("alternating degree must be >= 1")
@@ -122,7 +118,6 @@ def alternating(k):
     return enumerate_group(backing, gens, name=f"A{k}")
 
 
-@lru_cache(maxsize=None)
 def heisenberg(p):
     """Non-abelian group of order p^3 and exponent p, as C_p^2 : C_p.
 
@@ -137,7 +132,6 @@ def heisenberg(p):
     return affine(p, cyclic(p), 1, 0, 1, 1)
 
 
-@lru_cache(maxsize=None)
 def elementary_abelian(p, k):
     """GF(p)^k as an additive group, numbered breadth-first from the unit
     vectors.  The table lists each vector v as the integer sum of v_i p^i, as
@@ -333,7 +327,6 @@ def _projective_group(name, spec, mats, start, order):
     return grp
 
 
-@lru_cache(maxsize=None)
 def psl2(q):
     """PSL(2,q) as the permutations SL(2,q) induces on the q + 1 points of the projective line."""
     from .finite_field import field_make
@@ -371,7 +364,6 @@ def _suzuki8_matrices():
     return [unipotent(1, 0), unipotent(0, 1), torus, tau]
 
 
-@lru_cache(maxsize=None)
 def suzuki8():
     """Sz(8) on the 65 points of the Suzuki-Tits ovoid in PG(3,8), the orbit of [0:0:0:1]."""
     from .finite_field import field_make
@@ -382,10 +374,10 @@ def suzuki8():
 # -- the named catalog ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def catalog(name, prime=None):
-    """Catalog entry by stable name, built from its text in `oseq.CATALOG`;
-    parametrized names take a prime.
+    """Catalog entry by stable name, built from its text in `oseq.CATALOG` by
+    `expr.build`, so a name asked for twice gives the same group; parametrized
+    names take a prime.
 
     An unknown name, a prime missing from a parametrized name or given to a
     fixed one, and a prime that is not prime are usage errors (InputError); a

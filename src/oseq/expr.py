@@ -16,23 +16,25 @@ is ``Aff(p, C(p), 1, 0, 1, 1)`` after its own refusals (`construct.heisenberg`).
 An ``x`` that starts a word is the product sign, and F7, F8 and Sz8 may be followed
 directly by it: ``C(2)xF7`` and ``F7xF8`` are products, ``Cat(C4xF8)`` one name.
 
-Every expression is a ``Node(name, args)``.  A product is
-``Node("x", (left, right))`` and a power ``Node("^", (atom, k))``; a power
-of a power multiplies the exponents.  Every power prints as it is stored,
-``BASE^k`` (``D(8)^2`` prints as ``D(8)^2``), so the canonical text is at
-most about twice as long as the input; `construct.direct_power` refuses an
-oversized power at its first partial product past the cap.
-Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table;
-printing and building walk a product's left spine in a loop, so a long
-product cannot exhaust the stack, and `Wr2` or `Aff` nesting deeper than
-``MAX_NESTING`` is refused while it is parsed.
+Every expression is a ``Node(name, args)``.  A product is one flat
+``Node("x", factors)`` of two or more factors, none of them a product, and a
+power ``Node("^", (atom, k))``; a power of a power multiplies the exponents.
+Every power prints as it is stored, ``BASE^k`` (``D(8)^2`` prints as
+``D(8)^2``), so the canonical text is at most about twice as long as the
+input; `construct.direct_power` refuses an oversized power at its first
+partial product past the cap.
+Parsing, printing and building each walk the one ``_CONSTRUCTORS`` table.
+A node is only as deep as its `Wr2` and `Aff` nesting, which is refused past
+``MAX_NESTING`` while it is parsed, so no product, however long, makes
+printing, building, hashing or comparing it recurse.  `build` keeps every
+group it builds, keyed by its node: an expression is built once per process.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import InputError
 
@@ -133,11 +135,11 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        factors = [self.term()]
         while self.peek()[0] == "x":
             self.take()
-            node = Node("x", (node, self.term()))
-        return node
+            factors.append(self.term())
+        return factors[0] if len(factors) == 1 else Node("x", tuple(factors))
 
     def term(self):
         node = self.atom()
@@ -203,26 +205,15 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def _factors(node):
-    """The factors of a left-deep product, leftmost first, found without recursion."""
-    factors = []
-    while node.name == "x":
-        node, right = node.args
-        factors.append(right)
-    factors.append(node)
-    factors.reverse()
-    return factors
-
-
 def print_expr(node):
     """Canonical text, each power written ``BASE^k`` as it is stored;
     parse(print_expr(e)) == e on canonical forms."""
-    if node.name == "x":
-        return " x ".join(map(print_expr, _factors(node)))
     kind = _CONSTRUCTORS[node.name][0]
     args = [print_expr(a) if isinstance(a, Node) else _int_text(a) for a in node.args]
     if kind == "none":
         return node.name
+    if kind == "product":
+        return " x ".join(args)
     if kind == "power":
         return "^".join(args)
     return f"{node.name}({', '.join(args)})"
@@ -235,13 +226,16 @@ def _int_text(k):
         raise InputError("an exponent of the expression has too many digits to print") from None
 
 
+@lru_cache(maxsize=None)
 def build(node):
-    """Evaluate an expression to an enumerated group; a product's factors are
-    built and multiplied left to right, as the recursion over the tree would."""
+    """Evaluate an expression to an enumerated group, a product's factors
+    multiplied left to right.  This is the one memo of built groups: every
+    node, and so every sub-expression and every `Cat` entry, is built once
+    per process, and equal nodes give the same group object."""
     from . import construct  # here, so that an `os --cache` hit, which builds nothing, skips the engine
 
-    if node.name == "x":
-        return reduce(construct.direct_product, (build(f) for f in _factors(node)))
+    if node.name == "x":  # lazily: the product so far meets the cap before the next factor is built
+        return reduce(construct.direct_product, map(build, node.args))
     target = _CONSTRUCTORS[node.name][1]
     if "(" in target:
         return build(parse(target))

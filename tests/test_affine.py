@@ -29,7 +29,9 @@ from catalog_oracle import _reference
 
 
 def _same(new, old):
-    assert (new.backing.normal, new.backing.acting) == (old.backing.normal, old.backing.acting)
+    # both act by the test's own H; each builds its own C_p^k, equal index for index
+    assert new.backing.acting is old.backing.acting
+    _equal_index_for_index(new.backing.normal, old.backing.normal)
     assert new.backing.perms == old.backing.perms
     assert (new.table, new.generators) == (old.table, old.generators)
 

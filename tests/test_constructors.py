@@ -218,10 +218,12 @@ def test_frobenius56_against_affine_permutations():
 
 
 def test_actions_on_one_coordinate_act_on_cyclic_p():
-    # C7 : H acts on `cyclic(7)` itself, whose elements are their own
-    # indices, and enumerates no second copy of C7
-    assert build(parse("F7")).backing.normal is cyclic(7)
-    assert affine(7, alternating(4), 4, 2).backing.normal is cyclic(7)
+    # C7 : H acts on a `cyclic(7)`, whose elements are their own indices
+    # (its table is a range), and enumerates no second copy of C7
+    c7 = cyclic(7)
+    for normal in (build(parse("F7")).backing.normal, affine(7, alternating(4), 4, 2).backing.normal):
+        assert (normal.table, normal.generators) == (c7.table, c7.generators)
+        assert [[normal.mul(i, j) for j in range(7)] for i in range(7)] == [[c7.mul(i, j) for j in range(7)] for i in range(7)]
 
 
 def test_wreath_square():

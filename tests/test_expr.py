@@ -12,7 +12,6 @@ from oseq.expr import (
     MAX_NESTING,
     Node,
     ParseError,
-    _factors,
     build,
     parse,
     print_expr,
@@ -25,7 +24,8 @@ def C(n):
 
 
 def _product(left, right):
-    return Node("x", (left, right))
+    # a product is one flat node: a product on the left takes the right factor as its last
+    return Node("x", (*left.args, right) if left.name == "x" else (left, right))
 
 
 def test_parse_examples():
@@ -162,7 +162,7 @@ def test_nesting_is_bounded():
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
         parse("Aff(2, " + mixed + ")")
     # side by side is not nested
-    assert len(_factors(parse(" x ".join([nested(1)] * (MAX_NESTING + 1))))) == MAX_NESTING + 1
+    assert len(parse(" x ".join([nested(1)] * (MAX_NESTING + 1))).args) == MAX_NESTING + 1
 
 
 def test_print_parse_roundtrip_examples():
@@ -199,7 +199,7 @@ def test_every_atom_builds(node, order):
 
 
 def _exprs(depth):
-    # canonical products are left-nested, so only extend on the left
+    # a canonical product is flat, so only extend on the left, with an atom
     if depth == 0:
         return _ATOMS
     sub = _exprs(depth - 1)
@@ -272,6 +272,46 @@ def test_long_products_print_and_build_without_recursion():
     assert len(build(chain)) == 1
     assert len(build(parse("A(1)^100000"))) == 1
     assert os_of_group(build(parse("C(2) x A(1)^50000 x C(3) x S(1)"))).entries == ((1, 1), (2, 1), (3, 2), (6, 2))
+
+
+def test_equal_long_products_meet_in_the_memo_without_recursion():
+    # two parses of one long product are equal nodes, hashed and compared by
+    # `build`'s memo; so are the two products under the wreath squares
+    chain = "x".join(["C(1)"] * 20_000)
+    assert build(parse(chain)) is build(parse(chain))
+    wreaths = parse(" x ".join([f"Wr2({chain})"] * 2))
+    assert wreaths.args[0] == wreaths.args[1] and wreaths.args[0] is not wreaths.args[1]
+    assert len(build(wreaths)) == 4
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+        assert main(["compare", chain, chain]) == 0
+    assert (out.getvalue(), err.getvalue()) == ("Equal\n", "")
+
+
+def test_f8_is_built_once_for_both_catalog_entries_that_hold_it(monkeypatch):
+    from oseq import construct
+
+    build.cache_clear()
+    affine, calls = construct.affine, []
+
+    def spy(p, h, *entries):
+        calls.append((p, len(h), entries))
+        return affine(p, h, *entries)
+
+    monkeypatch.setattr(construct, "affine", spy)
+    c4xf8, c22xf8 = build(parse("Cat(C4xF8)")), build(parse("Cat(C22xF8)"))
+    assert calls == [(2, 7, (0, 0, 1, 1, 0, 1, 0, 1, 0))]
+    assert c4xf8.backing.right is c22xf8.backing.right is build(parse("F8"))
+
+
+def test_build_and_field_make_are_the_only_cached_callables():
+    # a memo in a constructor would build a group apart from `build`'s own
+    import oseq
+    from oseq.finite_field import field_make
+
+    modules = [oseq, *(getattr(oseq, name) for name in sorted(oseq._SUBMODULES))]
+    cached = {value for module in modules for value in vars(module).values() if hasattr(value, "cache_info")}
+    assert cached == {build, field_make}
 
 
 # The grammar's tokens, with small arguments and one far past every cap, and

@@ -85,4 +85,5 @@ def test_order12_corpus_is_the_hand_built_one():
     # the C2 x C6 of the known false claim is still the product of C2 and C6
     c2xc6 = dict(new)["C2xC6"].backing
     assert type(c2xc6) is DirectProductBacking
-    assert c2xc6.left is cyclic(2) and c2xc6.right is cyclic(6)
+    _same_group(c2xc6.left, cyclic(2))
+    _same_group(c2xc6.right, cyclic(6))
