@@ -9,8 +9,6 @@ functions refuse an integer at or past `LIMIT` with an `ArithError` before
 they divide anything.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from . import BuildError

@@ -7,8 +7,6 @@ value that is not canonical text, byte for byte as `format_sequence` writes
 it, is refused, not replayed.
 """
 
-from __future__ import annotations
-
 import os
 
 from . import InputError

@@ -1,7 +1,5 @@
 """Nilpotency, supersolvability, and solvability of enumerated groups."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .arith import factorint

@@ -8,8 +8,6 @@ errors to exit codes load no other module: no other `oseq` module, and not
 argparse.  The bare `catalog` listing prints the names `oseq` keeps.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 

@@ -7,8 +7,6 @@ matrices its H acts by.  A constructor builds a new group on every call;
 `expr.build` keeps each group it builds, once per expression and process.
 """
 
-from __future__ import annotations
-
 from functools import reduce
 from itertools import repeat
 from math import gcd, isqrt

@@ -30,8 +30,6 @@ printing, building, hashing or comparing it recurse.  `build` keeps every
 group it builds, keyed by its node: an expression is built once per process.
 """
 
-from __future__ import annotations
-
 import re
 from collections import namedtuple
 from functools import lru_cache, reduce

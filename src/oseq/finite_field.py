@@ -14,8 +14,6 @@ logarithms; Lidl & Niederreiter, *Finite Fields*, 1997).  There is no
 matrix type: `construct._matvec` applies a tuple of rows to a vector.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd
 

@@ -6,13 +6,12 @@ File format, one record per line:
 
 Blank lines and ``#`` comments are skipped.  Every fixture must pass the
 plausibility filter; a violation is a hard error so transcription slips
-surface immediately.
+surface immediately.  The shipped file, ``data/fixtures.txt`` beside this
+module, is opened like any other path.
 """
 
-from __future__ import annotations
-
+import os
 from collections import namedtuple
-from importlib import resources
 
 from . import InputError, ascii_int
 from .arith import LIMIT
@@ -71,8 +70,7 @@ def parse_fixture_lines(lines, source="<fixtures>"):
 def load_fixtures(path=None):
     """The fixtures in the file at `path`, or in the shipped file when `path` is None."""
     if path is None:
-        text = resources.files("oseq").joinpath("data/fixtures.txt").read_text(encoding="utf-8")
-        return parse_fixture_lines(text.splitlines(), source="data/fixtures.txt")
+        path = os.path.join(os.path.dirname(__file__), "data", "fixtures.txt")
     with open(path, encoding="utf-8") as handle:
         try:
             return parse_fixture_lines(handle, source=str(path))

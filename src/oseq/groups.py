@@ -18,8 +18,6 @@ identity with generators applied in declared order (FIFO).  Each way two
 runs assign identical indices.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from itertools import repeat
 from math import gcd, lcm

@@ -6,8 +6,6 @@ Canonical text form (used by fixtures, the cache, and the CLI, bit-exact):
 ``n=<total>; (o1,m1)(o2,m2)...``.
 """
 
-from __future__ import annotations
-
 import re
 from collections import Counter, namedtuple
 from enum import Enum

@@ -1,7 +1,5 @@
 """Domination posets over labelled corpora of order sequences of one total."""
 
-from __future__ import annotations
-
 import csv
 import io
 from collections import namedtuple

@@ -7,8 +7,6 @@ theorem's primes (`--primes`, ASCII digits, else the defaults); props reads
 neither.  `run_suite` refuses an option that the suite does not read.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

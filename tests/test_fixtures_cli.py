@@ -639,6 +639,36 @@ def test_catalog_and_classify_import_only_what_they_run(tmp_path):
     assert proc.stderr == "[0, 0, 0, 3, 0, 0, 0, 0, 0] False\n0 True\n"
 
 
+def test_fixture_verbs_load_no_resource_or_archive_modules():
+    # the shipped fixtures are opened with `open`, like `--fixtures PATH`;
+    # -S keeps site hooks, which may load these modules first, out of the child
+    code = (
+        "import sys\n"
+        "from oseq.cli import main\n"
+        "codes = [main(argv) for argv in"
+        " [['verify', 'simple'], ['verify', 'table1'], ['poset', '--order', '216'], ['fixtures']]]\n"
+        "print(codes, [m for m in ('importlib.resources', 'zipfile', 'tempfile') if m in sys.modules],"
+        " file=sys.stderr)\n"
+    )
+    proc = _run_python("-S", "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[0, 0, 0, 0] []\n"
+
+
+def test_the_shipped_fixtures_are_the_package_data_beside_the_reader():
+    # package-data globs are relative to the package, the folder of oseq/fixtures.py
+    package = Path(oseq.fixtures.__file__).resolve().parent
+    shipped = package / "data" / "fixtures.txt"
+    assert load_fixtures() == load_fixtures(shipped)
+    if sys.version_info < (3, 11):
+        pytest.skip("reading pyproject.toml needs tomllib, Python 3.11")
+    import tomllib
+
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = pyproject["tool"]["setuptools"]["package-data"]["oseq"]
+    assert any(shipped.relative_to(package).match(glob) for glob in globs), globs
+
+
 def test_parser_and_error_mapping_load_no_other_module():
     # one argv per verb is read, and help and a usage error are mapped to
     # their exit codes, without argparse and the gettext and locale it loads
