@@ -90,7 +90,7 @@ def cmd_product(args):
 
 
 def cmd_poset(args):
-    from .poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
+    from .poset import build_poset, to_csv, to_dot
 
     if args.exprs:
         if args.order is not None or args.fixtures is not None:
@@ -101,17 +101,16 @@ def cmd_poset(args):
         entries = []
         for text in args.exprs:
             node = parse(text)
-            entries.append(CorpusEntry(print_expr(node), os_of_group(build(node))))
-        corpus = Corpus(entries)
+            entries.append((print_expr(node), os_of_group(build(node))))
     else:
-        from .fixtures import corpus_for_order, load_fixtures
+        from .fixtures import load_fixtures
 
         if args.order is None:
             raise InputError("poset over a fixture file needs --order")
-        corpus = corpus_for_order(load_fixtures(args.fixtures), args.order)
-        if not len(corpus):
+        entries = [(f.label, f.seq) for f in load_fixtures(args.fixtures) if f.n == args.order]
+        if not entries:
             raise InputError(f"no fixtures of order {args.order}")
-    result = build_poset(corpus)
+    result = build_poset(entries)
     if args.emit == "dot":
         out = to_dot(result)
     elif args.emit == "csv":

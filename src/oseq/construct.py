@@ -68,7 +68,7 @@ def cyclic(n):
     if n < 1:
         raise ConstructionError("cyclic group order must be >= 1")
     _require_under_cap(f"C{n}", (n,))
-    return Group(MetacyclicBacking(n), range(n), [] if n == 1 else [1], name=f"C{n}")
+    return Group(MetacyclicBacking(n), range(n), [] if n == 1 else [1])
 
 
 def dihedral(n):
@@ -76,7 +76,7 @@ def dihedral(n):
     if n < 4 or n % 2:
         raise ConstructionError("dihedral order must be an even integer >= 4")
     _require_under_cap(f"D{n}", (n,))
-    return enumerate_group(MetacyclicBacking(n // 2), [1, n // 2], name=f"D{n}")
+    return enumerate_group(MetacyclicBacking(n // 2), [1, n // 2])
 
 
 def dicyclic(n):
@@ -84,7 +84,7 @@ def dicyclic(n):
     if n < 8 or n % 4:
         raise ConstructionError("dicyclic order must be a multiple of 4, at least 8")
     _require_under_cap(f"Dic{n}", (n,))
-    return enumerate_group(MetacyclicBacking(n // 2, n // 4), [1, n // 2], name=f"Dic{n}")
+    return enumerate_group(MetacyclicBacking(n // 2, n // 4), [1, n // 2])
 
 
 def symmetric(k):
@@ -97,7 +97,7 @@ def symmetric(k):
         gens.append(backing.pack((1, 0, *range(2, k))))
     if k >= 3:
         gens.append(backing.pack((*range(1, k), 0)))
-    return enumerate_group(backing, gens, name=f"S{k}")
+    return enumerate_group(backing, gens)
 
 
 def alternating(k):
@@ -113,7 +113,7 @@ def alternating(k):
             gens.append(backing.pack((*range(1, k), 0)))
         else:
             gens.append(backing.pack((0, *range(2, k), 1)))
-    return enumerate_group(backing, gens, name=f"A{k}")
+    return enumerate_group(backing, gens)
 
 
 def heisenberg(p):
@@ -137,13 +137,13 @@ def elementary_abelian(p, k):
     if not isprime(p) or k < 1:
         raise ConstructionError("elementary abelian group needs a prime and k >= 1")
     backing = direct_power(cyclic(p), k).backing
-    return enumerate_group(backing, [p**j for j in range(k)], name=f"C{p}^{k}")
+    return enumerate_group(backing, [p**j for j in range(k)])
 
 
 # -- products ----------------------------------------------------------------
 
 
-def _row_major(backing, g, h, name):
+def _row_major(backing, g, h):
     """The product of g and h on `backing`, which multiplies its indices:
     the pair (i, j) of indices into g and h is i * |h| + j.  The generators
     are g's, embedded as (i, 0), then h's, as (0, j)."""
@@ -151,7 +151,7 @@ def _row_major(backing, g, h, name):
     if order > DEFAULT_CLOSURE_CAP:
         raise GroupError(f"product order {order} exceeds closure cap {DEFAULT_CLOSURE_CAP}")
     gens = [i * len(h) for i in g.generators] + list(h.generators)
-    return Group(backing, range(order), generator_elements=gens, name=name)
+    return Group(backing, range(order), generator_elements=gens)
 
 
 def direct_product(g, h):
@@ -166,7 +166,7 @@ def direct_product(g, h):
         return g
     if len(g) == 1:
         return h
-    return _row_major(DirectProductBacking(g, h), g, h, f"{g.name}x{h.name}")
+    return _row_major(DirectProductBacking(g, h), g, h)
 
 
 def direct_power(g, k):
@@ -211,7 +211,7 @@ def validate_action(n, images):
                     raise ConstructionError("generator image is not an automorphism")
 
 
-def _semidirect(n, h, images, name):
+def _semidirect(n, h, images):
     """N : H, the k-th generator of H acting on N by the permutation
     images[k] of N's indices, each an automorphism of N.
 
@@ -236,15 +236,15 @@ def _semidirect(n, h, images, name):
                 walk.append(y)
             elif perms[y] != py:
                 raise ConstructionError("action is not a homomorphism")
-    return _row_major(SemidirectBacking(n, h, tuple(perms)), n, h, name)
+    return _row_major(SemidirectBacking(n, h, tuple(perms)), n, h)
 
 
-def semidirect_product(n, h, images, name=None):
+def semidirect_product(n, h, images):
     """N : H through the images of H's generators, in `h.generators` order:
     each is checked by `validate_action`, and the action they extend to by
-    `_semidirect`.  The name defaults to 'N:H'."""
+    `_semidirect`."""
     validate_action(n, images)
-    return _semidirect(n, h, images, name or f"{n.name}:{h.name}")
+    return _semidirect(n, h, images)
 
 
 def affine(p, h, *entries):
@@ -262,7 +262,7 @@ def affine(p, h, *entries):
                                 f"{len(entries)} entries is not {g} * k^2")
     if not isprime(p):
         raise ConstructionError(f"affine group needs a prime; got {p}")
-    _require_under_cap(f"C{p}^{k}:{h.name}", (len(h), *[p] * k))
+    _require_under_cap(f"C{p}^{k}:H (|H| = {len(h)})", (len(h), *[p] * k))
     n = cyclic(p) if k == 1 else elementary_abelian(p, k)
     vectors = [[t // p**i % p for i in range(k)] for t in n.table]
     rows = [entries[i : i + k] for i in range(0, len(entries), k)]
@@ -281,7 +281,7 @@ def wreath_square(g):
         raise GroupError("wreath square exceeds the closure cap")
     base = direct_product(g, g)
     swap = tuple((t % size) * size + (t // size) for t in range(len(base)))
-    return _semidirect(base, cyclic(2), [swap], f"Wr2({g.name})")
+    return _semidirect(base, cyclic(2), [swap])
 
 
 # -- matrix-born groups --------------------------------------------------------
@@ -319,7 +319,7 @@ def _projective_group(name, spec, mats, start, order):
                 points.append(w)
             row.append(number[w])
     backing = PermBacking(len(points))
-    grp = enumerate_group(backing, [backing.pack(row) for row in images], name=name)
+    grp = enumerate_group(backing, [backing.pack(row) for row in images])
     if len(grp) != order:
         raise ConstructionError(f"{name} closure has order {len(grp)}, expected {order}")
     return grp

@@ -15,7 +15,6 @@ matrix type: `construct._matvec` applies a tuple of rows to a vector.
 """
 
 from functools import lru_cache
-from math import gcd
 
 from . import BuildError
 from .arith import isprime
@@ -100,11 +99,6 @@ class FieldSpec:
         if e < 0:
             raise FieldError("zero has no multiplicative inverse")
         return 0 if e else 1
-
-    def element_order(self, a):
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        return (self.q - 1) // gcd(self._log[a], self.q - 1)
 
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"

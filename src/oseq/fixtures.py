@@ -17,8 +17,7 @@ from . import InputError, ascii_int
 from .arith import LIMIT
 from .order_sequence import SequenceError, is_plausible, parse_pairs
 
-__all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures",
-           "fixtures_by_label", "corpus_for_order"]
+__all__ = ["Fixture", "FixtureError", "parse_fixture_lines", "load_fixtures", "fixtures_by_label"]
 
 
 class FixtureError(InputError):
@@ -86,9 +85,3 @@ class _ByLabel(dict):
 def fixtures_by_label(fixtures):
     """The fixtures by label; reading a label that none has is a FixtureError."""
     return _ByLabel((f.label, f) for f in fixtures)
-
-
-def corpus_for_order(fixtures, n):
-    from .poset import Corpus, CorpusEntry
-
-    return Corpus(CorpusEntry(f.label, f.seq) for f in fixtures if f.n == n)

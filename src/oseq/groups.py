@@ -187,10 +187,10 @@ class Group:
     """
 
     __slots__ = (
-        "backing", "table", "index", "generators", "name", "mul", "_order", "_chain", "_orders", "_invs",
+        "backing", "table", "index", "generators", "mul", "_order", "_chain", "_orders", "_invs",
     )
 
-    def __init__(self, backing, table, generator_elements=(), name="", index=None):
+    def __init__(self, backing, table, generator_elements=(), index=None):
         self.backing = backing
         if type(table) is range:
             index = table
@@ -207,17 +207,15 @@ class Group:
         if self.table and self.table[0] != backing.identity():
             raise GroupError("identity must sit at index 0")
         self.generators = tuple(dict.fromkeys(self.index[g] for g in generator_elements))
-        self.name = name
         self._order = len(self.table)
         self._chain = None
         self._orders = None
         self._invs = None
 
     @classmethod
-    def _from_chain(cls, backing, chain, name=""):
+    def _from_chain(cls, backing, chain):
         group = cls.__new__(cls)
         group.backing = backing
-        group.name = name
         group._order = len(chain.orbit) * len(chain.stabiliser)
         group._chain = chain
         group.mul = group._mul
@@ -244,7 +242,7 @@ class Group:
         return self._order
 
     def __repr__(self):
-        return f"Group({self.name or type(self.backing).__name__}, order={self._order})"
+        return f"Group({type(self.backing).__name__}, order={self._order})"
 
     def _mul(self, i, j):
         return self.index[self.backing.mul(self.table[i], self.table[j])]
@@ -379,7 +377,7 @@ class Group:
 _Chain = namedtuple("_Chain", "gens base orbit transversal stabiliser kept")
 
 
-def _perm_group(backing, gens, cap, name=""):
+def _perm_group(backing, gens, cap):
     """The permutation group <gens> kept as a stabiliser chain, or None when
     it has more than `cap` elements.
 
@@ -397,7 +395,7 @@ def _perm_group(backing, gens, cap, name=""):
     ident = backing.identity()
     b = min((i for g in gens for i, j in enumerate(g) if i != j), default=None)
     if b is None:
-        return Group(backing, [ident], generator_elements=gens, name=name)
+        return Group(backing, [ident], generator_elements=gens)
     tail = backing._tail
     tables = [g + tail for g in gens]
     u = {b: ident}
@@ -419,10 +417,10 @@ def _perm_group(backing, gens, cap, name=""):
                 stab = _perm_group(backing, tuple(kept), cap // len(orbit))
                 if stab is None:
                     return None
-    return Group._from_chain(backing, _Chain(tuple(gens), b, orbit, u, stab, tuple(kept)), name)
+    return Group._from_chain(backing, _Chain(tuple(gens), b, orbit, u, stab, tuple(kept)))
 
 
-def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
+def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP):
     """The closure of the generators; deterministic indexing, identity first.
 
     A PermBacking group is kept as a stabiliser chain by `_perm_group`, with
@@ -432,7 +430,7 @@ def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
     """
     generators = list(generators)
     if type(backing) is PermBacking:
-        group = _perm_group(backing, generators, cap, name)
+        group = _perm_group(backing, generators, cap)
         if group is None:
             raise GroupError(f"closure exceeded cap {cap}")
         return group
@@ -451,7 +449,7 @@ def enumerate_group(backing, generators, cap=DEFAULT_CLOSURE_CAP, name=""):
                     raise GroupError(f"closure exceeded cap {cap}")
                 index[y] = len(table)
                 table.append(y)
-    return Group(backing, table, generator_elements=generators, name=name, index=index)
+    return Group(backing, table, generator_elements=generators, index=index)
 
 
 def _grow(group, members, gens, s):

@@ -54,9 +54,6 @@ class OrderSequence(namedtuple("OrderSequence", "entries")):
     def total(self):
         return sum(m for _, m in self.entries)
 
-    def __str__(self):
-        return format_sequence(self)
-
 
 def _from_counts(counts):
     return OrderSequence(tuple(sorted(counts.items())))

@@ -1,4 +1,4 @@
-"""Domination posets over labelled corpora of order sequences of one total."""
+"""Domination posets over labelled order sequences of one total."""
 
 import csv
 import io
@@ -7,8 +7,6 @@ from collections import namedtuple
 from .order_sequence import SequenceError, Verdict, compare
 
 __all__ = [
-    "CorpusEntry",
-    "Corpus",
     "PosetResult",
     "build_poset",
     "to_dot",
@@ -16,42 +14,26 @@ __all__ = [
 ]
 
 
-CorpusEntry = namedtuple("CorpusEntry", "label seq")
-
-
-class Corpus:
-    """Labelled sequences sharing one total; labels are unique."""
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        labels = [e.label for e in entries]
-        if len(set(labels)) != len(labels):
-            raise SequenceError("corpus labels must be unique")
-        totals = {e.seq.total for e in entries}
-        if len(totals) > 1:
-            raise SequenceError(f"corpus mixes totals {sorted(totals)}")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 # verdicts[i][j] = compare(seq_i, seq_j), four-valued; hasse holds the
 # covering pairs (dominator, dominated); minimal and maximal are frozensets.
 PosetResult = namedtuple("PosetResult", "labels verdicts hasse minimal maximal")
 
 
-def build_poset(corpus):
-    """All-pairs verdict matrix, Hasse reduction, and the extreme elements.
+def build_poset(entries):
+    """All-pairs verdict matrix, Hasse reduction, and the extreme elements of
+    the (label, sequence) pairs, whose labels must be unique and whose
+    sequences must share one total.
 
     A label is minimal when it properly dominates nothing, maximal when
     nothing properly dominates it.
     """
-    labels = tuple(e.label for e in corpus)
-    seqs = [e.seq for e in corpus]
+    labels = tuple(label for label, _ in entries)
+    seqs = [seq for _, seq in entries]
+    if len(set(labels)) != len(labels):
+        raise SequenceError("corpus labels must be unique")
+    totals = {s.total for s in seqs}
+    if len(totals) > 1:
+        raise SequenceError(f"corpus mixes totals {sorted(totals)}")
     k = len(labels)
     verdicts = [[Verdict.EQUAL] * k for _ in range(k)]
     for i in range(k):

@@ -350,8 +350,8 @@ def run_suite(name, fixtures=None, primes=None):
     """Run a suite on what it reads: its fixtures by label, from the file at
     the path `fixtures` or else the shipped file, or its theorem's `primes`,
     or else the default ones.  An option given to a suite that does not read
-    it is a SuiteUsageError, and so is a prime outside the hypothesis; a prime
-    of 10^6 or more is refused by `isprime` with an `ArithError`."""
+    it is a SuiteUsageError, and so is a prime outside the hypothesis or given
+    twice; a prime of 10^6 or more is refused by `isprime` with an `ArithError`."""
     if name not in _SUITES:
         raise SuiteUsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     suite = _SUITES[name]
@@ -366,7 +366,11 @@ def run_suite(name, fixtures=None, primes=None):
         return suite.check()
     spec = suite.primes
     primes = tuple(primes or spec.default)
+    seen = set()
     for p in primes:
         if not (isprime(p) and p >= spec.least and p % spec.modulus not in spec.excluded):
             raise SuiteUsageError(f"{name} requires {spec.text}; got {p}")
+        if p in seen:
+            raise SuiteUsageError(f"{name} takes each prime once; got {p} twice")
+        seen.add(p)
     return suite.check(primes)

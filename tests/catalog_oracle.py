@@ -44,7 +44,7 @@ def _vectors(n, k):
     return [vectors[i] for i in range(len(n))]
 
 
-def _reference(p, h, matrices, name=None):
+def _reference(p, h, matrices):
     """C_p^k : H, the images of H's generators written out as permutations."""
     k = len(matrices[0])
     n = cyclic(p) if k == 1 else elementary_abelian(p, k)
@@ -52,7 +52,7 @@ def _reference(p, h, matrices, name=None):
     index = {v: i for i, v in enumerate(vectors)}
     images = [[index[tuple(sum(a * b for a, b in zip(row, v)) % p for row in m)] for v in vectors]
               for m in matrices]
-    return semidirect_product(n, h, images, name)
+    return semidirect_product(n, h, images)
 
 
 # The generators a and b of Dic12 = <a, b | a^6 = 1, b^2 = a^3, b^-1 a b = a^-1>
@@ -65,7 +65,7 @@ def _sd_300_23():
     """C5^2 : Dic12, the solvable group SG300_23 of the order-300 row, Dic12
     acting by `_SD_300_23_MATRICES`.  `semidirect_product` refuses matrices
     that break Dic12's relations; the 12 actions must differ."""
-    group = _reference(5, dicyclic(12), _SD_300_23_MATRICES, "SD_300_23")
+    group = _reference(5, dicyclic(12), _SD_300_23_MATRICES)
     if len(set(group.backing.perms)) != 12:
         raise ConstructionError("SD_300_23: the matrices do not act faithfully")
     return group
@@ -82,21 +82,21 @@ def _sd_72_35():
     and the reflection.  That action fixes every line, which forces
     supersolvability.
     """
-    return _reference(3, dihedral(8), [((2, 0), (0, 2)), ((1, 0), (0, 1))], "SD_72_35")
+    return _reference(3, dihedral(8), [((2, 0), (0, 2)), ((1, 0), (0, 1))])
 
 
 @lru_cache(maxsize=None)
 def _c7_rtimes_a4():
     """C7 : A4 acting through the unique order-3 quotient of A4: its
     generators, the 3-cycles (0 1 2) and (1 2 3), multiply by 4 and 2."""
-    return _reference(7, alternating(4), [((4,),), ((2,),)], "C7:A4")
+    return _reference(7, alternating(4), [((4,),), ((2,),)])
 
 
 @lru_cache(maxsize=None)
 def frobenius42():
     """The atom F7: C7 with its full automorphism group C6 on top, the
     generator of C6 multiplying by 3."""
-    return _reference(7, cyclic(6), [((3,),)], "F7")
+    return _reference(7, cyclic(6), [((3,),)])
 
 
 @lru_cache(maxsize=None)
@@ -104,14 +104,14 @@ def frobenius56():
     """The atom F8: C2^3 with a fixed-point-free C7 on top, its generator
     multiplying GF(8) = GF(2)[x]/(x^3 + x + 1) by x, the vector (a0, a1, a2)
     standing for a0 + a1 x + a2 x^2."""
-    return _reference(2, cyclic(7), [((0, 0, 1), (1, 0, 1), (0, 1, 0))], "F8")
+    return _reference(2, cyclic(7), [((0, 0, 1), (1, 0, 1), (0, 1, 0))])
 
 
 @lru_cache(maxsize=None)
 def heisenberg(p):
     """The atom He(p), p an odd prime: C_p^2 : C_p, y acting on the vectors
     by (u, w) -> (u, w + u)."""
-    return _reference(p, cyclic(p), [((1, 0), (1, 1))], f"He{p}")
+    return _reference(p, cyclic(p), [((1, 0), (1, 1))])
 
 
 # Keyed by `oseq.CATALOG_FIXED_NAMES` and `oseq.CATALOG_PRIME_NAMES`.

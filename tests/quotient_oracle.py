@@ -74,4 +74,4 @@ def quotient(group, sub):
                 coset_of[group.mul(i, h)] = cid
     backing = CosetBacking(group, coset_of, reps)
     gen_elems = [reps[coset_of[g]] for g in group.generators]
-    return Group(backing, reps, generator_elements=gen_elems, name=f"{group.name}/N")
+    return Group(backing, reps, generator_elements=gen_elems)

@@ -4,8 +4,8 @@
 
 runs each query in this process through `oseq.cli.main`, in order, and
 writes ``tests/cli_outputs.json``, which ``test_cli_outputs.py`` replays.
-The queries are those of ``perfbench/expected.json`` and the mid-size ones
-below.  Rerun it only when an output changes on purpose, and log which
+The queries are those of ``perfbench/expected.json`` and the mid-size and
+`poset` ones below.  Rerun it only when an output changes on purpose, and log which
 entries moved.
 """
 
@@ -37,6 +37,14 @@ MID_SIZE_QUERIES = (
     ["os", "PSL2(49) x C(4)"],
     ["compare", "C(70000)", "D(70000)"],
 )
+# `poset` over expressions, labelled by their canonical text: the text report,
+# the DOT graph, and CSV whose labels hold commas and so are quoted.
+POSET_EXPRS = ("C(12)", "C(2) x C(6)", "D(12)", "A(4)", "Dic(12)")
+POSET_QUERIES = (
+    ["poset", *POSET_EXPRS],
+    ["poset", *POSET_EXPRS, "--emit", "dot"],
+    ["poset", "Cat(CpxA4, 7)", "Cat(S3xD2p, 7)", "--emit", "csv"],
+)
 
 
 def queries():
@@ -49,7 +57,7 @@ def queries():
         argvs.append(argv)
         if CACHE in argv and "--check-cache" not in argv:
             argvs.append(argv)
-    return [*argvs, *MID_SIZE_QUERIES]
+    return [*argvs, *MID_SIZE_QUERIES, *POSET_QUERIES]
 
 
 def run(argvs, cache):

@@ -42,4 +42,4 @@ def _sd_300_23():
     h = enumerate_group(backing, [a, b])
     if len(h) != 12:
         raise ConstructionError(f"SD_300_23: the matrices generate {len(h)} elements, not 12")
-    return semidirect_product(n, h, [a, b], "SD_300_23")
+    return semidirect_product(n, h, [a, b])

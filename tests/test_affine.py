@@ -154,8 +154,8 @@ _IDENTITY_20 = ", ".join(map(str, _identity(20)))
         ("Aff(1, C(2), 1)", 2, "affine group needs a prime; got 1"),
         ("Aff(0, C(2), 1)", 2, "affine group needs a prime; got 0"),
         ("Aff(1000003, C(2), 1)", 2, "1000003 is not below 10^6, the bound of oseq's integer arithmetic"),
-        (f"Aff(2, C(2), {_IDENTITY_20})", 2, "C2^20:C2 has more than 500000 elements, the closure cap"),
-        ("Aff(3, C(200000), 1)", 2, "C3^1:C200000 has more than 500000 elements, the closure cap"),
+        (f"Aff(2, C(2), {_IDENTITY_20})", 2, "C2^20:H (|H| = 2) has more than 500000 elements, the closure cap"),
+        ("Aff(3, C(200000), 1)", 2, "C3^1:H (|H| = 200000) has more than 500000 elements, the closure cap"),
         ("Aff(5, C(3), 2)", 2, "action is not a homomorphism"),
         ("Aff(5, C(2), 0)", 2, "generator image is not an identity-fixing permutation"),
         ("Aff(5, C(2), 1, 1, 1, 1)", 2, "generator image is not an identity-fixing permutation"),
@@ -183,7 +183,7 @@ def test_aff_refusals_and_their_exit_codes(text, code, message):
     ids=["past-cap", "two", "composite"],
 )
 def test_he_refusals_come_before_affs_and_name_he(text, message):
-    # He(p) is Aff(p, C(p), 1, 0, 1, 1), which would name the cap C101^2:C101
+    # He(p) is Aff(p, C(p), 1, 0, 1, 1), which would name the cap C101^2:H (|H| = 101)
     # and would take p = 2, giving D8
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -115,7 +115,7 @@ def test_direct_product():
 
 def _row_major_product(g, h):
     """g x h numbered row-major, as `direct_product` builds it for two non-trivial factors."""
-    return _row_major(DirectProductBacking(g, h), g, h, "")
+    return _row_major(DirectProductBacking(g, h), g, h)
 
 
 @pytest.mark.parametrize("trivial", [cyclic(1), symmetric(1), alternating(2)], ids=["C1", "S1", "A2"])
@@ -193,7 +193,7 @@ def test_an_action_that_is_not_a_homomorphism_is_refused():
     with pytest.raises(ConstructionError, match="action is not a homomorphism"):
         semidirect_product(n, h, images)
     with pytest.raises(ConstructionError, match="action is not a homomorphism"):
-        _semidirect(n, h, images, "unchecked")
+        _semidirect(n, h, images)
 
 
 def test_frobenius42_against_affine_permutations():
@@ -255,7 +255,6 @@ def test_wreath_square_swap_passes_validate_action(make):
     checked = semidirect_product(base, two, [swap])
     assert (checked.table, checked.generators) == (w.table, w.generators)
     assert checked.backing.perms == w.backing.perms
-    assert w.name == f"Wr2({g.name})"
 
 
 def test_wreath_square_of_a5_against_degree_10_permutations():

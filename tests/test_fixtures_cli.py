@@ -360,6 +360,7 @@ USAGE_ERRORS = [
     *((("verify", suite, "--primes", "5"), f"suite {suite!r} takes no primes; thm23, thm25, thm29 do")
       for suite in ("table1", "table2", "table3", "simple", "props")),
     (("verify", "thm23", "--primes", ""), "--primes takes comma-separated integers; got ''"),
+    (("verify", "thm23", "--primes", "3,3"), "thm23 takes each prime once; got 3 twice"),
     (("poset", "C(2)", "--order", "12"), "poset over expressions takes no --order or --fixtures"),
     (("poset", "C(2)", "--fixtures", "missing.txt"), "poset over expressions takes no --order or --fixtures"),
     *((("verify", suite, "--fixtures", "{fixtures}"),
@@ -381,7 +382,7 @@ USAGE_ERRORS = [
     USAGE_ERRORS,
     ids=["os-without-expr", "unknown-suite", "non-integer-prime", "unknown-option", "no-verb",
          "prime-without-catalog-name", "check-cache-without-cache", "table1-primes", "table2-primes",
-         "table3-primes", "simple-primes", "props-primes", "empty-primes", "poset-exprs-order",
+         "table3-primes", "simple-primes", "props-primes", "empty-primes", "repeated-prime", "poset-exprs-order",
          "poset-exprs-fixtures", "thm23-fixtures", "thm25-fixtures", "thm29-fixtures", "props-fixtures",
          "unicode-digit-prime", "underscore-prime", "unicode-digit-order", "underscore-primes",
          "unicode-digit-primes", "os-features"],
@@ -751,6 +752,8 @@ _PAST_ARITH_BOUND = "construction error: a 11213-bit integer is not below 10^6, 
         (("os", "--cache", "{tmp}/c.txt", _HUGE_EXPONENT), 1,
          "error: an exponent of the expression has too many digits to print\n"),
         (("poset", _HUGE_EXPONENT, "C(2)"), 1, "error: an exponent of the expression has too many digits to print\n"),
+        (("poset", "C(4)", "C(4)"), 1, "error: corpus labels must be unique\n"),
+        (("poset", "--order", "5"), 1, "error: no fixtures of order 5\n"),
         (("fixtures", "--fixtures", "{tmp}/long.txt"), 1, "error: {tmp}/long.txt:1: a number of 5000 digits is too long\n"),
         (("catalog", "NoSuch"), 1, "error: unknown catalog name 'NoSuch'\n"),
         (("os", "Cat(NoSuch)"), 1, "error: unknown catalog name 'NoSuch'\n"),
@@ -763,7 +766,8 @@ _PAST_ARITH_BOUND = "construction error: a 11213-bit integer is not below 10^6, 
     ],
     ids=["ParseError", "ParseError-empty", "ParseError-trailing-x", "SequenceError", "SuiteUsageError", "OSError",
          "FixtureError", "ConstructionError", "GroupError", "ParseError-5000-digits", "InputError-exponent-cache-key",
-         "InputError-exponent-poset-label", "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
+         "InputError-exponent-poset-label", "SequenceError-poset-repeated-label",
+         "InputError-poset-no-fixtures-of-order", "FixtureError-5000-digits", "InputError-catalog-unknown-name", "InputError-os-unknown-catalog-name",
          "InputError-catalog-non-prime", "InputError-os-catalog-non-prime", "ArithError-os-catalog-prime",
          "ArithError-os-He", "ArithError-catalog-prime", "ArithError-verify-primes"],
 )

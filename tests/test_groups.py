@@ -96,7 +96,7 @@ class _MaxBacking:
 
 
 def test_order_walk_refuses_a_product_that_is_not_a_group_law():
-    g = Group(_MaxBacking(budget=200_000), range(100_000), name="max")
+    g = Group(_MaxBacking(budget=200_000), range(100_000))
     assert g.order_of(0) == 1
     start = time.perf_counter()
     with pytest.raises(GroupError, match="no power equal to the identity within 100000 steps"):

@@ -1,13 +1,17 @@
 import pytest
 
-from oseq.fixtures import corpus_for_order, load_fixtures
+from oseq.fixtures import load_fixtures
 from oseq.order_sequence import SequenceError, Verdict, os_of_group, parse_pairs
-from oseq.poset import Corpus, CorpusEntry, build_poset, to_csv, to_dot
+from oseq.poset import build_poset, to_csv, to_dot
 from oseq.verify import order12_corpus_groups
 
 
 def _order12_corpus():
-    return Corpus(CorpusEntry(label, os_of_group(group)) for label, group in order12_corpus_groups())
+    return [(label, os_of_group(group)) for label, group in order12_corpus_groups()]
+
+
+def _fixtures_of_order(fixtures, n):
+    return [(f.label, f.seq) for f in fixtures if f.n == n]
 
 
 def _order12_tags(label):
@@ -54,29 +58,31 @@ def test_hasse_transitive_closure_reproduces_relation():
 
 
 def test_singleton_corpus():
-    corpus = Corpus([CorpusEntry("only", os_of_group(order12_corpus_groups()[0][1]))])
+    corpus = [("only", os_of_group(order12_corpus_groups()[0][1]))]
     result = build_poset(corpus)
     assert result.minimal == {"only"} == result.maximal
     assert result.hasse == ()
 
 
 def test_empty_corpus():
-    corpus = Corpus([])
+    corpus = []
     assert _dominations(corpus) == []
 
 
 def test_corpus_validation():
-    entries = [CorpusEntry("a", os_of_group(order12_corpus_groups()[0][1])),
-               CorpusEntry("b", os_of_group(order12_corpus_groups()[0][1]))]
-    Corpus(entries)  # same total is fine
-    with pytest.raises(SequenceError):
-        Corpus([CorpusEntry("a", os_of_group(order12_corpus_groups()[0][1])),
-                CorpusEntry("a", os_of_group(order12_corpus_groups()[1][1]))])
+    entries = [("a", os_of_group(order12_corpus_groups()[0][1])),
+               ("b", os_of_group(order12_corpus_groups()[0][1]))]
+    build_poset(entries)  # same total is fine
+    with pytest.raises(SequenceError, match="^corpus labels must be unique$"):
+        build_poset([("a", os_of_group(order12_corpus_groups()[0][1])),
+                     ("a", os_of_group(order12_corpus_groups()[1][1]))])
+    with pytest.raises(SequenceError, match=r"^corpus mixes totals \[2, 12\]$"):
+        build_poset([("a", os_of_group(order12_corpus_groups()[0][1])), ("b", parse_pairs("(1,1)(2,1)"))])
 
 
 def test_order300_fixture_pair():
     fixtures = load_fixtures()
-    corpus = corpus_for_order(fixtures, 300)
+    corpus = _fixtures_of_order(fixtures, 300)
     result = build_poset(corpus)
     assert result.minimal == {"SG300_23"}
     assert result.maximal == {"SG300_22"}
@@ -84,7 +90,7 @@ def test_order300_fixture_pair():
 
 def test_order900_domination_pairs():
     fixtures = load_fixtures()
-    corpus = corpus_for_order(fixtures, 900)
+    corpus = _fixtures_of_order(fixtures, 900)
     tags = {f.label: f.tags for f in fixtures}
     pairs = _dominations(corpus, lambda top, low: "nonsolvable" in tags[top] and "solvable" in tags[low])
     assert len(pairs) == 14
@@ -92,7 +98,7 @@ def test_order900_domination_pairs():
 
 
 def test_order72_fixture_pairs_are_equal_only():
-    corpus = corpus_for_order(load_fixtures(), 72)
+    corpus = _fixtures_of_order(load_fixtures(), 72)
     assert _dominations(corpus) == []
     result = build_poset(corpus)
     assert result.verdicts[0][1] is Verdict.EQUAL
@@ -117,8 +123,7 @@ def test_dot_output():
 
 def test_dot_output_escapes_quotes_and_backslashes_in_labels():
     # C4 dominates C2^2; unescaped, the label A"x would end its quoted id early
-    corpus = Corpus([CorpusEntry('A"x', parse_pairs("(1,1)(2,1)(4,2)")),
-                     CorpusEntry("B\\y", parse_pairs("(1,1)(2,3)"))])
+    corpus = [('A"x', parse_pairs("(1,1)(2,1)(4,2)")), ("B\\y", parse_pairs("(1,1)(2,3)"))]
     assert to_dot(build_poset(corpus)) == 'digraph domination {\n  "A\\"x";\n  "B\\\\y";\n  "B\\\\y" -> "A\\"x";\n}\n'
 
 
