@@ -52,15 +52,16 @@ def is_solvable(group):
     return len(derived_series(group)[-1]) == 1
 
 
-def _normal_prime_coset(group, x, members):
+def _normal_prime_coset(group, x, members, generators):
     """p when <xN> is a normal subgroup of prime order p in G/N, else 0.
 
-    N is the normal subgroup `members`.  The order of xN divides ord(x), and
+    N is the normal subgroup `members`, and `generators` holds the pairs
+    (g, g^-1) over G's generators.  The order of xN divides ord(x), and
     x^p lies in N for at most one prime p when x does not, so the powers of x
     are walked up to each prime factor of ord(x) in turn.  <xN> is normal
     when each generator conjugate g^-1 x g lies in some x^-i N.
     """
-    mul, inv = group.mul, group.inv
+    mul = group.mul
     y, k = x, 1
     for p in factorint(group.order_of(x)):
         for _ in range(p - k):
@@ -70,8 +71,8 @@ def _normal_prime_coset(group, x, members):
             break
     else:
         return 0
-    for g in group.generators:
-        z = mul(mul(inv(g), x), g)
+    for g, g_inv in generators:
+        z = mul(mul(g_inv, x), g)
         for _ in range(p):
             if z in members:
                 break
@@ -93,13 +94,14 @@ def supersolvable_chain(group):
     its least index x, and the first that passes grows N by xN, ..., x^(p-1)N.
     """
     n, mul = len(group), group.mul
+    generators = [(g, group.inv(g)) for g in group.generators]
     members, chain = {0}, []
     while len(members) < n:
         tried = set(members)
         for x in range(1, n):
             if x not in tried:
                 tried.update(mul(x, h) for h in members)
-                p = _normal_prime_coset(group, x, members)
+                p = _normal_prime_coset(group, x, members, generators)
                 if p:
                     break
         else:

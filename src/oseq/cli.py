@@ -97,11 +97,11 @@ def cmd_poset(args):
             raise InputError("poset over expressions takes no --order or --fixtures")
         from .expr import build, parse, print_expr
         from .order_sequence import os_of_group
+        from .poset import require_unique_labels
 
-        entries = []
-        for text in args.exprs:
-            node = parse(text)
-            entries.append((print_expr(node), os_of_group(build(node))))
+        labelled = [(print_expr(node), node) for node in map(parse, args.exprs)]
+        require_unique_labels([label for label, _ in labelled])  # before any group is built
+        entries = [(label, os_of_group(build(node))) for label, node in labelled]
     else:
         from .fixtures import load_fixtures
 

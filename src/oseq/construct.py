@@ -327,27 +327,24 @@ def _projective_group(name, spec, mats, start, order):
 
 def psl2(q):
     """PSL(2,q) as the permutations SL(2,q) induces on the q + 1 points of the projective line."""
-    from .finite_field import field_make
+    from .finite_field import FieldSpec
 
     if q < 2 or q > 64:
         raise ConstructionError("psl2 supports 2 <= q <= 64")
     p, k = _prime_power(q)
-    spec = field_make(p, k)
+    spec = FieldSpec(p, k)
     alpha = spec.primitive
     mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]
     return _projective_group(f"PSL(2,{q})", spec, mats, (1, 0), q * (q * q - 1) // gcd(2, q - 1))
 
 
-def _suzuki8_matrices():
-    """The standard generators of Sz(8) as 4x4 row tuples over GF(8).
+def _suzuki8_matrices(spec):
+    """The standard generators of Sz(8) as 4x4 row tuples over GF(8), `spec`.
 
     The unipotent family uses the twist t(x) = x^4 (t(t(x)) = x^2 on GF(8));
     the torus element carries weights (3, 2, -2, -3), and the antidiagonal
     involution swaps the flag.
     """
-    from .finite_field import field_make
-
-    spec = field_make(2, 3)
     th = lambda x: spec.pow(x, 4)
     mul, add = spec.mul, spec.add
 
@@ -364,9 +361,10 @@ def _suzuki8_matrices():
 
 def suzuki8():
     """Sz(8) on the 65 points of the Suzuki-Tits ovoid in PG(3,8), the orbit of [0:0:0:1]."""
-    from .finite_field import field_make
+    from .finite_field import FieldSpec
 
-    return _projective_group("Sz(8)", field_make(2, 3), _suzuki8_matrices(), (0, 0, 0, 1), 29120)
+    spec = FieldSpec(2, 3)
+    return _projective_group("Sz(8)", spec, _suzuki8_matrices(spec), (0, 0, 0, 1), 29120)
 
 
 # -- the named catalog ---------------------------------------------------------

@@ -3,7 +3,8 @@
 These are the fields of at most 64 elements: GF(p) for each prime p < 64,
 reduced by x, and the nine extension fields GF(p^k), k > 1, each reduced by
 its modulus in `_MODULI`.  PSL(2,q) takes q <= 64 and Sz(8) uses GF(8); no
-other constructor loads this module.
+other constructor loads this module.  Each builds its `FieldSpec` once per
+call, and no field is cached: `expr.build` memoises the groups.
 
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
@@ -14,12 +15,10 @@ logarithms; Lidl & Niederreiter, *Finite Fields*, 1997).  There is no
 matrix type: `construct._matvec` applies a tuple of rows to a vector.
 """
 
-from functools import lru_cache
-
 from . import BuildError
 from .arith import isprime
 
-__all__ = ["FieldError", "FieldSpec", "field_make"]
+__all__ = ["FieldError", "FieldSpec"]
 
 
 class FieldError(BuildError):
@@ -103,5 +102,3 @@ class FieldSpec:
     def __repr__(self):
         return f"GF({self.p})" if self.k == 1 else f"GF({self.p}^{self.k})"
 
-
-field_make = lru_cache(maxsize=None)(FieldSpec)

@@ -187,7 +187,7 @@ class Group:
     """
 
     __slots__ = (
-        "backing", "table", "index", "generators", "mul", "_order", "_chain", "_orders", "_invs",
+        "backing", "table", "index", "generators", "mul", "_order", "_chain", "_orders",
     )
 
     def __init__(self, backing, table, generator_elements=(), index=None):
@@ -210,7 +210,6 @@ class Group:
         self._order = len(self.table)
         self._chain = None
         self._orders = None
-        self._invs = None
 
     @classmethod
     def _from_chain(cls, backing, chain):
@@ -220,7 +219,6 @@ class Group:
         group._chain = chain
         group.mul = group._mul
         group._orders = None
-        group._invs = None
         return group
 
     def __getattr__(self, attr):
@@ -248,13 +246,7 @@ class Group:
         return self.index[self.backing.mul(self.table[i], self.table[j])]
 
     def inv(self, i):
-        invs = self._invs
-        if invs is None:
-            invs = self._invs = [-1] * self._order
-        v = invs[i]
-        if v < 0:
-            v = invs[i] = self.index[self.backing.inv(self.table[i])]
-        return v
+        return self.index[self.backing.inv(self.table[i])]
 
     def order_of(self, i):
         """Order of element i: the backing's closed form, else a walk of <g>.
@@ -479,19 +471,20 @@ def commutator_subgroup(group, a_gens, b_gens):
     [a, b] = a^-1 b^-1 a b (Holt, Eick & O'Brien, Handbook of Computational
     Group Theory, 2005).  A conjugate of a collected generator by a generator
     of <A, B> joins the generators whenever it falls outside the subgroup
-    built so far; the returned generators generate [A, B].
+    built so far; the returned generators generate [A, B].  Each generator of
+    A and B is inverted once, before the walk.
     """
-    mul, inv = group.mul, group.inv
+    mul = group.mul
+    inverse = {g: group.inv(g) for g in dict.fromkeys((*a_gens, *b_gens))}  # the conjugators, in order
     members, gens = {0}, []
     for a in a_gens:
         for b in b_gens:
-            c = mul(mul(inv(a), inv(b)), mul(a, b))
+            c = mul(mul(inverse[a], inverse[b]), mul(a, b))
             if c not in members:
                 _grow(group, members, gens, c)
-    conjugators = tuple(dict.fromkeys((*a_gens, *b_gens)))
     for x in gens:  # grows while it is walked
-        for g in conjugators:
-            y = mul(mul(inv(g), x), g)
+        for g, g_inv in inverse.items():
+            y = mul(mul(g_inv, x), g)
             if y not in members:
                 _grow(group, members, gens, y)
     return frozenset(members), tuple(gens)

@@ -19,6 +19,12 @@ __all__ = [
 PosetResult = namedtuple("PosetResult", "labels verdicts hasse minimal maximal")
 
 
+def require_unique_labels(labels):
+    """Refuse a corpus that names two entries alike."""
+    if len(set(labels)) != len(labels):
+        raise SequenceError("corpus labels must be unique")
+
+
 def build_poset(entries):
     """All-pairs verdict matrix, Hasse reduction, and the extreme elements of
     the (label, sequence) pairs, whose labels must be unique and whose
@@ -29,8 +35,7 @@ def build_poset(entries):
     """
     labels = tuple(label for label, _ in entries)
     seqs = [seq for _, seq in entries]
-    if len(set(labels)) != len(labels):
-        raise SequenceError("corpus labels must be unique")
+    require_unique_labels(labels)
     totals = {s.total for s in seqs}
     if len(totals) > 1:
         raise SequenceError(f"corpus mixes totals {sorted(totals)}")

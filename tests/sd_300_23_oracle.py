@@ -28,10 +28,10 @@ def _sd_300_23():
     matrices of `_SD_300_23_MATRICES` generate, and its generators act as
     themselves; the vector (x, y) is the integer x + 5y of C5^2.
     """
-    from oseq.finite_field import field_make
+    from oseq.finite_field import FieldSpec
 
     n = elementary_abelian(5, 2)
-    spec = field_make(5)
+    spec = FieldSpec(5)
     backing = PermBacking(len(n))
     images = ([_matvec(spec, m, (t % 5, t // 5)) for t in n.table] for m in _SD_300_23_MATRICES)
     a, b = (bytes(n.index[x + 5 * y] for x, y in image) for image in images)

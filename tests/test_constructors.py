@@ -24,7 +24,7 @@ from oseq.construct import (
     wreath_square,
 )
 from oseq.expr import build, parse
-from oseq.finite_field import field_make
+from oseq.finite_field import FieldSpec
 from oseq.groups import (
     DEFAULT_CLOSURE_CAP,
     DirectProductBacking,
@@ -208,7 +208,7 @@ def test_frobenius42_against_affine_permutations():
 
 def test_frobenius56_against_affine_permutations():
     # independent model: translations and the multiplier acting on 8 field points
-    f8 = field_make(2, 3)
+    f8 = FieldSpec(2, 3)
     backing = PermBacking(8)
     shift = backing.pack(f8.add(v, 1) for v in range(8))
     scale = backing.pack(f8.mul(v, 2) for v in range(8))

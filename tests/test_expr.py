@@ -304,14 +304,13 @@ def test_f8_is_built_once_for_both_catalog_entries_that_hold_it(monkeypatch):
     assert c4xf8.backing.right is c22xf8.backing.right is build(parse("F8"))
 
 
-def test_build_and_field_make_are_the_only_cached_callables():
+def test_build_is_the_only_cached_callable():
     # a memo in a constructor would build a group apart from `build`'s own
     import oseq
-    from oseq.finite_field import field_make
 
     modules = [oseq, *(getattr(oseq, name) for name in sorted(oseq._SUBMODULES))]
     cached = {value for module in modules for value in vars(module).values() if hasattr(value, "cache_info")}
-    assert cached == {build, field_make}
+    assert cached == {build}
 
 
 # The grammar's tokens, with small arguments and one far past every cap, and

@@ -73,7 +73,7 @@ from oseq.construct import (
     symmetric,
 )
 from oseq.expr import build, parse
-from oseq.finite_field import FieldError, field_make
+from oseq.finite_field import FieldError, FieldSpec
 from oseq.fixtures import fixtures_by_label, load_fixtures
 from oseq.groups import (
     DEFAULT_CLOSURE_CAP,
@@ -501,9 +501,9 @@ def test_k_orbit_count_matches_the_oracles_on_random_transitive_groups(case):
 
 def test_psl2_64_is_counted_without_its_table():
     # 262080 degree-65 permutations in a list and an index take over 30 MB;
-    # the chain keeps a 4032-element stabiliser and its own 63-element one
+    # the chain keeps a 4032-element stabiliser and its own 63-element one;
+    # GF(64), which psl2 builds on each call, is counted too
     by_label = fixtures_by_label(load_fixtures())
-    field_make(2, 6)  # cached for the process, so not counted in the peak
     tracemalloc.start()
     try:
         group = psl2(64)
@@ -633,7 +633,7 @@ def _matrix_dicyclic(n):
 
     The generators are diag(zeta, 1/zeta), for the least zeta of order n/2,
     and ((0, 1), (-1, 0)).  The entries are integers mod q, since q may pass
-    64, the size of the largest field `field_make` builds (Dic(256) needs
+    64, the size of the largest field `FieldSpec` builds (Dic(256) needs
     q = 257).
     """
     half = n // 2
@@ -809,14 +809,14 @@ def _tuple_heisenberg(p):
 
 def _tuple_frobenius56():
     n = _tuple_elementary_abelian(2, 3)
-    spec = field_make(2, 3)
+    spec = FieldSpec(2, 3)
     x = [n.index[_digits(spec.mul(2, spec.encode(v)), 2, 3)] for v in n.table]
     return semidirect_product(n, _pair_cyclic(7), [x])
 
 
 def _tuple_sd_300_23():
     n = _tuple_elementary_abelian(5, 2)
-    spec = field_make(5)
+    spec = FieldSpec(5)
     images = [[n.index[_matvec(spec, m, v)] for v in n.table] for m in _SD_300_23_MATRICES]
     return semidirect_product(n, _pair_dicyclic(12), images)
 
@@ -899,7 +899,7 @@ def _matrix_heisenberg(p):
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     z = ((1, 0, p - 1), (0, 1, 0), (0, 0, 1))
     y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    return _bfs_by_mul(MatrixBacking(field_make(p), 3), [x, z, y])
+    return _bfs_by_mul(MatrixBacking(FieldSpec(p), 3), [x, z, y])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -984,7 +984,7 @@ def _induced_permutation(spec, vectors, m):
 
 
 def test_frobenius56_acts_by_the_companion_matrix_powers():
-    spec, vectors = field_make(2), _vectors(2, 3)
+    spec, vectors = FieldSpec(2), _vectors(2, 3)
     # the companion matrix of x^3 + x + 1: column j is x times x^j, reduced
     companion = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
     backing = MatrixBacking(spec, 3)
@@ -1012,7 +1012,7 @@ def _matrix_word_search(pres, dim, p, oracle):
     lexicographic order of the generator matrices; an action is kept when it
     is the first for its image subgroup and for the order sequence of its
     semidirect product, and that sequence is the oracle's."""
-    spec = field_make(p)
+    spec = FieldSpec(p)
     backing = MatrixBacking(spec, dim)
     gl = _invertible_matrices(p, dim)
     ident = backing.identity()
@@ -1125,8 +1125,8 @@ def _orbit(spec, mats, start):
 
 
 def test_suzuki8_matches_the_matrix_bfs():
-    mats = _suzuki8_matrices()
-    spec = field_make(2, 3)
+    spec = FieldSpec(2, 3)
+    mats = _suzuki8_matrices(spec)
     matrices = _bfs_by_mul(MatrixBacking(spec, 4), mats)
     fast = suzuki8()
     assert len(matrices) == len(fast) == 29120
@@ -1158,8 +1158,8 @@ def test_suzuki8_matches_the_matrix_bfs():
 def test_suzuki8_acts_on_an_ovoid():
     sz = suzuki8()
     assert type(sz.backing) is PermBacking and sz.backing.degree == 65
-    spec = field_make(2, 3)
-    points = _orbit(spec, _suzuki8_matrices(), (0, 0, 0, 1))
+    spec = FieldSpec(2, 3)
+    points = _orbit(spec, _suzuki8_matrices(spec), (0, 0, 0, 1))
     assert len(points) == 65
     ovoid = set(points)
     # the line through a and b holds b and the points a + cb for c in GF(8):
@@ -1175,7 +1175,7 @@ def test_suzuki8_acts_on_an_ovoid():
 
 def test_wide_projective_orbit_is_refused():
     # PG(2,16) has 16^2 + 16 + 1 = 273 points, one orbit under these matrices
-    spec = field_make(2, 4)
+    spec = FieldSpec(2, 4)
     mats = [
         ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
         ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
@@ -1211,25 +1211,25 @@ def projective_action(spec, m, point):
 def test_projective_line_points():
     # GF(64) has 65 points; the diagonal torus fixes [1:0] and [0:1] and
     # moves every other point
-    f64 = field_make(2, 6)
+    f64 = FieldSpec(2, 6)
     torus = ((2, 0), (0, f64.inv(2)))
     assert [pt for pt in range(65) if projective_action(f64, torus, pt) == pt] == [0, 1]
     assert sorted(projective_action(f64, torus, pt) for pt in range(65)) == list(range(65))
-    f5 = field_make(5)
+    f5 = FieldSpec(5)
     shear = ((1, 1), (0, 1))
     # [0:1] is point 1, [1:1] is point 2
     assert projective_action(f5, shear, 1) == 2
 
 
 def test_projective_scalars_act_trivially():
-    f5 = field_make(5)
+    f5 = FieldSpec(5)
     scalar = ((3, 0), (0, 3))
     points = list(range(6))
     assert [projective_action(f5, scalar, pt) for pt in points] == points
 
 
 def test_projective_rejects_singular():
-    f5 = field_make(5)
+    f5 = FieldSpec(5)
     with pytest.raises(FieldError):
         projective_action(f5, ((1, 2), (2, 4)), 0)
 
@@ -1239,7 +1239,7 @@ PSL_FIELDS = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4)]
 
 @pytest.mark.parametrize("p,k", PSL_FIELDS, ids=[str(p**k) for p, k in PSL_FIELDS])
 def test_psl2_matches_the_projective_line_numbering(p, k):
-    spec = field_make(p, k)
+    spec = FieldSpec(p, k)
     q = spec.q
     alpha = next(x for x in range(1, q) if all(spec.pow(x, e) != 1 for e in range(1, q - 1)))
     mats = [((1, 1), (0, 1)), ((1, 0), (alpha, 1)), ((alpha, 0), (0, spec.inv(alpha)))]

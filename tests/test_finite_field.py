@@ -8,31 +8,31 @@ from hypothesis import strategies as st
 
 from oseq.arith import isprime
 from oseq.construct import psl2
-from oseq.finite_field import _MODULI, FieldError, field_make
+from oseq.finite_field import _MODULI, FieldError, FieldSpec
 
 
 def test_pinned_moduli():
-    assert field_make(2, 2).modulus == (1, 1, 1)
-    assert field_make(2, 3).modulus == (1, 1, 0, 1)
-    assert field_make(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
-    assert field_make(5).modulus == (0, 1)
+    assert FieldSpec(2, 2).modulus == (1, 1, 1)
+    assert FieldSpec(2, 3).modulus == (1, 1, 0, 1)
+    assert FieldSpec(2, 6).modulus == (1, 1, 0, 0, 0, 0, 1)
+    assert FieldSpec(5).modulus == (0, 1)
 
 
 def test_prime_field_arithmetic():
-    f5 = field_make(5)
+    f5 = FieldSpec(5)
     assert f5.mul(2, 3) == 1
     assert f5.add(4, 3) == 2
     assert f5.inv(2) == 3
 
 
 def test_gf8_reduction():
-    f8 = field_make(2, 3)
+    f8 = FieldSpec(2, 3)
     x, x2 = 2, 4
     assert f8.mul(x, x2) == 3  # x^3 = x + 1
 
 
 def test_gf64_generator_order():
-    f = field_make(2, 6)
+    f = FieldSpec(2, 6)
     # power iteration oracle: walk x, x^2, ... until 1
     x, seen = 2, 0
     acc = 1
@@ -46,7 +46,7 @@ def test_gf64_generator_order():
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)])
 def test_field_axioms_exhaustive(p, k):
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     elems = range(f.q)
     for a, b, c in itertools.product(elems, repeat=3):
         assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
@@ -59,21 +59,21 @@ def test_field_axioms_exhaustive(p, k):
 @settings(max_examples=200)
 @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 63))
 def test_gf64_axioms_sampled(a, b, c):
-    f = field_make(2, 6)
+    f = FieldSpec(2, 6)
     assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (2, 6)])
 def test_frobenius_additivity(p, k):
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     for a in range(f.q):
         for b in range(f.q):
             assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
 
 
 def test_gf8_twist_squares():
-    f = field_make(2, 3)
+    f = FieldSpec(2, 3)
     for x in range(8):
         theta = f.pow(x, 4) if x else 0
         theta2 = f.pow(theta, 4) if theta else 0
@@ -81,18 +81,18 @@ def test_gf8_twist_squares():
 
 
 def test_nonzero_elements_satisfy_unit_group_order():
-    f = field_make(2, 3)
+    f = FieldSpec(2, 3)
     for x in range(1, 8):
         assert f.pow(x, 7) == 1
 
 
 def test_field_errors():
     with pytest.raises(FieldError):
-        field_make(4, 1)
+        FieldSpec(4, 1)
     with pytest.raises(FieldError):
-        field_make(2, 9)
+        FieldSpec(2, 9)
     with pytest.raises(FieldError):
-        field_make(5).inv(0)
+        FieldSpec(5).inv(0)
 
 
 # The oracle's own polynomial arithmetic over GF(p): ascending coefficient
@@ -130,7 +130,7 @@ def _poly_mul(a, b, p):
 def _tables_by_polynomials(p, k):
     """The add, mul and inv tables of GF(p^k), each entry from the coefficient
     vectors: a digit-wise sum, and a polynomial product reduced by the modulus."""
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     q = f.q
 
     def encode(poly):
@@ -167,9 +167,9 @@ def test_tables_match_the_polynomial_builder(p, k):
     # the constructors use no field of over 64 elements, so none is built
     if p**k > 64:
         with pytest.raises(FieldError, match=rf"no field GF\({p}\^{k}\)"):
-            field_make(p, k)
+            FieldSpec(p, k)
         return
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     q = f.q
     add, mul, inv = _tables_by_polynomials(p, k)
     assert [f.add(a, b) for a in range(q) for b in range(q)] == add
@@ -186,13 +186,13 @@ def test_tables_match_the_polynomial_builder(p, k):
 @pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
 def test_primitive_is_the_least_code_of_order_q_minus_1(p, k):
     orders = _orders_by_polynomials(p, k)
-    assert field_make(p, k).primitive == min(a for a, o in orders.items() if o == p**k - 1)
+    assert FieldSpec(p, k).primitive == min(a for a, o in orders.items() if o == p**k - 1)
 
 
 @pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
 def test_zero_has_no_logarithm(p, k):
     # zero is the one code outside the table of powers
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     for a in range(f.q):
         assert f.mul(0, a) == 0 and f.mul(a, 0) == 0
     assert f.pow(0, 0) == 1
@@ -205,7 +205,7 @@ def test_zero_has_no_logarithm(p, k):
 
 @pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
 def test_no_field_holds_a_quadratic_table(p, k):
-    f = field_make(p, k)
+    f = FieldSpec(p, k)
     for name in type(f).__slots__:
         value = getattr(f, name)
         if hasattr(value, "__len__"):

@@ -784,6 +784,23 @@ def test_each_error_class_maps_to_its_exit_code(tmp_path, args, code, stderr):
     assert elapsed < 1
 
 
+def test_poset_refuses_a_repeated_label_before_it_builds_a_group():
+    # the labels are the canonical texts, known from the parse alone; the
+    # wreath square of SD_300_23 would take about a second to build
+    code = (
+        "import types\n"
+        "from oseq import cli, construct\n"
+        "calls = []\n"
+        "spy = lambda name, fn: lambda *args: calls.append(name) or fn(*args)\n"
+        "for name, fn in list(vars(construct).items()):\n"
+        "    if isinstance(fn, types.FunctionType):\n"
+        "        setattr(construct, name, spy(name, fn))\n"
+        "print(cli.main(['poset', 'C(4)', 'C(4)', 'Wr2(Cat(SD_300_23))']), calls)\n"
+    )
+    proc = _run_python("-c", code, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("1 []\n", "error: corpus labels must be unique\n")
+
+
 @pytest.mark.parametrize(
     "args,code,stdout,stderr",
     [

@@ -17,7 +17,7 @@ from sympy import isprime
 from oseq import classify
 from oseq.classify import supersolvable_chain
 from oseq.construct import alternating, catalog, cyclic, direct_product, heisenberg, psl2, symmetric
-from oseq.groups import PermBacking, enumerate_group
+from oseq.groups import Group, PermBacking, enumerate_group
 from oseq.verify import catalog_sample, order12_corpus_groups
 from quotient_oracle import is_normal, quotient
 
@@ -147,9 +147,9 @@ def test_each_coset_is_tried_once_at_its_least_index(monkeypatch, name):
     tries = {}  # N -> the indices x tried against N
     real = classify._normal_prime_coset
 
-    def spy(g, x, members):
+    def spy(g, x, members, generators):
         tries.setdefault(frozenset(members), []).append(x)
-        return real(g, x, members)
+        return real(g, x, members, generators)
 
     monkeypatch.setattr(classify, "_normal_prime_coset", spy)
     assert supersolvable_chain(group) == quotient_recursion_chain(group)
@@ -157,3 +157,37 @@ def test_each_coset_is_tried_once_at_its_least_index(monkeypatch, name):
         cosets = [frozenset(group.mul(x, h) for h in members) for x in xs]
         assert all(x == min(c) for x, c in zip(xs, cosets))
         assert len(set(cosets)) == len(xs) < len(group) // len(members)
+
+
+def test_each_walk_inverts_only_its_generators_each_once(monkeypatch):
+    # Group.inv keeps no memo, so a walk that inverted arbitrary elements, or
+    # a generator once per coset, would slow down without failing elsewhere.
+    # The generators of a walk are the group's for the chain and the operands'
+    # for a commutator subgroup; inversions in the factors of a product, which
+    # its backing makes for each one of the group's own, are not counted.
+    real_inv, real_commutators, real_chain = Group.inv, classify.commutator_subgroup, classify.supersolvable_chain
+    walks = []  # (the indices a walk of `group` may invert, those it inverted)
+
+    def inv(self, i):
+        if self is group:
+            walks[-1][1].append(i)
+        return real_inv(self, i)
+
+    def commutators(g, a_gens, b_gens):
+        walks.append(({*a_gens, *b_gens}, []))
+        return real_commutators(g, a_gens, b_gens)
+
+    def chain(g):
+        walks.append((set(g.generators), []))
+        return real_chain(g)
+
+    monkeypatch.setattr(Group, "inv", inv)
+    monkeypatch.setattr(classify, "commutator_subgroup", commutators)
+    monkeypatch.setattr(classify, "supersolvable_chain", chain)
+    for _, group in (*catalog_sample(), *order12_corpus_groups()):
+        walks.clear()
+        classify.classify_group(group)
+        assert any(inverted for _, inverted in walks)
+        for allowed, inverted in walks:
+            assert set(inverted) <= allowed
+            assert len(inverted) == len(set(inverted))
