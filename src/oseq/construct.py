@@ -180,18 +180,6 @@ def direct_power(g, k):
     return reduce(direct_product, repeat(g, min(k, DEFAULT_CLOSURE_CAP.bit_length())))
 
 
-def _matvec(spec, rows, v):
-    mul, add = spec.mul, spec.add
-    out = []
-    for row in rows:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def validate_action(n, images):
     """Check that each image, a permutation of N's indices, is an
     automorphism of N; raises ConstructionError on failure.
@@ -300,18 +288,30 @@ def _projective_group(name, spec, mats, start, order):
     on the orbit of the projective point `start`, each point kept with first
     non-zero entry 1 and numbered in BFS order.  An orbit of over 255 points
     is refused, and the group must have the given order, so that the action
-    has no kernel."""
+    has no kernel.  Products are taken in log form: each matrix row is held
+    as the logarithms of its non-zero entries, and each point's logarithms
+    are looked up once for all the matrices."""
+    exp, log, add, n = spec._exp, spec._log, spec.add, spec.q - 1
+    rows = [[[(j, log[x]) for j, x in enumerate(row) if x] for row in m] for m in mats]
 
     def point(v):
-        lead = spec.inv(next(x for x in v if x))
-        return tuple(spec.mul(lead, x) for x in v)
+        lead = log[next(x for x in v if x)]
+        return tuple(exp[(log[x] - lead) % n] if x else 0 for x in v)
 
     points = [point(start)]
     number = {points[0]: 0}
     images = [[] for _ in mats]
     for v in points:  # grows while it is walked
-        for m, row in zip(mats, images):
-            w = point(_matvec(spec, m, v))
+        lv = [log[x] for x in v]  # None at a zero entry
+        for m, row in zip(rows, images):
+            w = []
+            for r in m:
+                acc = 0
+                for j, e in r:
+                    if lv[j] is not None:
+                        acc = add(acc, exp[(e + lv[j]) % n])
+                w.append(acc)
+            w = point(w)
             if w not in number:
                 if len(points) == 255:
                     raise ConstructionError(f"{name}: projective orbit has more than 255 points")

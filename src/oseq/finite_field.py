@@ -9,10 +9,12 @@ call, and no field is cached: `expr.build` memoises the groups.
 Field elements are canonically encoded as integers in [0, p^k): the base-p
 packing of the coefficient vector of the residue polynomial, least
 significant digit = constant term.  Moduli are pinned so the encoding is
-identical across runs.  A sum is digit-wise mod p; a product is a lookup in
-the powers of the least primitive code and their logarithms (Zech's
-logarithms; Lidl & Niederreiter, *Finite Fields*, 1997).  There is no
-matrix type: `construct._matvec` applies a tuple of rows to a vector.
+identical across runs.  A product is a lookup in the powers of the least
+primitive code g and their logarithms, and a sum is one too: a + b =
+a (1 + b / a), with log(1 + g^e) read from a table of Zech's logarithms
+(Lidl & Niederreiter, *Finite Fields*, 1997), so no operation walks the
+digits.  There is no matrix type: `construct._projective_group` applies
+tuples of rows to vectors, through the logarithms of their entries.
 """
 
 from . import BuildError
@@ -49,42 +51,44 @@ class FieldSpec:
     int-encoded elements and safe for concurrent use.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "primitive", "_exp", "_log")
+    __slots__ = ("p", "k", "q", "modulus", "primitive", "_exp", "_log", "_zech")
 
     def __init__(self, p, k=1):
         if not (k == 1 and p < 64 and isprime(p) or (p, k) in _MODULI):
             raise FieldError(f"no field GF({p}^{k}): the fields are GF(p^k), p prime, p^k <= 64")
-        self.p, self.k, self.q = p, k, p**k
-        self.modulus = _MODULI.get((p, k), (0, 1))
-        # the least primitive code: the class of x is not one in GF(9), GF(25) or GF(49)
-        for g in range(1, self.q):
-            powers = [1]
-            while (x := self._product(powers[-1], g)) != 1:
-                powers.append(x)
-            if len(powers) == self.q - 1:
+        q, m = p**k, _MODULI.get((p, k), (0, 1))
+        self.p, self.k, self.q, self.modulus = p, k, q, m
+        # The least primitive code g = c1 x + c0 and its powers, each from the
+        # last in one pass over its k digits: y g = c1 (y x) + c0 y, where y x
+        # shifts y's digits up a degree and reduces x^k to -(m_0 + ... +
+        # m_(k-1) x^(k-1)).  Every field here has a primitive code below p^2,
+        # and a search that found none would leave fewer than q - 1 powers.
+        for g in range(1, min(q, p * p)):
+            c1, c0, powers = g // p, g % p, [1]
+            while True:
+                d = [powers[-1] // p**i % p for i in range(k)]
+                y = self.encode(c1 * (s - d[-1] * mi) + c0 * di for s, mi, di in zip([0, *d], m, d))
+                if y == 1:
+                    break
+                powers.append(y)
+            if len(powers) == q - 1:
                 break
         self.primitive, self._exp = g, powers
-        self._log = [None] + sorted(range(self.q - 1), key=powers.__getitem__)  # _log[powers[e]] = e
+        self._log = [None] + sorted(range(q - 1), key=powers.__getitem__)  # _log[powers[e]] = e
+        # Zech's logarithms: _zech[e] = log(1 + g^e), None where 1 + g^e = 0;
+        # adding 1 changes only the constant digit
+        self._zech = [self._log[y - y % p + (y + 1) % p] for y in powers]
 
     def encode(self, coeffs):
         return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
 
-    def _product(self, a, b):
-        """a * b by Horner's rule over b's digits, top first: shift the sum up a
-        degree, x^k reduced to -(m_0 + ... + m_(k-1) x^(k-1)), and add digit * a."""
-        p, k = self.p, self.k
-        digits = lambda c: [c // p**i % p for i in range(k)]
-        da, r = digits(a), [0] * k
-        for c in reversed(digits(b)):
-            r = [(s - r[-1] * m + c * d) % p for s, m, d in zip([0] + r[:-1], self.modulus, da)]
-        return self.encode(r)
-
     def add(self, a, b):
-        p, s, unit = self.p, 0, 1
-        while b:  # then a's digits above b's carry over unchanged
-            s += (a + b) % p * unit  # the sum of the low digits, mod p
-            a, b, unit = a // p, b // p, unit * p
-        return s + a * unit
+        """a + b = a (1 + b / a), the logarithm of 1 + b / a looked up in the Zech table."""
+        if not (a and b):
+            return a or b
+        n, la = self.q - 1, self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def mul(self, a, b):
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)] if a and b else 0

@@ -11,9 +11,11 @@ D(n), Dic(n) and C_p^k are integers of such backings too, numbered
 breadth-first.  A permutation group is kept as a stabiliser chain, its order
 known, and is listed coset by coset of a point stabiliser only when its
 table is first read; `Group.order_counts` counts its element orders from the
-chain, one coset per suborbit, with no table, and on a coset that the
-two-point stabiliser maps onto itself by conjugation, one element per orbit
-of that stabiliser.  Every other group is enumerated breadth-first from the
+chain, one coset per suborbit, with no table.  It goes down two levels on the
+suborbit of c, the base of the stabiliser H's own chain: H's table is laid
+out coset by coset of K = H_c, in the order of H's orbit, and conjugation by
+K permutes the K-cosets of u_c H, so one slice of H's table is counted per
+K-orbit of points.  Every other group is enumerated breadth-first from the
 identity with generators applied in declared order (FIFO).  Each way two
 runs assign identical indices.
 """
@@ -303,67 +305,61 @@ class Group:
         H-orbit (a suborbit) hold the same orders: the count is that of H
         plus, for each suborbit other than {b}, its length times the count of
         one of its cosets.  The suborbit holding c, the base of H's own
-        chain, is counted on u_c H, which K = H_c maps onto itself by
-        conjugation: k^-1 (u_c h) k = u_c (k'^-1 h k), k' = u_c^-1 k u_c in
-        H.  A breadth-first walk over K's generators splits the coset into
-        K-orbits, and one element per orbit is counted, times the orbit's
-        length; every other coset is walked the same way with K trivial.  For
-        x in the coset, x^l fixes b for l the length of b's cycle under x,
-        and ord(x) = l * ord(x^l), the second found in H.  Every other group
-        counts `orders()`.
+        chain, is counted one level further down.  H's table lists H coset
+        by coset of K = H_c, u'_q K for q in H's orbit in order, so u_c H is
+        the union of the slices S_d = u_c u'_q K = {x : x(c) = d}, d = u_c(q).
+        For k in K, k^-1 x k is in u_c H and maps c to k^-1(d): conjugation
+        by K carries S_d onto S_k^-1(d) and keeps orders, so one slice is
+        counted per K-orbit of the points d, times that orbit's length.
+        Every other coset is counted element by element.  For x in a coset,
+        x^l fixes b for l the length of b's cycle under x, and ord(x) =
+        l * ord(x^l), the second found in H.  Every other group counts
+        `orders()`.
         """
         chain = self._chain
         if chain is None:
             return Counter(self.orders())
-        b, stab, kept = chain.base, chain.stabiliser, chain.kept
+        b, stab, sub = chain.base, chain.stabiliser, chain.stabiliser._chain
         counts = stab.order_counts()
         table, index, order_of = stab.table, stab.index, stab.order_of
         tail = self.backing._tail
-        full = self.backing.identity() + tail
-        c = stab._chain.base if stab._chain else None
         seen = {b}
         for p in chain.orbit:
             if p in seen:
                 continue
-            seen.add(p)
-            suborbit = [p]
-            for q in suborbit:  # grows while it is walked
-                for s in kept:
-                    if s[q] not in seen:
-                        seen.add(s[q])
-                        suborbit.append(s[q])
-            if c in suborbit:
-                p = c
+            suborbit = _orbit(p, chain.kept, seen)
+            slices = [(table, 1)]
+            if sub and sub.base in suborbit:
+                p, width, done = sub.base, len(sub.stabiliser), set()
+                ut = chain.transversal[p]
+                # `done` fills as each K-orbit is walked, so each is met once, at its first slice
+                slices = [(table[i * width : (i + 1) * width], len(_orbit(ut[q], sub.kept, done)))
+                          for i, q in enumerate(sub.orbit) if ut[q] not in done]
             ut = chain.transversal[p] + tail
-            conj = ()  # (k, the table of k'^-1) for each generator k of K, on u_c H only
-            if p == c:
-                uinv = bytes.maketrans(ut, full)
-                conj = [(k, ut.translate(bytes.maketrans(k + tail, full)).translate(uinv)) for k in stab._chain.kept]
-            coset = Counter()
-            visited = bytearray(len(stab))
-            for i, h in enumerate(table):
-                if visited[i]:
-                    continue
-                visited[i] = 1
-                orbit = [h]
-                for v in orbit:  # grows while it is walked
-                    vt = v + tail
-                    for k, kt in conj:
-                        z = k.translate(vt).translate(kt)
-                        j = index[z]
-                        if not visited[j]:
-                            visited[j] = 1
-                            orbit.append(z)
-                x = h.translate(ut)
-                xt = x + tail
-                y, l = x, 1
-                while y[b] != b:
-                    y = y.translate(xt)
-                    l += 1
-                coset[l * order_of(index[y])] += len(orbit)
-            for o, m in coset.items():
-                counts[o] += m * len(suborbit)
+            for hs, weight in slices:
+                weight *= len(suborbit)
+                for h in hs:
+                    x = h.translate(ut)
+                    xt = x + tail
+                    y, l = x, 1
+                    while y[b] != b:
+                        y = y.translate(xt)
+                        l += 1
+                    counts[l * order_of(index[y])] += weight
         return counts
+
+
+def _orbit(p, gens, seen):
+    """The orbit of the point p under the permutations `gens`, in BFS order;
+    its points are added to `seen`, which must not hold p."""
+    seen.add(p)
+    orbit = [p]
+    for q in orbit:  # grows while it is walked
+        for s in gens:
+            if s[q] not in seen:
+                seen.add(s[q])
+                orbit.append(s[q])
+    return orbit
 
 
 _Chain = namedtuple("_Chain", "gens base orbit transversal stabiliser kept")

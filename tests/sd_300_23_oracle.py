@@ -11,13 +11,21 @@ elements under different indices.
 from functools import lru_cache
 
 from catalog_oracle import _SD_300_23_MATRICES
-from oseq.construct import (
-    ConstructionError,
-    _matvec,
-    elementary_abelian,
-    semidirect_product,
-)
+from oseq.construct import ConstructionError, elementary_abelian, semidirect_product
 from oseq.groups import PermBacking, enumerate_group
+
+
+def _matvec(spec, rows, v):
+    """The matrix (a tuple of rows over `spec`) applied to the vector v."""
+    mul, add = spec.mul, spec.add
+    out = []
+    for row in rows:
+        acc = 0
+        for x, y in zip(row, v):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        out.append(acc)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ The fast paths: `PermBacking.mul` composes packed permutations with one
 `enumerate_group` keeps a permutation group as a stabiliser chain and lists
 it coset by coset of a point stabiliser when its table is first read, one
 translate table per coset; `Group.order_counts` counts its orders on one
-coset per suborbit, with no table, and walks one element per orbit of the
-two-point stabiliser K on the coset it maps onto itself by conjugation;
+coset per suborbit, with no table, and walks one coset of the two-point
+stabiliser K, a slice of the stabiliser's table, per K-orbit of points;
 `Group.order_of` builds one
 table per power walk, so neither calls `mul`; `Group.order_of` fills
 the orders of a whole cyclic subgroup from one walk; PSL(2,q) and Sz(8) are
@@ -23,7 +23,8 @@ C7 : A4's two 3-cycles multiply C7 by 4 and 2.
 The references compose and invert a permutation point by point, enumerate
 breadth-first and count powers until the identity through `backing.mul` (or
 walk every element, `Group.orders()`, or every element of one coset per
-suborbit, `_count_by_coset_walk`), multiply matrices (tuples
+suborbit, `_count_by_coset_walk`, or one element per orbit of K by
+conjugation, `_count_by_k_orbits`), multiply matrices (tuples
 of rows) entry by entry with `FieldSpec.add` and `FieldSpec.mul`, pick
 invertible matrices by a Leibniz determinant, search matrix words for the
 first action satisfying the relations of Dic12, enumerate Sz(8), Dic(n) and
@@ -457,9 +458,71 @@ def _count_by_coset_walk(group):
     return counts
 
 
+def _count_by_k_orbits(group):
+    """The element orders of a permutation group, counted from its chain as
+    `order_counts` did before it went down a second level: as
+    `_count_by_coset_walk`, but the coset u_c H of the suborbit holding c,
+    the base of H's chain, is split into orbits of K = H_c acting by
+    conjugation, k^-1 (u_c h) k = u_c (k'^-1 h k) for k' = u_c^-1 k u_c, by a
+    breadth-first walk over K's generators with a bytearray of visited
+    elements, and one element per orbit is walked, times the orbit's size."""
+    chain = group._chain
+    if chain is None:
+        return Counter(group.orders())
+    b, stab, kept = chain.base, chain.stabiliser, chain.kept
+    counts = _count_by_k_orbits(stab)
+    table, index, order_of = stab.table, stab.index, stab.order_of
+    tail = group.backing._tail
+    full = group.backing.identity() + tail
+    c = stab._chain.base if stab._chain else None
+    seen = {b}
+    for p in chain.orbit:
+        if p in seen:
+            continue
+        seen.add(p)
+        suborbit = [p]
+        for q in suborbit:  # grows while it is walked
+            for s in kept:
+                if s[q] not in seen:
+                    seen.add(s[q])
+                    suborbit.append(s[q])
+        if c in suborbit:
+            p = c
+        ut = chain.transversal[p] + tail
+        conj = ()  # (k, the table of k'^-1) for each generator k of K, on u_c H only
+        if p == c:
+            uinv = bytes.maketrans(ut, full)
+            conj = [(k, ut.translate(bytes.maketrans(k + tail, full)).translate(uinv)) for k in stab._chain.kept]
+        coset = Counter()
+        visited = bytearray(len(stab))
+        for i, h in enumerate(table):
+            if visited[i]:
+                continue
+            visited[i] = 1
+            orbit = [h]
+            for v in orbit:  # grows while it is walked
+                vt = v + tail
+                for k, kt in conj:
+                    z = k.translate(vt).translate(kt)
+                    j = index[z]
+                    if not visited[j]:
+                        visited[j] = 1
+                        orbit.append(z)
+            x = h.translate(ut)
+            xt = x + tail
+            y, l = x, 1
+            while y[b] != b:
+                y = y.translate(xt)
+                l += 1
+            coset[l * order_of(index[y])] += len(orbit)
+        for o, m in coset.items():
+            counts[o] += m * len(suborbit)
+    return counts
+
+
 def _two_point_stabiliser_is_trivial(group):
     """Whether K = H_c, H = G_b and c the base of H's chain, is trivial, so
-    that no coset is split into K-orbits at the top of the chain."""
+    that no coset is split into K-cosets at the top of the chain."""
     stab = group._chain.stabiliser if group._chain else None
     return stab is None or stab._chain is None or not stab._chain.kept
 
@@ -467,17 +530,48 @@ def _two_point_stabiliser_is_trivial(group):
 @pytest.mark.parametrize(
     "make",
     [*(lambda q=q: psl2(q) for q in _COUNTED_Q), suzuki8,
-     *(lambda n=n: symmetric(n) for n in range(1, 9)),
+     *(lambda n=n: symmetric(n) for n in range(1, 10)),
      *(lambda n=n: alternating(n) for n in range(1, 10))],
     ids=[*(f"PSL2_{q}" for q in _COUNTED_Q), "Sz8",
-         *(f"S{n}" for n in range(1, 9)), *(f"A{n}" for n in range(1, 10))],
+         *(f"S{n}" for n in range(1, 10)), *(f"A{n}" for n in range(1, 10))],
 )
 def test_k_orbit_count_matches_the_coset_walk(make):
     group = make()
     counts = group.order_counts()
     assert not _table_built(group) or len(group) == 1
     assert counts == _count_by_coset_walk(make())
+    assert counts == _count_by_k_orbits(make())
     assert sum(counts.values()) == len(group)
+
+
+def _orders_walked_at_the_top(group):
+    """How many elements `order_counts` walks on the cosets of G_b: each one
+    walked asks H = G_b for the order of its power that fixes b, once."""
+    stab, calls = group._chain.stabiliser, Counter()
+    order_of = Group.order_of
+
+    def spy(self, i):
+        calls[id(self)] += 1
+        return order_of(self, i)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Group, "order_of", spy)
+        group.order_counts()
+    return calls[id(stab)]
+
+
+def test_two_level_count_walks_one_k_coset_per_k_orbit():
+    # PSL(2,64) is 2-transitive on 65 points, and K = H_c, cyclic of order 63,
+    # fixes b and is regular on the other 63 points: 2 slices of 63 elements,
+    # where the walk over u_c H took all 4,032
+    assert _orders_walked_at_the_top(psl2(64)) == 2 * 63
+    # Sz(8): K has order 7, and one slice per orbit of K on the 64 points
+    # other than c, found here from K's table
+    sz = suzuki8()
+    sub = sz._chain.stabiliser._chain
+    k_orbits = {frozenset(k[d] for k in sub.stabiliser.table) for d in range(65) if d != sub.base}
+    assert len(sub.stabiliser) == 7 and len(k_orbits) == 10
+    assert _orders_walked_at_the_top(sz) == len(k_orbits) * 7
 
 
 def _transitive_perms(degree):
@@ -496,6 +590,7 @@ def test_k_orbit_count_matches_the_oracles_on_random_transitive_groups(case):
     counts = group.order_counts()
     assert not _table_built(group)
     assert counts == _count_by_coset_walk(enumerate_group(backing, [backing.pack(p) for p in perms]))
+    assert counts == _count_by_k_orbits(enumerate_group(backing, [backing.pack(p) for p in perms]))
     assert counts == Counter(_orders_by_mul(group))
 
 

@@ -183,6 +183,53 @@ def test_tables_match_the_polynomial_builder(p, k):
             x = mul[x * q + a]
 
 
+def _digit_sum(p, a, b):
+    """a + b digit by digit mod p, as `FieldSpec.add` summed before Zech's logarithms."""
+    s, unit = 0, 1
+    while b:  # then a's digits above b's carry over unchanged
+        s += (a + b) % p * unit  # the sum of the low digits, mod p
+        a, b, unit = a // p, b // p, unit * p
+    return s + a * unit
+
+
+def _horner_product(f, a, b):
+    """a * b by Horner's rule over b's digits, top first: shift the sum up a
+    degree, x^k reduced to -(m_0 + ... + m_(k-1) x^(k-1)), and add digit * a."""
+    p, k = f.p, f.k
+    digits = lambda c: [c // p**i % p for i in range(k)]
+    da, r = digits(a), [0] * k
+    for c in reversed(digits(b)):
+        r = [(s - r[-1] * m + c * d) % p for s, m, d in zip([0] + r[:-1], f.modulus, da)]
+    return f.encode(r)
+
+
+def _powers_by_horner(f):
+    """The least code whose powers, by Horner products, reach q - 1 elements,
+    its powers, and their logarithms, as `FieldSpec` searched before it
+    stepped by multiplying by c1 x + c0."""
+    for g in range(1, f.q):
+        powers = [1]
+        while (x := _horner_product(f, powers[-1], g)) != 1:
+            powers.append(x)
+        if len(powers) == f.q - 1:
+            break
+    log = [None] * f.q
+    for e, x in enumerate(powers):
+        log[x] = e
+    return g, powers, log
+
+
+ACCEPTED = [*((p, 1) for p in range(64) if isprime(p)), *_MODULI]  # every field FieldSpec builds
+
+
+@pytest.mark.parametrize("p,k", ACCEPTED, ids=[f"{p}^{k}" for p, k in ACCEPTED])
+def test_zech_sum_and_powers_match_the_digit_oracles(p, k):
+    f = FieldSpec(p, k)
+    q = f.q
+    assert [f.add(a, b) for a in range(q) for b in range(q)] == [_digit_sum(p, a, b) for a in range(q) for b in range(q)]
+    assert (f.primitive, f._exp, f._log) == _powers_by_horner(f)
+
+
 @pytest.mark.parametrize("p,k", FIELDS, ids=FIELD_IDS)
 def test_primitive_is_the_least_code_of_order_q_minus_1(p, k):
     orders = _orders_by_polynomials(p, k)
